@@ -29,6 +29,7 @@ from .dro_core import DroConfig, LogitSet, robust_loss
 from .errors import DomainError, IntegrityError, TrainingDivergedError
 from .tau_solver import (
     BatchSolveError,
+    SolveStatus,
     SolverOptions,
     UnboundedDescentError,
     newton_solve,
@@ -205,28 +206,22 @@ def _lm_eval_windows(ckpt: tr.Checkpoint, corpus_path) -> md.TokenBatch:
     return md.eval_windows(val_ids, cfg.context_len)
 
 
+def _lm_temperature_source(ckpt: tr.Checkpoint, tau_max_eval: Optional[float]):
+    """The checkpoint's TempNet (at the inference ceiling), or tau = 1 for CE."""
+    return _rescaled_net(ckpt.tempnets[0], tau_max_eval) if ckpt.tempnets else 1.0
+
+
 def _collect_lm_temps(
     ckpt: tr.Checkpoint, corpus_path, tau_max_eval: Optional[float] = None
 ) -> np.ndarray:
     batch = _lm_eval_windows(ckpt, corpus_path)
-    if not ckpt.tempnets:
-        return np.ones(batch.n_targets)
-    net = _rescaled_net(ckpt.tempnets[0], tau_max_eval)
-    taus = []
-    for seq in batch.sequences:
-        rows = md._sequence_logits(ckpt.foundation, seq).data[: len(seq) - 1]
-        taus.append(tn.llm_tau_batch(net, Tensor(rows), zero_rows="keep").data)
-    return np.concatenate(taus)
+    return md.lm_eval_pass(ckpt.foundation, _lm_temperature_source(ckpt, tau_max_eval), batch)[1]
 
 
 def _cl_eval_pairs(ckpt: tr.Checkpoint, pairs_path) -> md.PairBatch:
-    snap = ckpt.extra.get("task", {})
-    eval_fraction = float(snap.get("eval_fraction", 0.25))
-    pairs = md.load_pairs_csv(pairs_path)
-    cut = pairs.n - max(2, int(round(pairs.n * eval_fraction)))
-    if cut < 0:
-        raise DomainError(f"{pairs.n} pairs cannot reproduce the checkpoint's eval split")
-    return md.PairBatch(pairs.x[cut:], pairs.t[cut:])
+    """The same eval pairs the trainer held out."""
+    eval_fraction = float(ckpt.extra.get("task", {}).get("eval_fraction", 0.25))
+    return md.split_pairs(md.load_pairs_csv(pairs_path), eval_fraction)[1]
 
 
 def _collect_cl_temps(
@@ -273,6 +268,7 @@ def cmd_solve_tau(args) -> int:
     cfg = DroConfig(tau0=args.tau0, tau_max=args.tau_max, rho=args.rho)
     opts = SolverOptions(tol=args.tol, bracket_hi=args.bracket_hi)
     results = []
+    unconverged = 0
     with open(args.input, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -292,6 +288,7 @@ def cmd_solve_tau(args) -> int:
                 sol = newton_solve(ls, cfg, opts)
             except (DomainError, UnboundedDescentError) as exc:
                 raise DomainError(f"{args.input}:{lineno}: {exc}") from None
+            unconverged += sol.status is SolveStatus.MAX_ITER_REACHED
             results.append(
                 json.dumps(
                     {
@@ -305,6 +302,12 @@ def cmd_solve_tau(args) -> int:
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("\n".join(results) + ("\n" if results else ""))
     print(f"solved {len(results)} instances -> {args.output}")
+    if unconverged:
+        print(
+            f"warning: {unconverged} of {len(results)} instances stopped at the iteration"
+            f" limit ({SolveStatus.MAX_ITER_REACHED.value}) before reaching tol {args.tol!r}",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -389,10 +392,7 @@ def cmd_eval(args) -> int:
         if args.corpus is None:
             raise DomainError("evaluating a language-model checkpoint needs --corpus")
         batch = _lm_eval_windows(ckpt, args.corpus)
-        if ckpt.tempnets:
-            source: object = _rescaled_net(ckpt.tempnets[0], args.tau_max_eval)
-        else:
-            source = 1.0
+        source = _lm_temperature_source(ckpt, args.tau_max_eval)
         ppl = md.perplexity(ckpt.foundation, source, batch)
         rows.append(("perplexity", ppl))
         print(f"perplexity: {ppl!r}")

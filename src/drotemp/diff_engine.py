@@ -12,7 +12,13 @@ numpy evaluation.
 Broadcasting is deliberately restricted to scalar-tensor; the row/column
 patterns the models need (bias rows, per-row temperature scaling) are
 explicit named primitives with hand-written backward rules rather than
-implicit numpy broadcasting, so every gradient path stays visible.
+implicit numpy broadcasting, so every gradient path stays visible. The one
+stacked pattern is matmul with a 3-D left operand: (n, m, k) @ (n, k, p)
+multiplies n matrix pairs slice by slice, and (n, m, k) @ (k, p) applies one
+matrix to every slice, its gradient summed over the stack. transpose swaps the
+last two axes of a 3-D tensor and reshape moves between the flat (n*m, d) and
+stacked (n, m, d) views, so a model can batch equal-length sequences through
+per-sequence attention without a block-diagonal mask.
 
 Tapes are single-owner while recording (the active-tape stack is
 thread-local); a finished tape is read-only and may be consumed anywhere.
@@ -45,6 +51,7 @@ __all__ = [
     "logistic",
     "matmul",
     "transpose",
+    "reshape",
     "affine",
     "add_rowvec",
     "mul_rowvec",
@@ -267,6 +274,8 @@ def logistic(x: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
+    if ad.ndim == 3:
+        return _stacked_matmul(a, b)
     if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
         raise ShapeError("matmul", a.shape, b.shape)
     if ad.shape[-1] != (bd.shape[0] if bd.ndim else 0):
@@ -284,10 +293,41 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", ad @ bd, (a, b), back)
 
 
+def _stacked_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(n, m, k) @ (n, k, p) slice by slice, or (n, m, k) @ (k, p) shared."""
+    ad, bd = a.data, b.data
+    if bd.ndim not in (2, 3) or ad.shape[-1] != bd.shape[-2]:
+        raise ShapeError("matmul", a.shape, b.shape)
+    if bd.ndim == 3 and bd.shape[0] != ad.shape[0]:
+        raise ShapeError("matmul", a.shape, b.shape)
+
+    def back(g):
+        ga = g @ np.swapaxes(bd, -1, -2)
+        if bd.ndim == 3:
+            return ga, np.swapaxes(ad, 1, 2) @ g
+        k, p = bd.shape
+        return ga, ad.reshape(-1, k).T @ g.reshape(-1, p)
+
+    return _emit("matmul", ad @ bd, (a, b), back)
+
+
 def transpose(x: Tensor) -> Tensor:
+    """Matrix transpose; a 3-D tensor swaps its last two axes per slice."""
+    if x.data.ndim == 3:
+        return _emit(
+            "transpose", np.swapaxes(x.data, 1, 2).copy(), (x,), lambda g: (np.swapaxes(g, 1, 2),)
+        )
     if x.data.ndim != 2:
         raise ShapeError("transpose", x.shape, x.shape)
     return _emit("transpose", x.data.T.copy(), (x,), lambda g: (g.T,))
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    """Same entries in row-major order under a new shape of equal size."""
+    shape = tuple(int(n) for n in shape)
+    if min(shape, default=0) < 0 or math.prod(shape) != x.data.size:
+        raise ShapeError("reshape", x.shape, shape)
+    return _emit("reshape", x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

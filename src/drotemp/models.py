@@ -21,9 +21,10 @@ Loss conventions:
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -177,72 +178,97 @@ def _rmsnorm(x: Tensor, d: int) -> Tensor:
     return de.mul(de.l2_normalize(x, axis=-1), math.sqrt(d))
 
 
-def _causal_mask(m: int) -> Tensor:
-    return Tensor(np.triu(np.full((m, m), _NEG_MASK), k=1))
+def _causal_mask(n: int, m: int) -> Tensor:
+    """Additive mask for n stacked m x m score blocks, one per sequence."""
+    return Tensor(np.broadcast_to(np.triu(np.full((m, m), _NEG_MASK), k=1), (n, m, m)))
+
+
+def _stacked_logits(params: LmParams, ids: np.ndarray) -> Tensor:
+    """Logit rows for an n x m block of equal-length sequences.
+
+    Returns (n*m, K); row i*m + j predicts token j + 1 of sequence i. Rows
+    stay flat through embeddings, norms, projections and the feedforward;
+    only attention views them as (n, m, d), so each sequence attends within
+    itself under its own causal mask.
+    """
+    cfg = params.cfg
+    n, m = ids.shape
+    d = cfg.d_model
+    x = de.add(
+        de.embedding_lookup(params.emb, ids.reshape(-1)),
+        de.embedding_lookup(params.pos, np.tile(np.arange(m), n)),
+    )
+    mask = _causal_mask(n, m)
+    for blk in params.blocks:
+        xn = de.reshape(_rmsnorm(x, d), (n, m, d))
+        q = de.matmul(xn, de.transpose(blk.Wq))
+        k = de.matmul(xn, de.transpose(blk.Wk))
+        v = de.matmul(xn, de.transpose(blk.Wv))
+        scores = de.add(de.mul(de.matmul(q, de.transpose(k)), 1.0 / math.sqrt(d)), mask)
+        ctx = de.matmul(de.softmax(scores, axis=-1), v)
+        x = de.add(x, de.reshape(de.matmul(ctx, de.transpose(blk.Wo)), (n * m, d)))
+        h = de.relu(de.affine(_rmsnorm(x, d), blk.Wf1, blk.bf1))
+        x = de.add(x, de.affine(h, blk.Wf2, blk.bf2))
+    return de.matmul(_rmsnorm(x, d), de.transpose(params.out_proj))
 
 
 def _sequence_logits(params: LmParams, ids: np.ndarray) -> Tensor:
     """Logit rows for one sequence: row j predicts the token at j + 1."""
-    cfg = params.cfg
-    m = len(ids)
-    x = de.add(de.embedding_lookup(params.emb, ids), de.slice_rows(params.pos, 0, m))
-    mask = _causal_mask(m)
-    for blk in params.blocks:
-        xn = _rmsnorm(x, cfg.d_model)
-        q = de.matmul(xn, de.transpose(blk.Wq))
-        k = de.matmul(xn, de.transpose(blk.Wk))
-        v = de.matmul(xn, de.transpose(blk.Wv))
-        scores = de.add(de.mul(de.matmul(q, de.transpose(k)), 1.0 / math.sqrt(cfg.d_model)), mask)
-        ctx = de.matmul(de.softmax(scores, axis=-1), v)
-        x = de.add(x, de.matmul(ctx, de.transpose(blk.Wo)))
-        h = de.relu(de.affine(_rmsnorm(x, cfg.d_model), blk.Wf1, blk.bf1))
-        x = de.add(x, de.affine(h, blk.Wf2, blk.bf2))
-    return de.matmul(_rmsnorm(x, cfg.d_model), de.transpose(params.out_proj))
+    return _stacked_logits(params, np.asarray(ids)[None, :])
 
 
-def _check_batch(params: LmParams, batch: TokenBatch):
+def _check_sequences(params: LmParams, sequences: Sequence[np.ndarray]):
     cfg = params.cfg
-    for seq in batch.sequences:
+    for seq in sequences:
         if seq.max() >= cfg.vocab_size:
             raise DomainError(f"token id {int(seq.max())} out of range for vocab {cfg.vocab_size}")
         if len(seq) > cfg.context_len:
             raise DomainError(f"sequence length {len(seq)} exceeds context {cfg.context_len}")
 
 
+def _target_logits(params: LmParams, sequences: Sequence[np.ndarray]) -> Tuple[Tensor, np.ndarray]:
+    """Logit rows at every target position plus the target ids.
+
+    Rows are sequence-major: the m - 1 predicting rows of each sequence in
+    turn. Consecutive sequences of equal length share one stacked forward.
+    """
+    _check_sequences(params, sequences)
+    parts = []
+    for m, run in itertools.groupby(sequences, key=len):
+        ids = np.stack(list(run))
+        # every row but each sequence's last, which predicts past its end
+        keep = (np.arange(ids.shape[0])[:, None] * m + np.arange(m - 1)).reshape(-1)
+        parts.append(de.embedding_lookup(_stacked_logits(params, ids), keep))
+    logits = parts[0] if len(parts) == 1 else de.concat(parts)
+    return logits, np.concatenate([seq[1:] for seq in sequences])
+
+
 def lm_logits(params: LmParams, batch: TokenBatch) -> List[np.ndarray]:
     """Per-sequence logit matrices (length m_i x K), causal by construction."""
-    _check_batch(params, batch)
+    _check_sequences(params, batch.sequences)
     return [_sequence_logits(params, seq).data for seq in batch.sequences]
 
 
-def _lm_robust_terms(params, tnet, batch, cfg) -> Tuple[List[Tensor], List[np.ndarray]]:
-    if tnet.cfg.variant is not tn.Variant.LLM_LOGITS:
-        raise DomainError("LM loss needs a logit-variant temperature network")
-    if tnet.cfg.d0 != params.cfg.vocab_size:
-        raise DomainError(
-            f"temperature net width {tnet.cfg.d0} != vocab size {params.cfg.vocab_size}"
-        )
-    _check_batch(params, batch)
-    log_k = math.log(params.cfg.vocab_size)
-    terms, tau_values = [], []
-    for seq in batch.sequences:
-        full = _sequence_logits(params, seq)
-        logits = de.slice_rows(full, 0, len(seq) - 1)
-        taus = tn.llm_tau_batch(tnet, de.stop_gradient(logits), zero_rows="keep")
-        scaled = de.scale_rows(logits, de.reciprocal(taus))
-        lse = de.logsumexp(scaled, axis=1)
-        positive = de.gather_rows(logits, seq[1:])
-        terms.append(de.sub(de.mul(taus, de.add(lse, cfg.rho - log_k)), positive))
-        tau_values.append(taus.data.copy())
-    return terms, tau_values
+def _robust_terms(logits: Tensor, taus: Tensor, targets: np.ndarray, rho: float) -> Tensor:
+    """Per position: tau * (logsumexp(L / tau) - log K + rho) - L_target."""
+    lse = de.logsumexp(de.scale_rows(logits, de.reciprocal(taus)), axis=1)
+    positive = de.gather_rows(logits, targets)
+    return de.sub(de.mul(taus, de.add(lse, rho - math.log(logits.shape[1]))), positive)
 
 
 def lm_robust_loss_and_taus(
     params: LmParams, tnet: tn.TempNetParams, batch: TokenBatch, cfg: DroConfig
 ) -> Tuple[Tensor, np.ndarray]:
     """Robust loss plus the temperatures it used, for training metrics."""
-    terms, tau_values = _lm_robust_terms(params, tnet, batch, cfg)
-    return de.mean(de.concat(terms)), np.concatenate(tau_values)
+    if tnet.cfg.variant is not tn.Variant.LLM_LOGITS:
+        raise DomainError("LM loss needs a logit-variant temperature network")
+    if tnet.cfg.d0 != params.cfg.vocab_size:
+        raise DomainError(
+            f"temperature net width {tnet.cfg.d0} != vocab size {params.cfg.vocab_size}"
+        )
+    logits, targets = _target_logits(params, batch.sequences)
+    taus = tn.llm_tau_batch(tnet, de.stop_gradient(logits), zero_rows="keep")
+    return de.mean(_robust_terms(logits, taus, targets, cfg.rho)), taus.data.copy()
 
 
 def robust_softmax_loss(
@@ -266,46 +292,37 @@ def lm_robust_loss_fixed_taus(
     temperature values: the loss treats tau as a per-instance constant either
     way. Useful for probing with solved temperatures.
     """
-    _check_batch(params, batch)
     if len(taus) != len(batch.sequences):
         raise DomainError(f"expected {len(batch.sequences)} tau vectors, got {len(taus)}")
-    log_k = math.log(params.cfg.vocab_size)
-    terms = []
-    for seq, tau_row in zip(batch.sequences, taus):
-        tau_row = np.asarray(tau_row, dtype=np.float64)
+    tau_rows = [np.asarray(t, dtype=np.float64) for t in taus]
+    for seq, tau_row in zip(batch.sequences, tau_rows):
         if tau_row.shape != (len(seq) - 1,) or (tau_row <= 0.0).any():
             raise DomainError("each tau vector must hold one positive value per target")
-        full = _sequence_logits(params, seq)
-        logits = de.slice_rows(full, 0, len(seq) - 1)
-        taus_t = Tensor(tau_row)
-        scaled = de.scale_rows(logits, de.reciprocal(taus_t))
-        lse = de.logsumexp(scaled, axis=1)
-        positive = de.gather_rows(logits, seq[1:])
-        terms.append(de.sub(de.mul(taus_t, de.add(lse, cfg.rho - log_k)), positive))
-    return de.mean(de.concat(terms))
+    logits, targets = _target_logits(params, batch.sequences)
+    return de.mean(_robust_terms(logits, Tensor(np.concatenate(tau_rows)), targets, cfg.rho))
 
 
 def baseline_ce_loss(params: LmParams, batch: TokenBatch) -> Tensor:
     """Mean per-token negative log-likelihood at temperature 1."""
-    _check_batch(params, batch)
-    terms = []
-    for seq in batch.sequences:
-        full = _sequence_logits(params, seq)
-        logits = de.slice_rows(full, 0, len(seq) - 1)
-        lse = de.logsumexp(logits, axis=1)
-        terms.append(de.sub(lse, de.gather_rows(logits, seq[1:])))
-    return de.mean(de.concat(terms))
+    logits, targets = _target_logits(params, batch.sequences)
+    return de.mean(de.sub(de.logsumexp(logits, axis=1), de.gather_rows(logits, targets)))
 
 
-def perplexity(
+# sequences per eval forward pass: keeps eval memory bounded for any corpus
+EVAL_CHUNK = 8
+
+
+def lm_eval_pass(
     params: LmParams,
     temperature_source: Union[float, tn.TempNetParams],
     corpus: Union[TokenBatch, Iterable[TokenBatch]],
-) -> float:
-    """exp of mean NLL under temperature-scaled probabilities.
+) -> Tuple[float, np.ndarray]:
+    """Perplexity and the temperature at every target position, in one pass.
 
     temperature_source is either a fixed positive tau applied everywhere or a
-    logit-variant temperature network evaluated per position.
+    logit-variant temperature network evaluated per position. Perplexity is
+    exp of the mean NLL under temperature-scaled probabilities; temperatures
+    come back sequence-major. The forward runs EVAL_CHUNK sequences at a time.
     """
     batches = [corpus] if isinstance(corpus, TokenBatch) else list(corpus)
     if not batches:
@@ -319,21 +336,31 @@ def perplexity(
         if fixed <= 0.0 or not np.isfinite(fixed):
             raise DomainError(f"fixed temperature must be positive, got {fixed}")
 
-    total, count = 0.0, 0
-    for batch in batches:
-        _check_batch(params, batch)
-        for seq in batch.sequences:
-            rows = _sequence_logits(params, seq).data[: len(seq) - 1]
-            if fixed is None:
-                taus = tn.llm_tau_batch(temperature_source, Tensor(rows), zero_rows="keep").data
-            else:
-                taus = np.full(rows.shape[0], fixed)
-            scaled = rows / taus[:, None]
-            shift = scaled.max(axis=1)
-            lse = shift + np.log(np.exp(scaled - shift[:, None]).sum(axis=1))
-            total += float((lse - scaled[np.arange(rows.shape[0]), seq[1:]]).sum())
-            count += rows.shape[0]
-    return float(np.exp(total / count))
+    sequences = [seq for batch in batches for seq in batch.sequences]
+    total, tau_parts = 0.0, []
+    for lo in range(0, len(sequences), EVAL_CHUNK):
+        logits, targets = _target_logits(params, sequences[lo : lo + EVAL_CHUNK])
+        rows = logits.data
+        if fixed is None:
+            taus = tn.llm_tau_batch(temperature_source, logits, zero_rows="keep").data
+        else:
+            taus = np.full(rows.shape[0], fixed)
+        scaled = rows / taus[:, None]
+        shift = scaled.max(axis=1)
+        lse = shift + np.log(np.exp(scaled - shift[:, None]).sum(axis=1))
+        total += float((lse - scaled[np.arange(rows.shape[0]), targets]).sum())
+        tau_parts.append(taus)
+    taus = np.concatenate(tau_parts)
+    return float(np.exp(total / taus.size)), taus
+
+
+def perplexity(
+    params: LmParams,
+    temperature_source: Union[float, tn.TempNetParams],
+    corpus: Union[TokenBatch, Iterable[TokenBatch]],
+) -> float:
+    """exp of mean NLL under temperature-scaled probabilities (see lm_eval_pass)."""
+    return lm_eval_pass(params, temperature_source, corpus)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +659,14 @@ def split_ids(ids: np.ndarray, val_fraction: float) -> Tuple[np.ndarray, np.ndar
         raise DomainError(f"val_fraction must be in (0, 1), got {val_fraction}")
     cut = int(round(len(ids) * (1.0 - val_fraction)))
     return ids[:cut], ids[cut:]
+
+
+def split_pairs(pairs: PairBatch, eval_fraction: float) -> Tuple[PairBatch, PairBatch]:
+    """Leading train pairs and trailing eval pairs (at least 2 of each)."""
+    cut = pairs.n - max(2, int(round(pairs.n * eval_fraction)))
+    if cut < 2:
+        raise DomainError(f"{pairs.n} pairs leave no room for a train/eval split")
+    return PairBatch(pairs.x[:cut], pairs.t[:cut]), PairBatch(pairs.x[cut:], pairs.t[cut:])
 
 
 def gen_clustered_pairs(

@@ -198,9 +198,10 @@ def init_cl_tempnet(
     """Prototype columns copied from sample transformation outputs when given.
 
     sample_embeddings rows live in the transformation output space (width d1);
-    at least d2 rows are required. Absent samples fall back to
-    Kaiming-uniform prototypes. phi starts at 0.01, the usual contrastive
-    temperature scale.
+    prototypes are drawn from the nonzero rows only (a zero column has no
+    direction to normalize), and at least d2 of them are required. Absent
+    samples fall back to Kaiming-uniform prototypes. phi starts at 0.01, the
+    usual contrastive temperature scale.
     """
     if cfg.variant is not Variant.CL_EMBEDDING:
         raise DomainError(f"config variant is {cfg.variant}, expected {Variant.CL_EMBEDDING}")
@@ -212,13 +213,15 @@ def init_cl_tempnet(
         samples = np.asarray(sample_embeddings, dtype=np.float64)
         if samples.ndim != 2 or samples.shape[1] != cfg.d1:
             raise DomainError(f"sample_embeddings must be n x {cfg.d1}, got {samples.shape}")
-        if samples.shape[0] < cfg.d2:
+        nonzero = np.flatnonzero(samples.any(axis=1))
+        if nonzero.size < cfg.d2:
             raise DomainError(
-                f"need at least d2={cfg.d2} sample rows for prototypes, got {samples.shape[0]}"
+                f"need at least d2={cfg.d2} nonzero sample rows for prototypes,"
+                f" got {nonzero.size} of {samples.shape[0]}"
             )
         # sorted draw keeps provided order; with exactly d2 rows the columns
         # equal the rows verbatim
-        idx = np.sort(rng.choice(samples.shape[0], size=cfg.d2, replace=False))
+        idx = nonzero[np.sort(rng.choice(nonzero.size, size=cfg.d2, replace=False))]
         w2 = samples[idx].T.copy()
     return TempNetParams(
         cfg=cfg,

@@ -569,18 +569,8 @@ class _LmRuntime:
 
     def evaluate(self) -> Tuple[float, np.ndarray]:
         """Validation perplexity and the per-position temperatures behind it."""
-        if self.task.objective == "robust":
-            source: Union[float, tn.TempNetParams] = self.tempnets[0]
-        else:
-            source = 1.0
-        ppl = md.perplexity(self.lm, source, self.eval_batch)
-        if self.task.objective != "robust":
-            return ppl, np.ones(1)
-        taus = []
-        for seq in self.eval_batch.sequences:
-            rows = md._sequence_logits(self.lm, seq).data[: len(seq) - 1]
-            taus.append(tn.llm_tau_batch(self.tempnets[0], Tensor(rows), zero_rows="keep").data)
-        return ppl, np.concatenate(taus)
+        source = self.tempnets[0] if self.tempnets else 1.0
+        return md.lm_eval_pass(self.lm, source, self.eval_batch)
 
 
 class _ClRuntime:
@@ -590,11 +580,7 @@ class _ClRuntime:
         self.run = run
         self.task = task
         pairs = md.load_pairs_csv(task.pairs_path)
-        cut = pairs.n - max(2, int(round(pairs.n * task.eval_fraction)))
-        if cut < 2:
-            raise DomainError(f"{pairs.n} pairs leave no room for a train/eval split")
-        self.train_pairs = md.PairBatch(pairs.x[:cut], pairs.t[:cut])
-        self.eval_pairs = md.PairBatch(pairs.x[cut:], pairs.t[cut:])
+        self.train_pairs, self.eval_pairs = md.split_pairs(pairs, task.eval_fraction)
         if run.batch_size > self.train_pairs.n:
             raise DomainError(
                 f"batch_size {run.batch_size} exceeds the {self.train_pairs.n} training pairs"

@@ -312,10 +312,8 @@ def _check_lm_loss_gradients(rng: np.random.Generator) -> float:
 
     grads = _grads_of(lambda: md.robust_softmax_loss(lm, net, batch, cfg))
     # temperatures the recorded loss used; the model-side probe holds them fixed
-    taus = [
-        tn.llm_tau_batch(net, Tensor(md._sequence_logits(lm, seq).data[: len(seq) - 1])).data
-        for seq in batch.sequences
-    ]
+    flat = md.lm_eval_pass(lm, net, batch)[1]
+    taus = np.split(flat, np.cumsum([len(seq) - 1 for seq in batch.sequences])[:-1])
 
     def fixed_tau_value() -> float:
         return md.lm_robust_loss_fixed_taus(lm, batch, cfg, taus).item()
@@ -327,6 +325,26 @@ def _check_lm_loss_gradients(rng: np.random.Generator) -> float:
     worst = max(worst, _rel_err(grads[net.W1].data, _fd_tensor(full_value, net.W1)))
     worst = max(worst, _rel_err(grads[net.phi].data, _fd_tensor(full_value, net.phi)))
     return worst
+
+
+def _check_stacked_primitives(rng: np.random.Generator) -> float:
+    """Stacked matmul (both operand shapes), 3-D transpose and reshape."""
+    a = Tensor(rng.normal(size=(3, 4, 5)))
+    b = Tensor(rng.normal(size=(3, 5, 2)))
+    w = Tensor(rng.normal(size=(5, 2)))
+    flat = Tensor(rng.normal(size=(12, 5)))
+
+    def probe(f, x: Tensor) -> float:
+        weights = Tensor(rng.normal(size=f(x).shape))
+        return de.finite_diff_check(lambda t: de.sum(de.mul(f(t), weights)), x)
+
+    return max(
+        probe(lambda t: de.matmul(t, b), a),
+        probe(lambda t: de.matmul(a, t), b),
+        probe(lambda t: de.matmul(a, t), w),
+        probe(de.transpose, a),
+        probe(lambda t: de.matmul(de.reshape(t, (3, 4, 5)), w), flat),
+    )
 
 
 def _check_gcl_loss_gradients(rng: np.random.Generator) -> float:
@@ -360,9 +378,10 @@ def _check_gcl_loss_gradients(rng: np.random.Generator) -> float:
 def check_gradients(seed: int = 0, fault: bool = False) -> CheckReport:
     """Analytic and reverse-mode derivatives against central differences.
 
-    Covers the scalar loss derivatives, the temperature network, and both
-    composite losses (where the model-side comparison probes the loss at the
-    recorded temperatures, matching the detached-temperature contract).
+    Covers the scalar loss derivatives, the temperature network, the stacked
+    tape primitives the LM forward batches through, and both composite
+    losses (where the model-side comparison probes the loss at the recorded
+    temperatures, matching the detached-temperature contract).
     ``fault`` flips one analytic sign so harness failures are demonstrably
     loud, not silent.
     """
@@ -372,8 +391,9 @@ def check_gradients(seed: int = 0, fault: bool = False) -> CheckReport:
         _check_tempnet_gradients(rng),
         _check_lm_loss_gradients(rng),
         _check_gcl_loss_gradients(rng),
+        _check_stacked_primitives(rng),
     )
-    return _report("gradients", 20 + 3, worst, seed)
+    return _report("gradients", 20 + 4, worst, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,35 @@ class TestSolveTau:
         assert rec["tau"] == 0.001
         assert rec["loss"] == pytest.approx(0.01, abs=1e-15)
 
+    def test_unconverged_instances_warn_but_exit_zero(self, tmp_path, capsys):
+        rng = np.random.default_rng(43)
+        src = tmp_path / "in.jsonl"
+        src.write_text(
+            "".join(
+                json.dumps({"positive": float(rng.normal()), "contrast": rng.normal(size=8).tolist()})
+                + "\n"
+                for _ in range(12)
+            ),
+            encoding="utf-8",
+        )
+        dst = tmp_path / "out.jsonl"
+        # no gradient gets below 1e-300 short of an exact zero
+        rc = run_cli(["solve-tau", "--input", str(src), "--output", str(dst), "--tol", "1e-300"])
+        assert rc == 0
+        statuses = [json.loads(line)["status"] for line in dst.read_text().splitlines()]
+        unconverged = statuses.count("MaxIterReached")
+        assert unconverged >= 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: {unconverged} of 12 instances")
+        assert "MaxIterReached" in err
+
+    def test_converged_stream_prints_no_warning(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"positive":0.3,"contrast":[1.0,0.2,-0.5]}\n', encoding="utf-8")
+        rc = run_cli(["solve-tau", "--input", str(src), "--output", str(tmp_path / "o.jsonl")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_batch_matches_golden_section_in_order(self, tmp_path):
         rng = np.random.default_rng(42)
         cfg = DroConfig(tau0=0.01, tau_max=50.0, rho=0.7)
@@ -495,6 +524,21 @@ class TestEval:
             ["eval", "--checkpoint", str(tmp_path / "none.bin"), "--corpus", CORPUS]
         )
         assert rc == 2
+
+    def test_pairs_train_cl_rejects_are_rejected_by_eval(self, fixture_cl_ckpt, tmp_path, capsys):
+        # 3 pairs leave 1 for training: train-cl refuses the split, and eval
+        # must refuse the same file rather than score a split it never used
+        small = md.load_pairs_csv(FIXTURE)
+        path = tmp_path / "three.csv"
+        md.save_pairs_csv(path, md.PairBatch(small.x[:3], small.t[:3]))
+        rc = run_cli(["train-cl", "--out", str(tmp_path / "run"), f"data.pairs={path}"])
+        assert rc == 1
+        train_err = capsys.readouterr().err
+        rc = run_cli(["eval", "--checkpoint", str(fixture_cl_ckpt), "--pairs", str(path)])
+        assert rc == 1
+        eval_err = capsys.readouterr().err
+        assert eval_err == train_err
+        assert eval_err.startswith("error: 3 pairs") and "Traceback" not in eval_err
 
 
 # ---------------------------------------------------------------------------

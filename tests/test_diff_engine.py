@@ -296,3 +296,75 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(lambda t: net(w1, t, w2, x), b1) <= 1e-5
         assert finite_diff_check(lambda t: net(w1, b1, t, x), w2) <= 1e-5
         assert finite_diff_check(lambda t: net(w1, b1, w2, t), x) <= 1e-5
+
+
+class TestStackedPrimitives:
+    """3-D matmul operands, 3-D transpose and reshape."""
+
+    def weighted(self, rng, f, x):
+        weights = Tensor(rng.normal(size=f(x).shape))
+        return lambda t: de.sum(de.mul(f(t), weights))
+
+    def test_stacked_matmul_matches_per_slice_products(self):
+        rng = np.random.default_rng(20)
+        a = rng.normal(size=(3, 4, 5))
+        b = rng.normal(size=(3, 5, 2))
+        w = rng.normal(size=(5, 2))
+        pairwise = de.matmul(Tensor(a), Tensor(b)).data
+        shared = de.matmul(Tensor(a), Tensor(w)).data
+        for i in range(3):
+            np.testing.assert_allclose(pairwise[i], a[i] @ b[i], rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(shared[i], a[i] @ w, rtol=1e-14, atol=1e-14)
+
+    def test_stacked_matmul_gradients_both_shapes(self):
+        rng = np.random.default_rng(21)
+        a = Tensor(rng.normal(size=(3, 4, 5)))
+        b = Tensor(rng.normal(size=(3, 5, 2)))
+        w = Tensor(rng.normal(size=(5, 2)))
+        assert finite_diff_check(self.weighted(rng, lambda t: de.matmul(t, b), a), a) <= 1e-6
+        assert finite_diff_check(self.weighted(rng, lambda t: de.matmul(a, t), b), b) <= 1e-6
+        assert finite_diff_check(self.weighted(rng, lambda t: de.matmul(t, w), a), a) <= 1e-6
+        assert finite_diff_check(self.weighted(rng, lambda t: de.matmul(a, t), w), w) <= 1e-6
+
+    def test_stacked_matmul_shape_errors(self):
+        a = Tensor(np.zeros((3, 4, 5)))
+        with pytest.raises(ShapeError):
+            de.matmul(a, Tensor(np.zeros((2, 5, 2))))
+        with pytest.raises(ShapeError):
+            de.matmul(a, Tensor(np.zeros((3, 4, 2))))
+        with pytest.raises(ShapeError):
+            de.matmul(a, Tensor(np.zeros(5)))
+
+    def test_transpose_swaps_last_two_axes(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        np.testing.assert_array_equal(de.transpose(x).data, np.swapaxes(x.data, 1, 2))
+        assert finite_diff_check(self.weighted(rng, de.transpose, x), x) <= 1e-9
+        with pytest.raises(ShapeError):
+            de.transpose(Tensor(np.zeros((2, 2, 2, 2))))
+
+    def test_reshape_round_trip_and_gradient(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(6, 4)))
+        stacked = de.reshape(x, (2, 3, 4))
+        np.testing.assert_array_equal(stacked.data[1, 2], x.data[5])
+        np.testing.assert_array_equal(de.reshape(stacked, (6, 4)).data, x.data)
+        assert finite_diff_check(self.weighted(rng, lambda t: de.reshape(t, (2, 3, 4)), x), x) <= 1e-9
+        with pytest.raises(ShapeError):
+            de.reshape(x, (5, 5))
+        with pytest.raises(ShapeError):
+            de.reshape(x, (-1, -24))
+
+    def test_shared_matmul_on_stack_matches_flat_rows(self):
+        # one shared projection applied to a stack equals applying it to the
+        # flat rows, values and gradients alike
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        coef = Tensor(rng.normal(size=(6, 3)))
+        flat = grad_of(lambda: de.sum(de.mul(de.matmul(x, w), coef)))
+        stacked = grad_of(
+            lambda: de.sum(de.mul(de.reshape(de.matmul(de.reshape(x, (2, 3, 4)), w), (6, 3)), coef))
+        )
+        np.testing.assert_allclose(stacked[w].data, flat[w].data, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(stacked[x].data, flat[x].data, rtol=1e-13, atol=1e-14)

@@ -182,6 +182,107 @@ class TestLmForward:
             assert finite_diff_check(block_sum, getattr(blk, name)) <= 1e-5
 
 
+def reference_logits(lm, ids):
+    """Plain numpy forward of one sequence, independent of the tape."""
+    d = lm.cfg.d_model
+    m = len(ids)
+
+    def rms(x):
+        return x / np.sqrt((x * x).sum(axis=-1, keepdims=True)) * math.sqrt(d)
+
+    x = lm.emb.data[ids] + lm.pos.data[:m]
+    future = np.triu(np.ones((m, m), dtype=bool), k=1)
+    for blk in lm.blocks:
+        xn = rms(x)
+        q, k, v = xn @ blk.Wq.data.T, xn @ blk.Wk.data.T, xn @ blk.Wv.data.T
+        scores = np.where(future, -np.inf, q @ k.T / math.sqrt(d))
+        attn = np.exp(scores - scores.max(axis=1, keepdims=True))
+        attn /= attn.sum(axis=1, keepdims=True)
+        x = x + (attn @ v) @ blk.Wo.data.T
+        h = np.maximum(rms(x) @ blk.Wf1.data.T + blk.bf1.data, 0.0)
+        x = x + h @ blk.Wf2.data.T + blk.bf2.data
+    return rms(x) @ lm.out_proj.data.T
+
+
+def max_rel_err(got, ref):
+    return float(np.abs(got - ref).max() / max(1.0, np.abs(ref).max()))
+
+
+class TestStackedForward:
+    def test_stacked_block_matches_per_sequence_reference(self):
+        lm = small_lm(seed=20, n_blocks=2)
+        rng = np.random.default_rng(200)
+        ids = rng.integers(7, size=(4, 6))
+        rows = md._stacked_logits(lm, ids).data
+        assert rows.shape == (24, 7)
+        for i in range(4):
+            assert max_rel_err(rows[6 * i : 6 * i + 6], reference_logits(lm, ids[i])) <= 1e-12
+
+    def test_mixed_lengths_with_runt_match_reference(self):
+        lm = small_lm(seed=21, n_blocks=2)
+        rng = np.random.default_rng(210)
+        lengths = [6, 6, 6, 4, 4, 2, 6, 2]
+        seqs = [rng.integers(7, size=m) for m in lengths]
+        logits, targets = md._target_logits(lm, seqs)
+        ref = np.concatenate([reference_logits(lm, seq)[:-1] for seq in seqs])
+        assert logits.shape == (sum(lengths) - len(lengths), 7)
+        assert max_rel_err(logits.data, ref) <= 1e-12
+        np.testing.assert_array_equal(targets, np.concatenate([seq[1:] for seq in seqs]))
+
+    def test_causality_within_a_stack(self):
+        lm = small_lm(seed=22, n_blocks=2)
+        rng = np.random.default_rng(220)
+        ids = rng.integers(7, size=(3, 6))
+        rows = md._stacked_logits(lm, ids).data.reshape(3, 6, 7)
+        for j in range(1, 6):
+            mutated = ids.copy()
+            mutated[1, j] = (mutated[1, j] + 3) % 7
+            rows_m = md._stacked_logits(lm, mutated).data.reshape(3, 6, 7)
+            np.testing.assert_array_equal(rows[1, :j], rows_m[1, :j])
+            assert not np.array_equal(rows[1, j:], rows_m[1, j:])
+
+    def test_sequences_in_a_stack_are_independent(self):
+        lm = small_lm(seed=23, n_blocks=2)
+        rng = np.random.default_rng(230)
+        ids = rng.integers(7, size=(3, 6))
+        rows = md._stacked_logits(lm, ids).data.reshape(3, 6, 7)
+        edited = ids.copy()
+        edited[0] = (edited[0] + 1) % 7
+        rows_e = md._stacked_logits(lm, edited).data.reshape(3, 6, 7)
+        assert not np.array_equal(rows[0], rows_e[0])
+        np.testing.assert_array_equal(rows[1:], rows_e[1:])
+
+    def test_tape_size_does_not_grow_with_batch(self):
+        lm = small_lm(seed=24)
+        net = llm_tnet(7, seed=24)
+        rng = np.random.default_rng(240)
+        sizes = []
+        for n in (1, 2, 8):
+            batch = md.TokenBatch(rng.integers(7, size=(n, 6)))
+            with Tape() as tape:
+                md.robust_softmax_loss(lm, net, batch, DroConfig())
+            sizes.append(len(tape))
+        assert sizes[0] == sizes[1] == sizes[2]
+
+    def test_eval_pass_spans_chunks_in_sequence_order(self):
+        lm = small_lm(seed=25)
+        net = llm_tnet(7, seed=25)
+        rng = np.random.default_rng(250)
+        lengths = [6] * 11 + [3] * 6 + [2]
+        batch = md.TokenBatch([rng.integers(7, size=m) for m in lengths])
+        assert len(lengths) > 2 * md.EVAL_CHUNK
+        ppl, taus = md.lm_eval_pass(lm, net, batch)
+        per_seq = [
+            tn.llm_tau_batch(net, Tensor(reference_logits(lm, seq)[:-1])).data
+            for seq in batch.sequences
+        ]
+        np.testing.assert_allclose(taus, np.concatenate(per_seq), rtol=1e-12, atol=0.0)
+        assert ppl == md.perplexity(lm, net, batch)
+        fixed_ppl, fixed_taus = md.lm_eval_pass(lm, 0.8, batch)
+        assert fixed_taus.shape == (batch.n_targets,) and (fixed_taus == 0.8).all()
+        assert fixed_ppl == md.perplexity(lm, 0.8, batch)
+
+
 class TestRobustSoftmaxLoss:
     def test_needs_matching_tempnet(self):
         lm = small_lm()

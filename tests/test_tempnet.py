@@ -229,6 +229,34 @@ class TestInitCl:
         with pytest.raises(DomainError):
             init_cl_tempnet(cfg, seed=0, sample_embeddings=np.ones((cfg.d2 - 1, cfg.d1)))
 
+    def test_zero_sample_rows_never_become_prototypes(self):
+        cfg = cl_cfg()
+        rng = np.random.default_rng(7)
+        samples = np.abs(rng.normal(size=(12, cfg.d1)))
+        samples[::2] = 0.0  # ReLU outputs of inputs that silence every unit
+        for seed in range(20):
+            p = init_cl_tempnet(cfg, seed=seed, sample_embeddings=samples)
+            assert np.abs(p.W2.data).sum(axis=0).min() > 0.0
+            cl_tau_batch(p, Tensor(np.eye(cfg.d0)))  # prototypes normalize
+
+    def test_draw_unchanged_when_no_row_is_zero(self):
+        # the prototype draw follows the first-layer draw on the same
+        # generator, exactly as before zero rows were screened out
+        cfg = cl_cfg()
+        samples = np.random.default_rng(8).normal(size=(16, cfg.d1))
+        p = init_cl_tempnet(cfg, seed=4, sample_embeddings=samples)
+        rng = np.random.default_rng(4)
+        rng.uniform(size=(cfg.d1, cfg.d0))
+        idx = np.sort(rng.choice(16, size=cfg.d2, replace=False))
+        np.testing.assert_array_equal(p.W2.data, samples[idx].T)
+
+    def test_too_few_nonzero_samples_rejected(self):
+        cfg = cl_cfg()
+        samples = np.zeros((10, cfg.d1))
+        samples[: cfg.d2 - 1] = 1.0
+        with pytest.raises(DomainError, match="nonzero"):
+            init_cl_tempnet(cfg, seed=0, sample_embeddings=samples)
+
     def test_wrong_sample_width_rejected(self):
         cfg = cl_cfg()
         with pytest.raises(DomainError):

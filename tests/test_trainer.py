@@ -465,6 +465,20 @@ class TestClTraining:
             tr.train(self.run_cfg(), task, tmp_path / "cl")
 
 
+    def test_zero_relu_rows_do_not_reach_prototypes(self, tmp_path):
+        # at d1 = 8 some training embeddings silence every first-layer unit;
+        # on this pair set such a row used to become a prototype column and
+        # the first step failed normalizing it
+        path = tmp_path / "pairs.csv"
+        md.save_pairs_csv(path, md.gen_clustered_pairs(40, 6, 3, 0.5, seed=2))
+        run = tr.TrainConfig(total_steps=2, batch_size=8, seed=2, cfg=DroConfig(), eval_every=2)
+        task = tr.ClTask(pairs_path=str(path), hidden=16, out_dim=8, tempnet_d1=8, tempnet_d2=8)
+        ckpt, metrics_path = tr.train(run, task, tmp_path / "run")
+        for net in ckpt.tempnets:
+            assert np.abs(net.W2.data).sum(axis=0).min() > 0.0
+        assert [r["step"] for r in tr.read_metrics(metrics_path)] == [2]
+
+
 class TestTaskValidation:
     def test_mode_must_be_known(self):
         with pytest.raises(DomainError, match="mode"):
