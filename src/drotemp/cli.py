@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,14 +28,18 @@ from . import tempnet as tn
 from . import trainer as tr
 from . import verify as vf
 from .diff_engine import Tensor
-from .dro_core import DroConfig, LogitSet, robust_loss
+# newton_solve and robust_loss are not called here; they stay importable from
+# this module because perfbench's tracer wraps cli.newton_solve, cli.LogitSet
+# and cli.robust_loss by name
+from .dro_core import DroConfig, LogitSet, robust_loss  # noqa: F401
 from .errors import DomainError, IntegrityError, TrainingDivergedError
 from .tau_solver import (
     BatchSolveError,
     SolveStatus,
     SolverOptions,
-    UnboundedDescentError,
-    newton_solve,
+    batch_robust_loss,
+    batch_solve,
+    newton_solve,  # noqa: F401
 )
 
 # ---------------------------------------------------------------------------
@@ -264,47 +271,109 @@ def _write_cl_temps(path, sides: List[str], taus: np.ndarray):
 # commands
 
 
+# solve-tau reads, solves and writes its stream this many lines at a time,
+# so memory stays bounded for any stream length
+SOLVE_CHUNK = 1024
+
+
+def _parse_instance(line: str) -> LogitSet:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"invalid JSON: {exc.msg}") from None
+    if not isinstance(record, dict) or set(record) != {"positive", "contrast"}:
+        raise DomainError("record must have exactly the keys 'positive' and 'contrast'")
+    try:
+        return LogitSet(record["positive"], record["contrast"])
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"logits must be numbers: {exc}") from None
+
+
+def _solve_lines(instances, linenos, path, cfg, opts, counts) -> str:
+    """Solve one chunk of parsed lines; its output, one line per instance."""
+    try:
+        solutions = batch_solve(instances, cfg, opts)
+    except BatchSolveError as exc:
+        raise DomainError(f"{path}:{linenos[exc.index]}: {exc.cause}") from None
+    losses = batch_robust_loss(instances, [sol.tau for sol in solutions], cfg)
+    lines = []
+    for sol, loss in zip(solutions, losses.tolist()):
+        counts[sol.status] += 1
+        lines.append(
+            json.dumps(
+                {"tau": sol.tau, "status": sol.status.value, "loss": loss, "grad": sol.final_grad}
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _solve_stream(src, path, cfg, opts, counts):
+    """Yield the output of every nonblank line of src, SOLVE_CHUNK lines at a
+    time. The first failing line in file order is reported, whether it fails
+    to parse or to solve."""
+    instances, linenos = [], []
+    for lineno, raw in enumerate(src, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            instances.append(_parse_instance(line))
+        except DomainError as exc:
+            if instances:  # an earlier line of the chunk may fail to solve
+                _solve_lines(instances, linenos, path, cfg, opts, counts)
+            raise DomainError(f"{path}:{lineno}: {exc}") from None
+        linenos.append(lineno)
+        if len(instances) == SOLVE_CHUNK:
+            yield _solve_lines(instances, linenos, path, cfg, opts, counts)
+            instances, linenos = [], []
+    if instances:
+        yield _solve_lines(instances, linenos, path, cfg, opts, counts)
+
+
+def _write_whole(path: str, chunks) -> None:
+    """Write the text chunks to path; a failure while they are produced
+    leaves no partial output and an existing output untouched.
+
+    Output of one chunk is written once it is complete. Longer output goes to
+    a file beside path's target (symlinks followed) that is renamed over the
+    target at the end, keeping the target's permission bits. A target that
+    exists but is not a regular file (a FIFO, /dev/stdout on a pipe or
+    terminal) is written in place, so there a failure after the second chunk
+    leaves what was already written.
+    """
+    head = list(itertools.islice(chunks, 2))
+    if len(head) < 2 or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(head)
+            fh.writelines(chunks)
+        return
+    dst = Path(os.path.realpath(path))
+    tmp = dst.with_name(f".{dst.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(head)
+            fh.writelines(chunks)
+        if dst.exists():
+            shutil.copymode(dst, tmp)
+        os.replace(tmp, dst)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_solve_tau(args) -> int:
     cfg = DroConfig(tau0=args.tau0, tau_max=args.tau_max, rho=args.rho)
     opts = SolverOptions(tol=args.tol, bracket_hi=args.bracket_hi)
-    results = []
-    unconverged = 0
-    with open(args.input, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DomainError(f"{args.input}:{lineno}: invalid JSON: {exc.msg}") from None
-            if not isinstance(record, dict) or set(record) != {"positive", "contrast"}:
-                raise DomainError(
-                    f"{args.input}:{lineno}: record must have exactly the keys"
-                    " 'positive' and 'contrast'"
-                )
-            try:
-                ls = LogitSet(record["positive"], record["contrast"])
-                sol = newton_solve(ls, cfg, opts)
-            except (DomainError, UnboundedDescentError) as exc:
-                raise DomainError(f"{args.input}:{lineno}: {exc}") from None
-            unconverged += sol.status is SolveStatus.MAX_ITER_REACHED
-            results.append(
-                json.dumps(
-                    {
-                        "tau": sol.tau,
-                        "status": sol.status.value,
-                        "loss": robust_loss(ls, sol.tau, cfg),
-                        "grad": sol.final_grad,
-                    }
-                )
-            )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(results) + ("\n" if results else ""))
-    print(f"solved {len(results)} instances -> {args.output}")
+    counts = dict.fromkeys(SolveStatus, 0)
+    with open(args.input, "r", encoding="utf-8") as src:
+        _write_whole(args.output, _solve_stream(src, args.input, cfg, opts, counts))
+    total = sum(counts.values())
+    summary = ", ".join(f"{status.value} {n}" for status, n in counts.items())
+    print(f"solved {total} instances -> {args.output} ({summary})")
+    unconverged = counts[SolveStatus.MAX_ITER_REACHED]
     if unconverged:
         print(
-            f"warning: {unconverged} of {len(results)} instances stopped at the iteration"
+            f"warning: {unconverged} of {total} instances stopped at the iteration"
             f" limit ({SolveStatus.MAX_ITER_REACHED.value}) before reaching tol {args.tol!r}",
             file=sys.stderr,
         )

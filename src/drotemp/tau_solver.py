@@ -6,8 +6,18 @@ gradient at tau0 is already nonnegative, or at the unique interior root of
 the gradient. newton_solve decides the boundary case up front from that
 gradient sign, then runs Newton updates tau <- tau - grad/hess safeguarded by
 bisection on a maintained sign-change bracket. golden_section_oracle is an
-independent derivative-free minimizer used to cross-check the solver, and
-batch_solve drives lists of instances.
+independent derivative-free minimizer used to cross-check the solver.
+
+batch_solve runs the same method on many instances at once, vectorized:
+rows are grouped by K into (rows, K) margin blocks of at most _BLOCK_ELEMENTS
+entries, each block iterates with a per-row active set, and an iterate's
+gradient and curvature come from one exp pass. Every step is elementwise or
+a reduction along a row, so a row's solution is bit-identical whatever
+batch, block or K mix it is solved in. The arithmetic follows grad_tau and
+hess_tau step for step (row dot products through the same kernel as their
+1-d ``@``, math.log per row), so where numpy dispatches both to one dot
+kernel the batch reproduces newton_solve exactly; the tested contract is
+solver tolerance. newton_solve stays the scalar reference.
 
 The gradient equals rho - KL(gibbs(tau), uniform) and tends to rho as tau
 grows, so for rho > 0 a finite minimizer always exists; the bracket_hi guard
@@ -21,6 +31,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dro_core import DroConfig, LogitSet, grad_tau, hess_tau, robust_loss
 from .errors import DomainError
 
@@ -33,9 +45,14 @@ __all__ = [
     "newton_solve",
     "golden_section_oracle",
     "batch_solve",
+    "batch_robust_loss",
 ]
 
 _MIN_CURVATURE = 1e-14
+# margins per batch_solve block: large enough to amortize numpy call overhead,
+# small enough that a block's temporaries stay in cache (one 400 x 512 block
+# ran slower than the scalar loop)
+_BLOCK_ELEMENTS = 16_384
 
 
 class SolveStatus(enum.Enum):
@@ -174,20 +191,164 @@ def golden_section_oracle(
     return min(candidates)[1]
 
 
+def _k_blocks(instances: list[LogitSet]):
+    """(row indices, margins h = L_k - L_+) pairs: rows of one K, at most
+    _BLOCK_ELEMENTS margins per block, indices ascending."""
+    rows_by_k: dict[int, list[int]] = {}
+    for index, ls in enumerate(instances):
+        rows_by_k.setdefault(ls.k, []).append(index)
+    for k, rows in rows_by_k.items():
+        step = max(1, _BLOCK_ELEMENTS // k)
+        for start in range(0, len(rows), step):
+            idx = rows[start : start + step]
+            contrast = np.stack([instances[i].contrast for i in idx])
+            positive = np.array([instances[i].positive for i in idx])
+            yield idx, contrast - positive[:, None]
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row: stacked matmul takes the same dot kernel
+    per row as the 1-d ``@`` in grad_tau / hess_tau.
+
+    Row sums would be cheaper to write but round differently, and a last-ulp
+    difference can move a row onto or off an exact zero gradient, where
+    newton_solve's bracket rule spends extra bisection steps: with row sums,
+    3 of 102 random K = 8 rows took 2-3 iterations more than newton_solve.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_log(values: np.ndarray) -> np.ndarray:
+    """math.log per entry: np.log may round differently from the scalar path."""
+    return np.fromiter(map(math.log, values.tolist()), dtype=np.float64, count=values.size)
+
+
+def _grad_curvature(d: np.ndarray, tau: np.ndarray, rho: float, curvature: bool = True):
+    """grad_tau and (if asked) hess_tau of every row at its own tau, from one
+    exp pass; the curvature is None when not asked for.
+
+    d holds each row's shifted margins h - max h; the arithmetic is that of
+    grad_tau and hess_tau, step for step, so each row reproduces them.
+    """
+    z = d / tau[:, None]
+    p = np.exp(z)
+    se = p.sum(axis=1)
+    p /= se[:, None]
+    mu = _row_dot(p, z)
+    grad = _row_log(se / d.shape[1]) - mu + rho
+    if not curvature:
+        return grad, None
+    z -= mu[:, None]
+    return grad, _row_dot(p, np.square(z, out=z)) / tau
+
+
+_CLAMPED, _INTERIOR, _MAX_ITER = range(3)
+_STATUSES = (SolveStatus.CLAMPED_AT_TAU0, SolveStatus.INTERIOR, SolveStatus.MAX_ITER_REACHED)
+
+
+def _solve_block(h: np.ndarray, cfg: DroConfig, opts: SolverOptions):
+    """newton_solve on every row of an (n, K) margin block.
+
+    Returns the rows' TauSolutions and (row, message) of the first row
+    without a bounded minimizer, or None.
+    """
+    n = h.shape[0]
+    d = h - h.max(axis=1, keepdims=True)
+    tau = np.full(n, cfg.tau0)
+    grad, _ = _grad_curvature(d, tau, cfg.rho, curvature=False)
+    status = np.full(n, _CLAMPED)
+    iterations = np.zeros(n, dtype=np.int64)
+    failure = None
+
+    # bracket grad(lo) < 0 <= grad(hi): newton_solve's doubling schedule is
+    # the same for every row, and a row leaves it at its first grad(hi) >= 0
+    lo, hi = np.empty(n), np.empty(n)
+    active = pending = np.flatnonzero(grad < 0.0)
+    t_lo, t_hi = cfg.tau0, max(2.0 * cfg.tau0, opts.init_tau)
+    while pending.size:
+        t = np.full(pending.size, t_hi)
+        g_hi, _ = _grad_curvature(d[pending], t, cfg.rho, curvature=False)
+        lo[pending], hi[pending] = t_lo, t_hi
+        still = g_hi < 0.0
+        pending, g_hi = pending[still], g_hi[still]
+        t_lo, t_hi = t_hi, 2.0 * t_hi
+        if pending.size and t_hi > opts.bracket_hi:
+            failure = (
+                int(pending[0]),
+                f"gradient still {g_hi[0]:.3e} at tau={t_lo:.3e}; "
+                f"no minimizer below bracket_hi={opts.bracket_hi}",
+            )
+            active = np.setdiff1d(active, pending, assume_unique=True)
+            break
+
+    lo, hi, d = lo[active], hi[active], d[active]
+    x = np.minimum(np.maximum(opts.init_tau, lo), hi)
+    g, curvature = _grad_curvature(d, x, cfg.rho)
+    grad_tol = opts.tol * max(1.0, cfg.rho)
+    iteration = 0
+    while active.size and iteration < opts.max_iter:
+        iteration += 1
+        below = g < 0.0
+        np.copyto(lo, x, where=below)
+        np.copyto(hi, x, where=~below)
+        # the floor only keeps the division finite: rows at or below it bisect
+        nxt = x - g / np.maximum(curvature, _MIN_CURVATURE)
+        newton = (curvature > _MIN_CURVATURE) & (lo < nxt) & (nxt < hi)
+        np.copyto(nxt, 0.5 * (lo + hi), where=~newton)
+        done = np.abs(nxt - x) < opts.tol
+        x = nxt
+        g, curvature = _grad_curvature(d, x, cfg.rho)
+        if not np.count_nonzero(done):
+            continue
+        done &= np.abs(g) < grad_tol
+        rows = active[done]
+        tau[rows], grad[rows], iterations[rows] = x[done], g[done], iteration
+        status[rows] = _INTERIOR
+        keep = ~done
+        active, x, g, curvature, lo, hi, d = (
+            v[keep] for v in (active, x, g, curvature, lo, hi, d)
+        )
+    tau[active], grad[active], iterations[active] = x, g, opts.max_iter
+    status[active] = _MAX_ITER
+    columns = (tau.tolist(), status.tolist(), iterations.tolist(), grad.tolist())
+    solutions = [TauSolution(t, _STATUSES[code], its, fg) for t, code, its, fg in zip(*columns)]
+    return solutions, failure
+
+
 def batch_solve(
     instances: list[LogitSet], cfg: DroConfig, opts: SolverOptions = SolverOptions()
 ) -> list[TauSolution]:
-    """newton_solve over a list, order preserved.
+    """newton_solve's method over a list, vectorized, order preserved.
 
-    Purely elementwise, so results are independent of any scheduling; errors
-    are re-raised with the failing instance index attached.
+    Rows are grouped by K and solved a block at a time; each row's solution
+    is independent of the rest of the batch. Within solver tolerance of
+    newton_solve: same status, tau within 1e-6 relative, iteration counts
+    within one. Rows with no bounded minimizer raise BatchSolveError for the
+    smallest such index, with an UnboundedDescentError cause.
     """
     if not instances:
         raise DomainError("batch_solve needs a nonempty instance list")
-    out = []
-    for index, ls in enumerate(instances):
-        try:
-            out.append(newton_solve(ls, cfg, opts))
-        except Exception as exc:
-            raise BatchSolveError(index, exc) from exc
+    solutions: list[TauSolution] = [None] * len(instances)
+    first_failure = None
+    for idx, h in _k_blocks(instances):
+        block, failure = _solve_block(h, cfg, opts)
+        for index, solution in zip(idx, block):
+            solutions[index] = solution
+        if failure is not None and (first_failure is None or idx[failure[0]] < first_failure[0]):
+            first_failure = (idx[failure[0]], failure[1])
+    if first_failure is not None:
+        index, message = first_failure
+        raise BatchSolveError(index, UnboundedDescentError(message))
+    return solutions
+
+
+def batch_robust_loss(instances: list[LogitSet], taus, cfg: DroConfig) -> np.ndarray:
+    """robust_loss of every instance at its tau, computed a K block at a time."""
+    taus = np.asarray(taus, dtype=np.float64)
+    out = np.empty(len(instances))
+    for idx, h in _k_blocks(instances):
+        tau = taus[idx]
+        h_max = h.max(axis=1)
+        log_mean = _row_log(np.exp((h - h_max[:, None]) / tau[:, None]).sum(axis=1) / h.shape[1])
+        out[idx] = h_max + tau * log_mean + tau * cfg.rho
     return out

@@ -5,6 +5,8 @@ observable without subprocesses.
 """
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -305,6 +307,144 @@ class TestSolveTau:
         )
         assert rc == 2
 
+    def test_summary_counts_every_status(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_text(
+            '{"positive":1.0,"contrast":[1.0,1.0]}\n'
+            '{"positive":0.3,"contrast":[1.0,0.2,-0.5]}\n'
+            '{"positive":0.0,"contrast":[2.0,-1.0,0.5,0.1]}\n',
+            encoding="utf-8",
+        )
+        dst = tmp_path / "out.jsonl"
+        assert run_cli(["solve-tau", "--input", str(src), "--output", str(dst)]) == 0
+        assert capsys.readouterr().out == (
+            f"solved 3 instances -> {dst} (Interior 2, ClampedAtTau0 1, MaxIterReached 0)\n"
+        )
+        assert run_cli(
+            ["solve-tau", "--input", str(src), "--output", str(dst), "--tol", "1e-300"]
+        ) == 0
+        statuses = [json.loads(line)["status"] for line in dst.read_text().splitlines()]
+        n_max = statuses.count("MaxIterReached")
+        assert n_max >= 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            f"solved 3 instances -> {dst} (Interior {statuses.count('Interior')},"
+            f" ClampedAtTau0 1, MaxIterReached {n_max})\n"
+        )
+        assert captured.err.startswith(f"warning: {n_max} of 3 instances")
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"])
+    def test_empty_and_blank_streams_write_empty_output(self, tmp_path, capsys, text):
+        src = tmp_path / "in.jsonl"
+        src.write_text(text, encoding="utf-8")
+        dst = tmp_path / "out.jsonl"
+        assert run_cli(["solve-tau", "--input", str(src), "--output", str(dst)]) == 0
+        assert dst.read_text(encoding="utf-8") == ""
+        assert capsys.readouterr().out == (
+            f"solved 0 instances -> {dst} (Interior 0, ClampedAtTau0 0, MaxIterReached 0)\n"
+        )
+
+    def test_unsolvable_line_before_malformed_line_wins(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_text(
+            '{"positive":0.0,"contrast":[1.0,1.0]}\n'
+            '{"positive":0.0,"contrast":[0.0,1.0]}\n'
+            "{broken\n",
+            encoding="utf-8",
+        )
+        dst = tmp_path / "out.jsonl"
+        rc = run_cli(["solve-tau", "--input", str(src), "--output", str(dst), "--rho", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert ":2:" in err and "bracket_hi" in err
+        assert list(tmp_path.iterdir()) == [src]
+
+    def test_unsolvable_line_in_later_chunk_names_its_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SOLVE_CHUNK", 2)
+        fine = '{"positive":0.0,"contrast":[1.0,1.0]}\n'
+        unbounded = '{"positive":0.0,"contrast":[0.0,1.0]}\n'
+        # line 2 is blank, so chunks are lines (1, 3), (4, 5) and (6, 7); the
+        # third fails after the first two went to the temporary file
+        src = tmp_path / "in.jsonl"
+        src.write_text(fine + "\n" + fine * 3 + unbounded * 2, encoding="utf-8")
+        dst = tmp_path / "out.jsonl"
+        rc = run_cli(["solve-tau", "--input", str(src), "--output", str(dst), "--rho", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{src}:6: gradient still" in err
+        assert list(tmp_path.iterdir()) == [src]
+
+    def test_non_numeric_logit_names_line(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_text(
+            '{"positive":1.0,"contrast":[0.5]}\n{"positive":"a","contrast":[0.5]}\n',
+            encoding="utf-8",
+        )
+        rc = run_cli(["solve-tau", "--input", str(src), "--output", str(tmp_path / "o")])
+        assert rc == 1
+        assert ":2: logits must be numbers" in capsys.readouterr().err
+
+    def test_output_independent_of_chunk_size(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(44)
+        src = tmp_path / "in.jsonl"
+        src.write_text(
+            "".join(
+                json.dumps({"positive": float(rng.normal()),
+                            "contrast": rng.normal(size=int(rng.integers(1, 40))).tolist()})
+                + "\n"
+                for _ in range(50)
+            ),
+            encoding="utf-8",
+        )
+        whole, chunked = tmp_path / "whole.jsonl", tmp_path / "chunked.jsonl"
+        assert run_cli(["solve-tau", "--input", str(src), "--output", str(whole)]) == 0
+        monkeypatch.setattr(cli, "SOLVE_CHUNK", 7)
+        assert run_cli(["solve-tau", "--input", str(src), "--output", str(chunked)]) == 0
+        assert chunked.read_bytes() == whole.read_bytes()
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["chunked.jsonl", "in.jsonl", "whole.jsonl"]
+
+    def test_symlinked_output_written_through(self, tmp_path, monkeypatch):
+        # one line per chunk: two lines take the path through a temporary file
+        monkeypatch.setattr(cli, "SOLVE_CHUNK", 1)
+        fine = '{"positive":1.0,"contrast":[1.0,1.0]}\n'
+        src = tmp_path / "in.jsonl"
+        real = tmp_path / "results" / "out.jsonl"
+        real.parent.mkdir()
+        real.write_text("old\n", encoding="utf-8")
+        real.chmod(0o640)
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(real)
+        argv = ["solve-tau", "--input", str(src), "--output", str(link)]
+        for text in ("{broken\n", fine * 2 + "{broken\n"):
+            src.write_text(text, encoding="utf-8")
+            assert run_cli(argv) == 1
+            assert real.read_text(encoding="utf-8") == "old\n"
+        src.write_text(fine * 2, encoding="utf-8")
+        assert run_cli(argv) == 0
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        records = [json.loads(line) for line in real.read_text(encoding="utf-8").splitlines()]
+        assert [rec["status"] for rec in records] == ["ClampedAtTau0"] * 2
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert [p.name for p in real.parent.iterdir()] == ["out.jsonl"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_output_written_in_place(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "SOLVE_CHUNK", 1)
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"positive":1.0,"contrast":[1.0,1.0]}\n' * 2, encoding="utf-8")
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        # a nonblocking reader lets the command open the pipe without a thread
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run_cli(["solve-tau", "--input", str(src), "--output", str(fifo)]) == 0
+            data = os.read(reader, 1 << 16).decode("utf-8")
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [json.loads(line)["status"] for line in data.splitlines()] == ["ClampedAtTau0"] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out.fifo"]
 
 # ---------------------------------------------------------------------------
 # train-lm

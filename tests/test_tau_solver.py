@@ -10,6 +10,7 @@ from drotemp.dro_core import (
     grad_tau,
     robust_loss,
 )
+from drotemp import tau_solver
 from drotemp.errors import DomainError
 from drotemp.tau_solver import (
     BatchSolveError,
@@ -17,6 +18,7 @@ from drotemp.tau_solver import (
     SolverOptions,
     TauSolution,
     UnboundedDescentError,
+    batch_robust_loss,
     batch_solve,
     golden_section_oracle,
     newton_solve,
@@ -198,16 +200,63 @@ class TestBatchSolve:
         assert [s.status for s in out] == [SolveStatus.CLAMPED_AT_TAU0]
 
     def test_matches_sequential_and_permutation(self):
+        # batch_solve repeats grad_tau / hess_tau's arithmetic and matches
+        # newton_solve bit for bit where numpy sends both paths' dot products
+        # to one kernel; that is a property of the build, so the contract
+        # tested here is solver tolerance
         rng = np.random.default_rng(7)
-        cfg = DroConfig(tau0=1e-3, tau_max=10.0, rho=0.5)
-        instances = [random_instance(rng) for _ in range(100)]
-        batch = batch_solve(instances, cfg)
-        sequential = [newton_solve(ls, cfg) for ls in instances]
-        assert batch == sequential
+        for rho, opts in [
+            (0.5, SolverOptions()),
+            (0.05, SolverOptions()),
+            (3.0, SolverOptions(init_tau=0.01)),
+            (0.5, SolverOptions(max_iter=2)),
+        ]:
+            cfg = DroConfig(tau0=1e-3, tau_max=10.0, rho=rho)
+            instances = [
+                random_instance(rng, scale=float(rng.uniform(0.1, 6.0))) for _ in range(100)
+            ]
+            instances += [LogitSet(0.0, [1.0]), LogitSet(0.5, [0.5, 0.5, 0.5])]
+            batch = batch_solve(instances, cfg, opts)
+            for i, (ls, got) in enumerate(zip(instances, batch)):
+                ref = newton_solve(ls, cfg, opts)
+                assert got.status is ref.status, (rho, i)
+                assert abs(got.tau - ref.tau) <= 1e-6 * max(1.0, ref.tau), (rho, i)
+                assert abs(got.iterations - ref.iterations) <= 1, (rho, i)
+                if got.status is SolveStatus.INTERIOR:
+                    assert abs(got.final_grad) < opts.tol * max(1.0, rho)
 
-        perm = list(reversed(range(len(instances))))
-        permuted = batch_solve([instances[i] for i in perm], cfg)
-        assert permuted == [batch[i] for i in perm]
+            perm = list(reversed(range(len(instances))))
+            permuted = batch_solve([instances[i] for i in perm], cfg, opts)
+            assert permuted == [batch[i] for i in perm]
+
+    def test_row_independent_of_batch(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        cfg = DroConfig(tau0=1e-3, tau_max=10.0, rho=0.5)
+        instances = [
+            random_instance(rng, k=k, scale=float(rng.uniform(0.1, 6.0)))
+            for k in (3, 8, 64, 512, 1000)
+            for _ in range(12)
+        ]
+        order = rng.permutation(len(instances))
+        mixed = [instances[i] for i in order]
+        batch = batch_solve(mixed, cfg)
+        alone = [batch_solve([ls], cfg)[0] for ls in mixed]
+        assert batch == alone
+        # blocks of 1000 margins split every K group across block boundaries
+        monkeypatch.setattr(tau_solver, "_BLOCK_ELEMENTS", 1000)
+        assert batch_solve(mixed, cfg) == batch
+        by_k = batch_solve(instances, cfg)
+        assert [by_k[i] for i in order] == batch
+
+    def test_batch_robust_loss_matches_robust_loss(self):
+        rng = np.random.default_rng(9)
+        cfg = DroConfig(tau0=1e-3, tau_max=10.0, rho=0.7)
+        instances = [random_instance(rng, scale=float(rng.uniform(0.1, 6.0))) for _ in range(60)]
+        taus = rng.uniform(1e-3, 5.0, size=len(instances))
+        got = batch_robust_loss(instances, taus, cfg)
+        for ls, tau, loss in zip(instances, taus, got):
+            ref = robust_loss(ls, float(tau), cfg)
+            assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -222,3 +271,19 @@ class TestBatchSolve:
             batch_solve(instances, DroConfig(rho=0.0))
         assert excinfo.value.index == 1
         assert isinstance(excinfo.value.cause, UnboundedDescentError)
+
+        # two unbounded rows: the smaller index is reported, although its K
+        # group is not the first one solved
+        instances = [
+            LogitSet(0.0, [1.0, 1.0, 1.0]),  # clamps
+            LogitSet(0.0, [0.0, 2.0, 1.0]),  # unbounded, K = 3
+            LogitSet(0.0, [1.0, 1.0]),  # clamps
+            LogitSet(0.0, [0.0, 1.0]),  # unbounded, K = 2: solved first
+        ]
+        cfg = DroConfig(rho=0.0)
+        with pytest.raises(BatchSolveError) as excinfo:
+            batch_solve(instances, cfg)
+        assert excinfo.value.index == 1
+        with pytest.raises(UnboundedDescentError) as scalar:
+            newton_solve(instances[1], cfg)
+        assert str(excinfo.value.cause) == str(scalar.value)
