@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -356,8 +357,11 @@ def _write_whole(path: str, chunks) -> None:
         if dst.exists():
             shutil.copymode(dst, tmp)
         os.replace(tmp, dst)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            # name the output the caller gave, not the temp file beside it
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -607,9 +611,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parsing never mutates
+    it, and building costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, IntegrityError, TrainingDivergedError, BatchSolveError) as exc:

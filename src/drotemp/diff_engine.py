@@ -31,7 +31,7 @@ import threading
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NonFiniteError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -161,7 +161,7 @@ class Gradients:
 
 def _finite(out: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(out).all():
-        raise DomainError(f"{op} produced non-finite values")
+        raise NonFiniteError(f"{op} produced non-finite values")
     return out
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "LogitSet",
     "DroConfig",
     "SimplexDistribution",
-    "stable_logsumexp",
     "robust_loss",
     "grad_tau",
     "hess_tau",
@@ -144,21 +143,6 @@ class SimplexDistribution:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
-
-
-def stable_logsumexp(values) -> float:
-    """log sum_i exp(v_i), computed with max subtraction.
-
-    Never overflows for finite inputs: after the shift every exponent is
-    <= 0 and the max contributes exactly 1 to the sum.
-    """
-    arr = _as_vector(values, "values")
-    if arr.size == 0:
-        raise DomainError("logsumexp of an empty vector")
-    if not np.isfinite(arr).all():
-        raise DomainError("logsumexp requires finite inputs")
-    m = float(arr.max())
-    return m + math.log(float(np.exp(arr - m).sum()))
 
 
 def _shifted_scaled_margins(h: np.ndarray, tau: float) -> np.ndarray:

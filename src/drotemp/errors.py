@@ -9,6 +9,10 @@ class UnsupportedSizeError(ValueError):
     """The requested problem size is beyond what the implementation supports."""
 
 
+class NonFiniteError(DomainError):
+    """An operation produced a NaN or an infinity."""
+
+
 class DegenerateBatchError(DomainError):
     """A batch is too small to define the loss (e.g. no negatives exist)."""
 

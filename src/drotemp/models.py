@@ -14,8 +14,10 @@ Loss conventions:
   - Contrastive: per pair and per direction, the positive is the matched
     cross-modal similarity and the contrast set is the other n - 1 in-batch
     items, so the global loss is exact at this scale rather than estimated.
-  - Temperatures come from a temperature network applied to detached model
-    outputs: the model's own gradients see tau as a per-instance constant.
+  - The robust losses take their temperatures from a source: a temperature
+    network applied to detached model outputs, or an array of per-instance
+    taus (for example solved ones). Either way the model's own gradients see
+    tau as a per-instance constant. The baselines take one fixed tau.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -212,11 +214,6 @@ def _stacked_logits(params: LmParams, ids: np.ndarray) -> Tensor:
     return de.matmul(_rmsnorm(x, d), de.transpose(params.out_proj))
 
 
-def _sequence_logits(params: LmParams, ids: np.ndarray) -> Tensor:
-    """Logit rows for one sequence: row j predicts the token at j + 1."""
-    return _stacked_logits(params, np.asarray(ids)[None, :])
-
-
 def _check_sequences(params: LmParams, sequences: Sequence[np.ndarray]):
     cfg = params.cfg
     for seq in sequences:
@@ -243,12 +240,6 @@ def _target_logits(params: LmParams, sequences: Sequence[np.ndarray]) -> Tuple[T
     return logits, np.concatenate([seq[1:] for seq in sequences])
 
 
-def lm_logits(params: LmParams, batch: TokenBatch) -> List[np.ndarray]:
-    """Per-sequence logit matrices (length m_i x K), causal by construction."""
-    _check_sequences(params, batch.sequences)
-    return [_sequence_logits(params, seq).data for seq in batch.sequences]
-
-
 def _robust_terms(logits: Tensor, taus: Tensor, targets: np.ndarray, rho: float) -> Tensor:
     """Per position: tau * (logsumexp(L / tau) - log K + rho) - L_target."""
     lse = de.logsumexp(de.scale_rows(logits, de.reciprocal(taus)), axis=1)
@@ -256,50 +247,42 @@ def _robust_terms(logits: Tensor, taus: Tensor, targets: np.ndarray, rho: float)
     return de.sub(de.mul(taus, de.add(lse, rho - math.log(logits.shape[1]))), positive)
 
 
-def lm_robust_loss_and_taus(
-    params: LmParams, tnet: tn.TempNetParams, batch: TokenBatch, cfg: DroConfig
-) -> Tuple[Tensor, np.ndarray]:
-    """Robust loss plus the temperatures it used, for training metrics."""
-    if tnet.cfg.variant is not tn.Variant.LLM_LOGITS:
-        raise DomainError("LM loss needs a logit-variant temperature network")
-    if tnet.cfg.d0 != params.cfg.vocab_size:
-        raise DomainError(
-            f"temperature net width {tnet.cfg.d0} != vocab size {params.cfg.vocab_size}"
-        )
-    logits, targets = _target_logits(params, batch.sequences)
-    taus = tn.llm_tau_batch(tnet, de.stop_gradient(logits), zero_rows="keep")
-    return de.mean(_robust_terms(logits, taus, targets, cfg.rho)), taus.data.copy()
+def _taus(temps, features: Tensor, variant: tn.Variant, what: str) -> Tensor:
+    """One temperature per row of features, from a temperature source.
+
+    temps is either a temperature network of the given variant, applied to
+    the detached rows, or an array of one positive tau per row.
+    """
+    if isinstance(temps, tn.TempNetParams):
+        if temps.cfg.variant is not variant:
+            raise DomainError(f"{what} needs a {variant.value} temperature network")
+        if variant is tn.Variant.LLM_LOGITS:
+            return tn.llm_tau_batch(temps, de.stop_gradient(features), zero_rows="keep")
+        return tn.cl_tau_batch(temps, de.stop_gradient(features))
+    n = features.shape[0]
+    taus = np.asarray(temps, dtype=np.float64)
+    if taus.shape != (n,) or not (taus > 0.0).all():
+        raise DomainError(f"{what} needs {n} positive temperatures, got shape {taus.shape}")
+    return Tensor(taus)
 
 
 def robust_softmax_loss(
-    params: LmParams, tnet: tn.TempNetParams, batch: TokenBatch, cfg: DroConfig
+    params: LmParams,
+    temps: Union[tn.TempNetParams, np.ndarray],
+    batch: TokenBatch,
+    cfg: DroConfig,
 ) -> Tensor:
-    """Mean over target positions of the robust loss at predicted temperatures.
+    """Mean over target positions of the robust loss.
 
-    Per position: tau * (logsumexp(L / tau) - log K + rho) - L_target, with
-    tau from the temperature network on the detached logit row. Returns a
-    scalar node; call .item() for the value.
+    Per position: tau * (logsumexp(L / tau) - log K + rho) - L_target. tau
+    comes from a logit-variant temperature network on the detached logit row,
+    or from an array holding one positive tau per target position,
+    sequence-major. The model's gradients treat tau as a per-instance
+    constant either way. Returns a scalar node; call .item() for the value.
     """
-    return lm_robust_loss_and_taus(params, tnet, batch, cfg)[0]
-
-
-def lm_robust_loss_fixed_taus(
-    params: LmParams, batch: TokenBatch, cfg: DroConfig, taus: List[np.ndarray]
-) -> Tensor:
-    """Robust LM loss at externally supplied per-position temperatures.
-
-    The model's gradients here coincide with robust_softmax_loss at identical
-    temperature values: the loss treats tau as a per-instance constant either
-    way. Useful for probing with solved temperatures.
-    """
-    if len(taus) != len(batch.sequences):
-        raise DomainError(f"expected {len(batch.sequences)} tau vectors, got {len(taus)}")
-    tau_rows = [np.asarray(t, dtype=np.float64) for t in taus]
-    for seq, tau_row in zip(batch.sequences, tau_rows):
-        if tau_row.shape != (len(seq) - 1,) or (tau_row <= 0.0).any():
-            raise DomainError("each tau vector must hold one positive value per target")
     logits, targets = _target_logits(params, batch.sequences)
-    return de.mean(_robust_terms(logits, Tensor(np.concatenate(tau_rows)), targets, cfg.rho))
+    taus = _taus(temps, logits, tn.Variant.LLM_LOGITS, "LM loss")
+    return de.mean(_robust_terms(logits, taus, targets, cfg.rho))
 
 
 def baseline_ce_loss(params: LmParams, batch: TokenBatch) -> Tensor:
@@ -471,6 +454,19 @@ def encode_text(params: TwoTowerParams, feats: Tensor) -> Tensor:
     return _encode(params.text, feats)
 
 
+def _similarities(
+    towers: TwoTowerParams, batch: PairBatch
+) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
+    """Both embeddings, the image x text similarities with the additive
+    diagonal mask, and the matched (diagonal) similarities."""
+    n = batch.n
+    e_img = encode_image(towers, Tensor(batch.x))
+    e_txt = encode_text(towers, Tensor(batch.t))
+    sims = de.matmul(e_img, de.transpose(e_txt))
+    masked = de.add(sims, Tensor(np.diag(np.full(n, _NEG_MASK))))
+    return e_img, e_txt, masked, de.gather_rows(sims, np.arange(n))
+
+
 def _direction_terms(sims: Tensor, diag: Tensor, taus: Tensor, rho: float, n: int) -> Tensor:
     """Per-anchor robust terms for one retrieval direction.
 
@@ -482,70 +478,27 @@ def _direction_terms(sims: Tensor, diag: Tensor, taus: Tensor, rho: float, n: in
     return de.mul(taus, de.add(lse, rho - math.log(n - 1)))
 
 
-def gcl_robust_loss_and_taus(
-    towers: TwoTowerParams,
-    tnet_img: tn.TempNetParams,
-    tnet_txt: tn.TempNetParams,
-    batch: PairBatch,
-    cfg: DroConfig,
-) -> Tuple[Tensor, np.ndarray, np.ndarray]:
-    """Two-way robust contrastive loss plus per-side temperatures."""
-    for net, side in ((tnet_img, "image"), (tnet_txt, "text")):
-        if net.cfg.variant is not tn.Variant.CL_EMBEDDING:
-            raise DomainError(f"{side} temperature net must be the embedding variant")
-        if net.cfg.d0 != towers.cfg.out_dim:
-            raise DomainError(
-                f"{side} temperature net width {net.cfg.d0} != embedding width {towers.cfg.out_dim}"
-            )
-    n = batch.n
-    e_img = encode_image(towers, Tensor(batch.x))
-    e_txt = encode_text(towers, Tensor(batch.t))
-    taus1 = tn.cl_tau_batch(tnet_img, de.stop_gradient(e_img))
-    taus2 = tn.cl_tau_batch(tnet_txt, de.stop_gradient(e_txt))
-
-    sims = de.matmul(e_img, de.transpose(e_txt))
-    masked = de.add(sims, Tensor(np.diag(np.full(n, _NEG_MASK))))
-    diag = de.gather_rows(sims, np.arange(n))
-    img_terms = _direction_terms(masked, diag, taus1, cfg.rho, n)
-    txt_terms = _direction_terms(de.transpose(masked), diag, taus2, cfg.rho, n)
-    loss = de.mean(de.add(img_terms, txt_terms))
-    return loss, taus1.data.copy(), taus2.data.copy()
-
-
 def robust_gcl_loss(
     towers: TwoTowerParams,
-    tnet_img: tn.TempNetParams,
-    tnet_txt: tn.TempNetParams,
+    temps_img: Union[tn.TempNetParams, np.ndarray],
+    temps_txt: Union[tn.TempNetParams, np.ndarray],
     batch: PairBatch,
     cfg: DroConfig,
 ) -> Tensor:
     """Mean over pairs of the two directional robust terms.
 
     Per anchor: tau * (logsumexp(margins / tau) - log(n - 1) + rho) with
-    margins against the n - 1 in-batch negatives and tau predicted from the
-    anchor's detached embedding (image and text sides use separate networks).
+    margins against the n - 1 in-batch negatives. Each side's tau comes from
+    an embedding-variant temperature network on the anchor's detached
+    embedding (image and text sides use separate networks), or from an array
+    of n positive taus.
     """
-    return gcl_robust_loss_and_taus(towers, tnet_img, tnet_txt, batch, cfg)[0]
-
-
-def gcl_robust_loss_fixed_taus(
-    towers: TwoTowerParams, batch: PairBatch, cfg: DroConfig, taus1, taus2
-) -> Tensor:
-    """Robust contrastive loss at externally supplied per-pair temperatures."""
-    taus1 = np.asarray(taus1, dtype=np.float64)
-    taus2 = np.asarray(taus2, dtype=np.float64)
     n = batch.n
-    if taus1.shape != (n,) or taus2.shape != (n,):
-        raise DomainError(f"need one temperature per pair per side, got {taus1.shape} {taus2.shape}")
-    if (taus1 <= 0.0).any() or (taus2 <= 0.0).any():
-        raise DomainError("temperatures must be positive")
-    e_img = encode_image(towers, Tensor(batch.x))
-    e_txt = encode_text(towers, Tensor(batch.t))
-    sims = de.matmul(e_img, de.transpose(e_txt))
-    masked = de.add(sims, Tensor(np.diag(np.full(n, _NEG_MASK))))
-    diag = de.gather_rows(sims, np.arange(n))
-    img_terms = _direction_terms(masked, diag, Tensor(taus1), cfg.rho, n)
-    txt_terms = _direction_terms(de.transpose(masked), diag, Tensor(taus2), cfg.rho, n)
+    e_img, e_txt, masked, diag = _similarities(towers, batch)
+    taus1 = _taus(temps_img, e_img, tn.Variant.CL_EMBEDDING, "image side")
+    taus2 = _taus(temps_txt, e_txt, tn.Variant.CL_EMBEDDING, "text side")
+    img_terms = _direction_terms(masked, diag, taus1, cfg.rho, n)
+    txt_terms = _direction_terms(de.transpose(masked), diag, taus2, cfg.rho, n)
     return de.mean(de.add(img_terms, txt_terms))
 
 
@@ -555,12 +508,7 @@ def baseline_gcl_loss(
     """Fixed-temperature two-way contrastive loss with negative-only denominators."""
     if tau1 <= 0.0 or tau2 <= 0.0:
         raise DomainError(f"temperatures must be positive, got {tau1} and {tau2}")
-    n = batch.n
-    e_img = encode_image(towers, Tensor(batch.x))
-    e_txt = encode_text(towers, Tensor(batch.t))
-    sims = de.matmul(e_img, de.transpose(e_txt))
-    masked = de.add(sims, Tensor(np.diag(np.full(n, _NEG_MASK))))
-    diag = de.gather_rows(sims, np.arange(n))
+    _, _, masked, diag = _similarities(towers, batch)
 
     def direction(rows: Tensor, tau: float) -> Tensor:
         lse = de.logsumexp(de.mul(rows, 1.0 / tau), axis=1)

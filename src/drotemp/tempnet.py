@@ -121,52 +121,6 @@ class TempNetParams:
         )
 
 
-@dataclass(frozen=True)
-class TempNetCache:
-    """Intermediate values of a single forward pass (detached copies)."""
-
-    v: np.ndarray
-    u: np.ndarray
-    s: float
-    tau: float
-
-
-def output_map(s: float, tau0: float, tau_max: float) -> float:
-    """tau = (tau_max - tau0) * sigmoid(s) + tau0, strictly increasing in s."""
-    if not tau0 < tau_max:
-        raise DomainError(f"need tau0 < tau_max, got [{tau0}, {tau_max}]")
-    # stable logistic: never exponentiate a positive argument
-    if s >= 0.0:
-        sig = 1.0 / (1.0 + np.exp(-s))
-    else:
-        t = np.exp(s)
-        sig = t / (1.0 + t)
-    return float((tau_max - tau0) * sig + tau0)
-
-
-def parameterized_pooling(u, w3, phi: float, b: float, rho: float) -> float:
-    """s = (1/rho) * [sum_k (softmax(u/phi)_k - 1/d2) * w3_k * u_k - b].
-
-    The bracketed term is a centered attention readout of the prototypical
-    logits; dividing by rho matches the scaling of the optimal-temperature
-    fixed point.
-    """
-    if phi <= 0.0:
-        raise DomainError(f"phi must be positive, got {phi}")
-    if rho <= 0.0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    u = np.asarray(u, dtype=np.float64)
-    w3 = np.asarray(w3, dtype=np.float64)
-    if u.ndim != 1 or u.shape != w3.shape:
-        raise DomainError(f"u and w3 must be equal-length vectors, got {u.shape} and {w3.shape}")
-    z = u / phi
-    z = z - z.max()
-    a = np.exp(z)
-    a /= a.sum()
-    pooled = float(((a - 1.0 / u.size) * w3 * u).sum())
-    return (pooled - b) / rho
-
-
 def _kaiming_uniform(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
@@ -234,8 +188,15 @@ def init_cl_tempnet(
     )
 
 
-def _head(params: TempNetParams, u: Tensor) -> Tensor:
-    """Pooling plus output map on a batch of prototypical logits (n x d2)."""
+def _head(params: TempNetParams, u: Tensor) -> Tuple[Tensor, Tensor]:
+    """Pooling plus output map on a batch of prototypical logits (n x d2).
+
+    Returns the pooled scalars s and the temperatures, both (n,):
+    s = (1/rho) * [sum_k (softmax(u/phi)_k - 1/d2) * w3_k * u_k - b], a
+    centered attention readout scaled like the optimal-temperature fixed
+    point, and tau = (tau_max - tau0) * sigmoid(s) + tau0, strictly
+    increasing in s.
+    """
     cfg = params.cfg
     if float(params.phi.data) <= 0.0:
         raise DomainError(f"phi must be positive, got {float(params.phi.data)}")
@@ -243,23 +204,25 @@ def _head(params: TempNetParams, u: Tensor) -> Tensor:
     centered = de.sub(attn, 1.0 / cfg.d2)
     pooled = de.sum(de.mul(de.mul_rowvec(centered, params.w3), u), axis=1)
     s = de.mul(de.sub(pooled, params.b), 1.0 / cfg.rho)
-    return de.add(de.mul(de.logistic(s), cfg.tau_max - cfg.tau0), cfg.tau0)
+    return s, de.add(de.mul(de.logistic(s), cfg.tau_max - cfg.tau0), cfg.tau0)
 
 
 def _llm_parts(
     params: TempNetParams, logits: Tensor, zero_rows: str = "error"
-) -> Tuple[Tensor, Tensor, Tensor]:
+) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
+    """v, u, s and tau for a batch of raw logit rows."""
     normed = de.l2_normalize(logits, axis=-1, zero_policy=zero_rows)
     v = de.relu(de.affine(normed, params.W1, params.b1))
     u = de.matmul(v, de.transpose(params.W2))
-    return v, u, _head(params, u)
+    return (v, u, *_head(params, u))
 
 
-def _cl_parts(params: TempNetParams, embeddings: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
+def _cl_parts(params: TempNetParams, embeddings: Tensor) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
+    """v, u, s and tau for a batch of embedding rows."""
     v = de.relu(de.affine(embeddings, params.W1, params.b1))
     # prototype columns normalized here so gradients flow through the norm
     u = de.matmul(v, de.l2_normalize(params.W2, axis=0))
-    return v, u, _head(params, u)
+    return (v, u, *_head(params, u))
 
 
 def llm_tau_batch(params: TempNetParams, logits: Tensor, zero_rows: str = "error") -> Tensor:
@@ -272,52 +235,11 @@ def llm_tau_batch(params: TempNetParams, logits: Tensor, zero_rows: str = "error
     """
     if logits.data.ndim != 2 or logits.shape[1] != params.cfg.d0:
         raise DomainError(f"expected n x {params.cfg.d0} logits, got {logits.shape}")
-    return _llm_parts(params, logits, zero_rows)[2]
+    return _llm_parts(params, logits, zero_rows)[3]
 
 
 def cl_tau_batch(params: TempNetParams, embeddings: Tensor) -> Tensor:
     """Temperatures for a batch of embedding rows (n x d0) -> (n,)."""
     if embeddings.data.ndim != 2 or embeddings.shape[1] != params.cfg.d0:
         raise DomainError(f"expected n x {params.cfg.d0} embeddings, got {embeddings.shape}")
-    return _cl_parts(params, embeddings)[2]
-
-
-def _single_forward(params, parts_fn, row: np.ndarray) -> Tuple[float, TempNetCache]:
-    x = Tensor(row[None, :])
-    v, u, tau = parts_fn(params, x)
-    tau_val = float(tau.data[0])
-    # recover the pre-sigmoid scalar for the cache
-    pooled_row = u.data[0]
-    s = parameterized_pooling(
-        pooled_row, params.w3.data, float(params.phi.data), float(params.b.data), params.cfg.rho
-    )
-    return tau_val, TempNetCache(v=v.data[0].copy(), u=pooled_row.copy(), s=s, tau=tau_val)
-
-
-def forward_llm(params: TempNetParams, raw_logits) -> Tuple[float, TempNetCache]:
-    """Temperature for one raw logit vector.
-
-    The vector must be finite and not identically zero (the L2 normalization
-    is undefined at zero).
-    """
-    arr = np.asarray(raw_logits, dtype=np.float64)
-    if arr.ndim != 1 or arr.size != params.cfg.d0:
-        raise DomainError(f"expected a logit vector of length {params.cfg.d0}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DomainError("raw_logits contains non-finite entries")
-    if not arr.any():
-        raise DomainError("raw_logits is identically zero; normalization undefined")
-    return _single_forward(params, _llm_parts, arr)
-
-
-def forward_cl(params: TempNetParams, embedding) -> Tuple[float, TempNetCache]:
-    """Temperature for one unit-norm embedding (checked to 1e-6)."""
-    arr = np.asarray(embedding, dtype=np.float64)
-    if arr.ndim != 1 or arr.size != params.cfg.d0:
-        raise DomainError(f"expected an embedding of length {params.cfg.d0}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DomainError("embedding contains non-finite entries")
-    norm = float(np.sqrt((arr * arr).sum()))
-    if abs(norm - 1.0) > 1e-6:
-        raise DomainError(f"embedding norm {norm} deviates from 1 beyond 1e-6")
-    return _single_forward(params, _cl_parts, arr)
+    return _cl_parts(params, embeddings)[3]

@@ -39,7 +39,7 @@ from . import models as md
 from . import tempnet as tn
 from .diff_engine import Gradients, Tape, Tensor, backward
 from .dro_core import DroConfig
-from .errors import DomainError, IntegrityError, ShapeError, TrainingDivergedError
+from .errors import DomainError, IntegrityError, NonFiniteError, ShapeError, TrainingDivergedError
 
 MODES = ("scratch", "joint-finetune", "tempnet-only")
 METRICS_HEADER = "step,loss,eval_metric,tau_mean,tau_min,tau_max,lr_model,lr_tempnet"
@@ -184,11 +184,6 @@ def _schedule_scale(step: int, cfg: TrainConfig) -> float:
     return 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def cosine_lr(step: int, cfg: TrainConfig) -> float:
-    """Linear warmup to base_lr, then cosine decay to zero at total_steps."""
-    return cfg.base_lr * _schedule_scale(step, cfg)
-
-
 def adamw_step(
     named_tensors: Sequence[Tuple[str, Tensor]],
     grads: Gradients,
@@ -311,16 +306,14 @@ def _pack_optimizer(state: OptimizerState) -> bytes:
 
 
 def _unpack_optimizer(payload: bytes, section: str, step: int) -> OptimizerState:
+    halves = dict(_unpack_arrays(payload, section))
     moments: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-    halves: Dict[str, np.ndarray] = {}
-    for name, arr in _unpack_arrays(payload, section):
-        halves[name] = arr
     for name in halves:
-        if name.endswith(".m"):
-            base = name[:-2]
-            if base + ".v" not in halves:
-                raise IntegrityError(f"checkpoint section {section!r} is missing {base}.v")
-            moments[base] = (halves[name], halves[base + ".v"])
+        pair = (name[:-2] + ".m", name[:-2] + ".v")
+        for half in pair:
+            if half not in halves:
+                raise IntegrityError(f"checkpoint section {section!r} is missing {half}")
+        moments[name[:-2]] = (halves[pair[0]], halves[pair[1]])
     return OptimizerState(step=step, moments=moments)
 
 
@@ -330,15 +323,25 @@ def _tempnet_meta(net: tn.TempNetParams) -> dict:
     return cfg
 
 
-def _tempnet_from_meta(meta: dict, arrays: List[Tuple[str, np.ndarray]]) -> tn.TempNetParams:
-    meta = dict(meta)
-    meta["variant"] = tn.Variant(meta["variant"])
-    cfg = tn.TempNetConfig(**meta)
+def _field(table, key: str, section: str):
+    """table[key]; a missing key means the named section is damaged."""
+    if not isinstance(table, dict) or key not in table:
+        raise IntegrityError(f"checkpoint section {section!r} is missing {key!r}")
+    return table[key]
+
+
+def _tensor(data: dict, name: str, section: str) -> Tensor:
+    return Tensor(_field(data, name, section), requires_grad=True, name=name)
+
+
+def _tempnet_from_meta(
+    meta: dict, arrays: List[Tuple[str, np.ndarray]], section: str
+) -> tn.TempNetParams:
+    cfg = tn.TempNetConfig(**{**meta, "variant": tn.Variant(_field(meta, "variant", "meta"))})
     data = dict(arrays)
     return tn.TempNetParams(
         cfg=cfg,
-        **{name: Tensor(data[name], requires_grad=True, name=name) for name in
-           ("W1", "b1", "W2", "w3", "phi", "b")},
+        **{name: _tensor(data, name, section) for name in ("W1", "b1", "W2", "w3", "phi", "b")},
     )
 
 
@@ -347,7 +350,7 @@ def _lm_from_meta(meta: dict, arrays: List[Tuple[str, np.ndarray]]) -> md.LmPara
     data = dict(arrays)
 
     def t(name: str) -> Tensor:
-        return Tensor(data[name], requires_grad=True, name=name)
+        return _tensor(data, name, "foundation")
 
     blocks = tuple(
         md.BlockParams(**{f: t(f"blocks.{i}.{f}") for f in
@@ -363,8 +366,7 @@ def _towers_from_meta(meta: dict, arrays: List[Tuple[str, np.ndarray]]) -> md.Tw
 
     def tower(side: str) -> md.TowerParams:
         return md.TowerParams(
-            **{f: Tensor(data[f"{side}.{f}"], requires_grad=True, name=f"{side}.{f}")
-               for f in ("W1", "b1", "W2", "b2")}
+            **{f: _tensor(data, f"{side}.{f}", "foundation") for f in ("W1", "b1", "W2", "b2")}
         )
 
     return md.TwoTowerParams(cfg=cfg, image=tower("image"), text=tower("text"))
@@ -446,7 +448,7 @@ def _read_sections(raw: bytes) -> Dict[str, bytes]:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read and validate a checkpoint; any damage names the failing section."""
+    """Read and validate a checkpoint; any damage raises IntegrityError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     sections = _read_sections(raw)
@@ -457,7 +459,16 @@ def load_checkpoint(path) -> Checkpoint:
         meta = json.loads(sections["meta"].decode("utf-8"))
     except ValueError as exc:
         raise IntegrityError(f"checkpoint section 'meta' is unreadable: {exc}") from None
+    try:
+        return _decode_checkpoint(meta, sections)
+    except (TypeError, ValueError) as exc:  # fields present but of the wrong type or value
+        raise IntegrityError(f"checkpoint does not describe a valid run: {exc}") from None
 
+
+def _decode_checkpoint(meta: dict, sections: Dict[str, bytes]) -> Checkpoint:
+    for key in ("version", "kind", "step", "config_hash", "opt_model_step", "opt_tempnet_step",
+                "n_tempnets", "foundation_cfg", "tempnet_cfgs", "extra"):
+        _field(meta, key, "meta")
     kind = meta["kind"]
     foundation_arrays = _unpack_arrays(sections["foundation"], "foundation")
     if kind == "lm":
@@ -474,7 +485,7 @@ def load_checkpoint(path) -> Checkpoint:
         name = f"tempnet{i}"
         if name not in sections:
             raise IntegrityError(f"checkpoint section {name!r} is missing")
-        tempnets.append(_tempnet_from_meta(net_meta, _unpack_arrays(sections[name], name)))
+        tempnets.append(_tempnet_from_meta(net_meta, _unpack_arrays(sections[name], name), name))
 
     return Checkpoint(
         kind=kind,
@@ -487,7 +498,7 @@ def load_checkpoint(path) -> Checkpoint:
             sections["opt_tempnet"], "opt_tempnet", meta["opt_tempnet_step"]
         ),
         rng_state=json.loads(sections["rng"].decode("utf-8")),
-        extra=meta.get("extra", {}),
+        extra=meta["extra"],
     )
 
 
@@ -495,7 +506,40 @@ def load_checkpoint(path) -> Checkpoint:
 # task runtimes
 
 
-class _LmRuntime:
+class _Runtime:
+    """The foundation model and temperature networks of one task, with the
+    checkpoint plumbing both tasks share; subclasses sample and evaluate."""
+
+    kind: str
+
+    def _check_checkpoint(self, ckpt: Optional[Checkpoint], model_cfg) -> None:
+        if ckpt is None:
+            return
+        if ckpt.kind != self.kind:
+            raise DomainError(f"checkpoint holds a {ckpt.kind!r} model, expected {self.kind!r}")
+        if ckpt.foundation.cfg != model_cfg:
+            raise DomainError(
+                f"checkpoint model shape {ckpt.foundation.cfg} != task shape {model_cfg}"
+            )
+
+    def restore(self, ckpt: Checkpoint):
+        self.model = ckpt.foundation
+        self.tempnets = ckpt.tempnets
+
+    def foundation(self):
+        return self.model
+
+    def model_tensors(self):
+        return self.model.tensors()
+
+    def tempnet_tensors(self):
+        out = []
+        for i, net in enumerate(self.tempnets):
+            out.extend((f"tempnet{i}.{n}", t) for n, t in net.tensors())
+        return out
+
+
+class _LmRuntime(_Runtime):
     kind = "lm"
 
     def __init__(self, run: TrainConfig, task: LmTask, ckpt: Optional[Checkpoint]):
@@ -516,16 +560,8 @@ class _LmRuntime:
             n_blocks=task.n_blocks,
             context_len=task.context_len,
         )
-        if ckpt is not None:
-            if ckpt.kind != "lm":
-                raise DomainError(f"checkpoint holds a {ckpt.kind!r} model, expected 'lm'")
-            if ckpt.foundation.cfg != lm_cfg:
-                raise DomainError(
-                    f"checkpoint model shape {ckpt.foundation.cfg} != task shape {lm_cfg}"
-                )
-            self.lm = ckpt.foundation
-        else:
-            self.lm = md.init_lm(lm_cfg, seed=run.seed)
+        self._check_checkpoint(ckpt, lm_cfg)
+        self.model = ckpt.foundation if ckpt is not None else md.init_lm(lm_cfg, seed=run.seed)
 
         if task.objective == "robust":
             t_cfg = tn.TempNetConfig(
@@ -541,22 +577,6 @@ class _LmRuntime:
         else:
             self.tempnets = ()
 
-    def restore(self, ckpt: Checkpoint):
-        self.lm = ckpt.foundation
-        self.tempnets = ckpt.tempnets
-
-    def foundation(self) -> md.LmParams:
-        return self.lm
-
-    def model_tensors(self):
-        return self.lm.tensors()
-
-    def tempnet_tensors(self):
-        out = []
-        for i, net in enumerate(self.tempnets):
-            out.extend((f"tempnet{i}.{n}", t) for n, t in net.tensors())
-        return out
-
     def sample_batch(self, rng: np.random.Generator):
         return md.sample_windows(
             self.train_ids, self.task.context_len, self.run.batch_size, rng
@@ -564,16 +584,16 @@ class _LmRuntime:
 
     def loss(self, batch) -> Tensor:
         if self.task.objective == "robust":
-            return md.robust_softmax_loss(self.lm, self.tempnets[0], batch, self.run.cfg)
-        return md.baseline_ce_loss(self.lm, batch)
+            return md.robust_softmax_loss(self.model, self.tempnets[0], batch, self.run.cfg)
+        return md.baseline_ce_loss(self.model, batch)
 
     def evaluate(self) -> Tuple[float, np.ndarray]:
         """Validation perplexity and the per-position temperatures behind it."""
         source = self.tempnets[0] if self.tempnets else 1.0
-        return md.lm_eval_pass(self.lm, source, self.eval_batch)
+        return md.lm_eval_pass(self.model, source, self.eval_batch)
 
 
-class _ClRuntime:
+class _ClRuntime(_Runtime):
     kind = "cl"
 
     def __init__(self, run: TrainConfig, task: ClTask, ckpt: Optional[Checkpoint]):
@@ -594,16 +614,10 @@ class _ClRuntime:
             hidden=task.hidden,
             out_dim=task.out_dim,
         )
-        if ckpt is not None:
-            if ckpt.kind != "cl":
-                raise DomainError(f"checkpoint holds a {ckpt.kind!r} model, expected 'cl'")
-            if ckpt.foundation.cfg != tower_cfg:
-                raise DomainError(
-                    f"checkpoint model shape {ckpt.foundation.cfg} != task shape {tower_cfg}"
-                )
-            self.towers = ckpt.foundation
-        else:
-            self.towers = md.init_two_tower(tower_cfg, seed=run.seed)
+        self._check_checkpoint(ckpt, tower_cfg)
+        self.model = (
+            ckpt.foundation if ckpt is not None else md.init_two_tower(tower_cfg, seed=run.seed)
+        )
 
         if task.objective == "robust":
             t_cfg = tn.TempNetConfig(
@@ -627,25 +641,9 @@ class _ClRuntime:
         # embeddings through the freshly drawn first layer, then re-init with
         # those rows (same seed, so the first layer is reproduced verbatim)
         draft = tn.init_cl_tempnet(cfg, seed)
-        emb = encode(self.towers, Tensor(feats[: max(cfg.d2, 16)])).data
+        emb = encode(self.model, Tensor(feats[: max(cfg.d2, 16)])).data
         v = np.maximum(emb @ draft.W1.data.T + draft.b1.data, 0.0)
         return tn.init_cl_tempnet(cfg, seed, sample_embeddings=v)
-
-    def restore(self, ckpt: Checkpoint):
-        self.towers = ckpt.foundation
-        self.tempnets = ckpt.tempnets
-
-    def foundation(self) -> md.TwoTowerParams:
-        return self.towers
-
-    def model_tensors(self):
-        return self.towers.tensors()
-
-    def tempnet_tensors(self):
-        out = []
-        for i, net in enumerate(self.tempnets):
-            out.extend((f"tempnet{i}.{n}", t) for n, t in net.tensors())
-        return out
 
     def sample_batch(self, rng: np.random.Generator):
         idx = np.sort(rng.choice(self.train_pairs.n, size=self.run.batch_size, replace=False))
@@ -654,18 +652,18 @@ class _ClRuntime:
     def loss(self, batch) -> Tensor:
         if self.task.objective == "robust":
             return md.robust_gcl_loss(
-                self.towers, self.tempnets[0], self.tempnets[1], batch, self.run.cfg
+                self.model, self.tempnets[0], self.tempnets[1], batch, self.run.cfg
             )
-        return md.baseline_gcl_loss(self.towers, self.task.fixed_tau1, self.task.fixed_tau2, batch)
+        return md.baseline_gcl_loss(self.model, self.task.fixed_tau1, self.task.fixed_tau2, batch)
 
     def evaluate(self) -> Tuple[float, np.ndarray]:
         """Mean recall@1 over both directions, plus held-out temperatures."""
-        r_img, r_txt = md.recall_at_k(self.towers, self.eval_pairs, 1)
+        r_img, r_txt = md.recall_at_k(self.model, self.eval_pairs, 1)
         metric = 0.5 * (r_img + r_txt)
         if self.task.objective != "robust":
             return metric, np.array([self.task.fixed_tau1, self.task.fixed_tau2])
-        e_img = md.encode_image(self.towers, Tensor(self.eval_pairs.x))
-        e_txt = md.encode_text(self.towers, Tensor(self.eval_pairs.t))
+        e_img = md.encode_image(self.model, Tensor(self.eval_pairs.x))
+        e_txt = md.encode_text(self.model, Tensor(self.eval_pairs.t))
         taus = np.concatenate(
             [
                 tn.cl_tau_batch(self.tempnets[0], e_img).data,
@@ -735,7 +733,7 @@ def train(
         init_ckpt = load_checkpoint(task.init_from)
 
     if isinstance(task, LmTask):
-        runtime: Union[_LmRuntime, _ClRuntime] = _LmRuntime(run, task, init_ckpt)
+        runtime: _Runtime = _LmRuntime(run, task, init_ckpt)
     elif isinstance(task, ClTask):
         runtime = _ClRuntime(run, task, init_ckpt)
     else:
@@ -805,10 +803,8 @@ def train(
                     loss = runtime.loss(batch)
                 loss_value = loss.item()
                 grads = backward(loss, tape)
-            except DomainError as exc:
-                if "non-finite" in str(exc):
-                    raise TrainingDivergedError(step, str(exc)) from exc
-                raise
+            except NonFiniteError as exc:
+                raise TrainingDivergedError(step, str(exc)) from exc
             if not math.isfinite(loss_value):
                 raise TrainingDivergedError(step, f"loss value {loss_value}")
 

@@ -312,11 +312,10 @@ def _check_lm_loss_gradients(rng: np.random.Generator) -> float:
 
     grads = _grads_of(lambda: md.robust_softmax_loss(lm, net, batch, cfg))
     # temperatures the recorded loss used; the model-side probe holds them fixed
-    flat = md.lm_eval_pass(lm, net, batch)[1]
-    taus = np.split(flat, np.cumsum([len(seq) - 1 for seq in batch.sequences])[:-1])
+    taus = md.lm_eval_pass(lm, net, batch)[1]
 
     def fixed_tau_value() -> float:
-        return md.lm_robust_loss_fixed_taus(lm, batch, cfg, taus).item()
+        return md.robust_softmax_loss(lm, taus, batch, cfg).item()
 
     def full_value() -> float:
         return md.robust_softmax_loss(lm, net, batch, cfg).item()
@@ -363,7 +362,7 @@ def _check_gcl_loss_gradients(rng: np.random.Generator) -> float:
     taus2 = tn.cl_tau_batch(net_txt, md.encode_text(towers, Tensor(batch.t))).data
 
     def fixed_tau_value() -> float:
-        return md.gcl_robust_loss_fixed_taus(towers, batch, cfg, taus1, taus2).item()
+        return md.robust_gcl_loss(towers, taus1, taus2, batch, cfg).item()
 
     def full_value() -> float:
         return md.robust_gcl_loss(towers, net_img, net_txt, batch, cfg).item()

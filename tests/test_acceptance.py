@@ -143,9 +143,9 @@ def test_07_bridge_identities():
             if "out_proj" in name:
                 tensor.data = rng.normal(size=tensor.data.shape)
         batch = md.TokenBatch([rng.integers(11, size=6), rng.integers(11, size=5)])
-        taus = [np.ones(len(seq) - 1) for seq in batch.sequences]
-        robust = md.lm_robust_loss_fixed_taus(
-            params, batch, DroConfig(tau0=1e-3, tau_max=2.0, rho=0.0), taus
+        taus = np.ones(batch.n_targets)
+        robust = md.robust_softmax_loss(
+            params, taus, batch, DroConfig(tau0=1e-3, tau_max=2.0, rho=0.0)
         ).item()
         ce = md.baseline_ce_loss(params, batch).item()
         worst_lm = max(worst_lm, abs(robust - (ce - math.log(11))))
@@ -157,9 +157,9 @@ def test_07_bridge_identities():
         n = 6
         batch = md.PairBatch(rng.normal(size=(n, 7)), rng.normal(size=(n, 7)))
         tau = float(10.0 ** rng.uniform(-1.5, 0.3))
-        robust = md.gcl_robust_loss_fixed_taus(
-            towers, batch, DroConfig(tau0=1e-3, tau_max=5.0, rho=0.0),
-            np.full(n, tau), np.full(n, tau),
+        robust = md.robust_gcl_loss(
+            towers, np.full(n, tau), np.full(n, tau), batch,
+            DroConfig(tau0=1e-3, tau_max=5.0, rho=0.0),
         ).item()
         base = md.baseline_gcl_loss(towers, tau, tau, batch).item()
         worst_cl = max(worst_cl, abs(robust - (base - 2.0 * tau * math.log(n - 1))))

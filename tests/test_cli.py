@@ -4,9 +4,11 @@ Commands run in-process through cli.main so exit codes and stdout/stderr are
 observable without subprocesses.
 """
 
+import binascii
 import json
 import os
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -182,6 +184,36 @@ class TestConfigResolution:
         cli.write_resolved_config(values, tmp_path)
         again = cli.resolve_config(cli._LM_SCHEMA, str(tmp_path / "config.resolved"), [])
         assert again == values
+
+
+class TestParserReuse:
+    def test_consecutive_calls_parse_independently(self, tmp_path, monkeypatch):
+        parser = cli._parser()
+        assert cli._parser() is parser and cli.build_parser() is not parser
+        seen = []
+
+        def recording_parse(argv=None):
+            seen.append(type(parser).parse_args(parser, argv))
+            return seen[-1]
+
+        monkeypatch.setattr(parser, "parse_args", recording_parse)
+        first = ["train-lm", "--out", str(tmp_path / "a"), "--rho", "0.3", "--mode", "scratch",
+                 "bogus.key=1", "other.key=2"]
+        pairs = tmp_path / "pairs.csv"
+        assert run_cli(first) == 1  # unknown key: rejected before any training
+        assert run_cli(["gen-pairs", "--n", "4", "--dim", "2", "--output", str(pairs)]) == 0
+        assert run_cli(["train-lm", "--out", str(tmp_path / "b"), "bogus.key=3"]) == 1
+        a, g, b = seen
+        assert (a.command, a.rho, a.mode, a.override) == (
+            "train-lm", 0.3, "scratch", ["bogus.key=1", "other.key=2"]
+        )
+        assert (g.command, g.clusters, g.noise, g.seed) == ("gen-pairs", 4, 0.2, 0)
+        assert not hasattr(g, "override") and not hasattr(g, "rho")
+        assert (b.rho, b.mode, b.tau_max, b.config, b.override) == (
+            None, None, None, None, ["bogus.key=3"]
+        )
+        assert a.override == ["bogus.key=1", "other.key=2"]
+        assert b.out != a.out and not (tmp_path / "a").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +460,17 @@ class TestSolveTau:
         assert stat.S_IMODE(real.stat().st_mode) == 0o640
         assert [p.name for p in real.parent.iterdir()] == ["out.jsonl"]
 
+    def test_missing_output_directory_names_the_output(self, tmp_path, capsys, monkeypatch):
+        # one line per chunk: three lines take the path through a temporary file
+        monkeypatch.setattr(cli, "SOLVE_CHUNK", 1)
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"positive":1.0,"contrast":[0.5,2.0]}\n' * 3, encoding="utf-8")
+        dst = tmp_path / "absent" / "out.jsonl"
+        assert run_cli(["solve-tau", "--input", str(src), "--output", str(dst)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and f"'{dst}'" in err and ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_output_written_in_place(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "SOLVE_CHUNK", 1)
@@ -664,6 +707,25 @@ class TestEval:
             ["eval", "--checkpoint", str(tmp_path / "none.bin"), "--corpus", CORPUS]
         )
         assert rc == 2
+
+    def test_checkpoint_meta_missing_a_key_exits_1(self, lm_run, tmp_path, capsys):
+        raw = (lm_run / "checkpoint.bin").read_bytes()
+        # the meta section comes first: name length, name, payload length, payload, crc
+        (name_len,) = struct.unpack("<H", raw[6:8])
+        at = 8 + name_len
+        (size,) = struct.unpack("<Q", raw[at : at + 8])
+        meta = json.loads(raw[at + 8 : at + 8 + size])
+        del meta["step"]
+        payload = json.dumps(meta).encode()
+        damaged = tmp_path / "damaged.bin"
+        damaged.write_bytes(
+            raw[:at] + struct.pack("<Q", len(payload)) + payload
+            + struct.pack("<I", binascii.crc32(payload)) + raw[at + 8 + size + 4 :]
+        )
+        rc = run_cli(["eval", "--checkpoint", str(damaged), "--corpus", CORPUS])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: checkpoint section 'meta' is missing 'step'\n"
 
     def test_pairs_train_cl_rejects_are_rejected_by_eval(self, fixture_cl_ckpt, tmp_path, capsys):
         # 3 pairs leave 1 for training: train-cl refuses the split, and eval

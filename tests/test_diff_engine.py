@@ -10,7 +10,7 @@ from drotemp.diff_engine import (
     finite_diff_check,
     stop_gradient,
 )
-from drotemp.errors import DomainError, ShapeError
+from drotemp.errors import DomainError, NonFiniteError, ShapeError
 
 
 def grad_of(build, *params):
@@ -58,6 +58,12 @@ class TestForwardValues:
     def test_l2_normalize_zero_vector_rejected(self):
         with pytest.raises(DomainError):
             de.l2_normalize(Tensor([0.0, 0.0]))
+
+    def test_non_finite_output_has_its_own_type(self):
+        with pytest.raises(NonFiniteError, match="reciprocal produced non-finite values"):
+            with np.errstate(divide="ignore"):
+                de.reciprocal(Tensor([1.0, 0.0]))
+        assert issubclass(NonFiniteError, DomainError)
 
     def test_logistic_extremes_stay_finite(self):
         out = de.logistic(Tensor([-1000.0, 0.0, 1000.0])).data

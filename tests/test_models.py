@@ -86,6 +86,24 @@ def identity_towers(d):
     return towers
 
 
+def sequence_logits(lm, batch):
+    """Per-sequence logit matrices (m_i x K), one forward per sequence."""
+    return [md._stacked_logits(lm, seq[None, :]).data for seq in batch.sequences]
+
+
+def lm_taus(lm, net, batch):
+    """The temperatures robust_softmax_loss draws from net, sequence-major."""
+    logits, _ = md._target_logits(lm, batch.sequences)
+    return tn.llm_tau_batch(net, logits, zero_rows="keep").data
+
+
+def cl_taus(towers, net_img, net_txt, batch):
+    """The per-side temperatures robust_gcl_loss draws from its networks."""
+    taus1 = tn.cl_tau_batch(net_img, md.encode_image(towers, Tensor(batch.x))).data
+    taus2 = tn.cl_tau_batch(net_txt, md.encode_text(towers, Tensor(batch.t))).data
+    return taus1, taus2
+
+
 def grads_of(build):
     with Tape() as tape:
         loss = build()
@@ -118,43 +136,43 @@ class TestLmValidation:
     def test_out_of_range_ids_rejected_at_forward(self):
         lm = small_lm()
         with pytest.raises(DomainError):
-            md.lm_logits(lm, md.TokenBatch([[0, 99]]))
+            md.baseline_ce_loss(lm, md.TokenBatch([[0, 99]]))
 
     def test_overlong_sequence_rejected(self):
         lm = small_lm()
         with pytest.raises(DomainError):
-            md.lm_logits(lm, md.TokenBatch([np.zeros(7, dtype=int)]))
+            md.baseline_ce_loss(lm, md.TokenBatch([np.zeros(7, dtype=int)]))
 
 
 class TestLmForward:
     def test_zero_out_projection_means_zero_logits(self):
         lm = small_lm(randomize_out=False)
         rng = np.random.default_rng(0)
-        for rows in md.lm_logits(lm, small_batch(rng, lm.cfg, 3)):
+        for rows in sequence_logits(lm, small_batch(rng, lm.cfg, 3)):
             assert not rows.any()
 
     def test_shapes(self):
         lm = small_lm()
-        rows = md.lm_logits(lm, md.TokenBatch([[0, 1, 2, 3], [4, 5]]))
+        rows = sequence_logits(lm, md.TokenBatch([[0, 1, 2, 3], [4, 5]]))
         assert [r.shape for r in rows] == [(4, 7), (2, 7)]
 
     def test_permuting_batch_permutes_outputs(self):
         lm = small_lm(seed=3)
         a = md.TokenBatch([[0, 1, 2], [3, 4, 5, 6], [1, 1]])
         b = md.TokenBatch([[3, 4, 5, 6], [1, 1], [0, 1, 2]])
-        out_a = md.lm_logits(lm, a)
-        out_b = md.lm_logits(lm, b)
+        out_a = sequence_logits(lm, a)
+        out_b = sequence_logits(lm, b)
         for i, j in ((0, 2), (1, 0), (2, 1)):
             np.testing.assert_array_equal(out_a[i], out_b[j])
 
     def test_causality_bit_exact(self):
         lm = small_lm(seed=4, n_blocks=2)
         base = np.array([1, 2, 3, 4, 5, 6])
-        rows = md.lm_logits(lm, md.TokenBatch([base]))[0]
+        rows = sequence_logits(lm, md.TokenBatch([base]))[0]
         for j in range(1, 6):
             mutated = base.copy()
             mutated[j] = (mutated[j] + 3) % lm.cfg.vocab_size
-            rows_m = md.lm_logits(lm, md.TokenBatch([mutated]))[0]
+            rows_m = sequence_logits(lm, md.TokenBatch([mutated]))[0]
             np.testing.assert_array_equal(rows[:j], rows_m[:j])
             assert not np.array_equal(rows[j:], rows_m[j:])
 
@@ -164,7 +182,7 @@ class TestLmForward:
 
         def one_position_sum(probe, field):
             trial = dataclasses.replace(lm, **{field: probe})
-            full = md._sequence_logits(trial, ids)
+            full = md._stacked_logits(trial, ids[None, :])
             return de.sum(de.slice_rows(full, 2, 3))
 
         for field in ("emb", "pos", "out_proj"):
@@ -176,7 +194,7 @@ class TestLmForward:
             def block_sum(probe):
                 trial_blk = dataclasses.replace(blk, **{name: probe})
                 trial = dataclasses.replace(lm, blocks=(trial_blk,))
-                full = md._sequence_logits(trial, ids)
+                full = md._stacked_logits(trial, ids[None, :])
                 return de.sum(de.slice_rows(full, 2, 3))
 
             assert finite_diff_check(block_sum, getattr(blk, name)) <= 1e-5
@@ -292,6 +310,21 @@ class TestRobustSoftmaxLoss:
         with pytest.raises(DomainError):
             md.robust_softmax_loss(lm, llm_tnet(9), batch, DroConfig())
 
+    def test_array_source_matches_tempnet_source(self):
+        lm = small_lm(seed=14)
+        net = llm_tnet(7, seed=14)
+        batch = md.TokenBatch([[0, 1, 2, 3], [4, 5, 6]])
+        cfg = DroConfig(rho=0.7)
+        at_net = md.robust_softmax_loss(lm, net, batch, cfg).item()
+        assert md.robust_softmax_loss(lm, lm_taus(lm, net, batch), batch, cfg).item() == at_net
+
+    def test_array_source_checked(self):
+        lm = small_lm()
+        batch = md.TokenBatch([[0, 1, 2], [3, 4]])  # 3 target positions
+        for bad in ([1.0, 1.0], np.ones(4), [1.0, 0.0, 1.0], [1.0, np.nan, 1.0], np.ones((3, 1))):
+            with pytest.raises(DomainError, match="3 positive temperatures"):
+                md.robust_softmax_loss(lm, bad, batch, DroConfig())
+
     def test_zero_logits_contribute_rho_times_tau(self):
         lm = small_lm(randomize_out=False)
         net = llm_tnet(7, rho=2.5)
@@ -330,14 +363,13 @@ class TestRobustSoftmaxLoss:
         net = llm_tnet(7, seed=8)
         batch = md.TokenBatch([[0, 1, 2, 3], [2, 2, 5]])
         cfg = DroConfig(rho=1.2)
-        _, taus = md.lm_robust_loss_and_taus(lm, net, batch, cfg)
-        per_seq = [taus[:3], taus[3:]]
+        taus = lm_taus(lm, net, batch)
 
         grads = grads_of(lambda: md.robust_softmax_loss(lm, net, batch, cfg))
 
         def frozen(field, probe):
             trial = dataclasses.replace(lm, **{field: probe})
-            return md.lm_robust_loss_fixed_taus(trial, batch, cfg, per_seq)
+            return md.robust_softmax_loss(trial, taus, batch, cfg)
 
         for field in ("emb", "pos", "out_proj"):
             assert finite_diff_check(lambda t: frozen(field, t), getattr(lm, field)) <= 1e-5
@@ -354,13 +386,13 @@ class TestRobustSoftmaxLoss:
         net = llm_tnet(7, seed=9)
         batch = md.TokenBatch([[0, 1, 2, 3]])
         cfg = DroConfig(rho=1.0)
-        _, taus = md.lm_robust_loss_and_taus(lm, net, batch, cfg)
+        taus = lm_taus(lm, net, batch)
         blk = lm.blocks[0]
         for name in ("Wq", "Wo", "Wf1", "bf2"):
             def f(probe):
                 trial_blk = dataclasses.replace(blk, **{name: probe})
                 trial = dataclasses.replace(lm, blocks=(trial_blk,))
-                return md.lm_robust_loss_fixed_taus(trial, batch, cfg, [taus])
+                return md.robust_softmax_loss(trial, taus, batch, cfg)
 
             assert finite_diff_check(f, getattr(blk, name)) <= 1e-5
 
@@ -370,9 +402,9 @@ class TestRobustSoftmaxLoss:
         cfg = DroConfig(rho=1.5)
         rng = np.random.default_rng(100)
         batch = small_batch(rng, lm.cfg, 4)
-        loss, _ = md.lm_robust_loss_and_taus(lm, net, batch, cfg)
+        loss = md.robust_softmax_loss(lm, net, batch, cfg)
         minima = []
-        for seq, rows in zip(batch.sequences, md.lm_logits(lm, batch)):
+        for seq, rows in zip(batch.sequences, sequence_logits(lm, batch)):
             for j in range(len(seq) - 1):
                 ls = LogitSet(float(rows[j, seq[j + 1]]), rows[j])
                 sol = newton_solve(ls, cfg, SolverOptions(tol=1e-10))
@@ -405,7 +437,7 @@ class TestBaselineCe:
         batch = small_batch(rng, lm.cfg, 3)
         loss = md.baseline_ce_loss(lm, batch)
         nlls = []
-        for seq, rows in zip(batch.sequences, md.lm_logits(lm, batch)):
+        for seq, rows in zip(batch.sequences, sequence_logits(lm, batch)):
             for j in range(len(seq) - 1):
                 probs = np.exp(rows[j] - rows[j].max())
                 probs /= probs.sum()
@@ -442,7 +474,8 @@ class TestRobustGcl:
         net1 = cl_tnet(4, seed=1)
         net2 = cl_tnet(4, seed=2)
         cfg = DroConfig(tau_max=0.05, rho=3.0)
-        loss, taus1, taus2 = md.gcl_robust_loss_and_taus(towers, net1, net2, batch, cfg)
+        loss = md.robust_gcl_loss(towers, net1, net2, batch, cfg)
+        taus1, taus2 = cl_taus(towers, net1, net2, batch)
         assert np.ptp(taus1) == 0.0 and np.ptp(taus2) == 0.0
         assert loss.item() == pytest.approx(3.0 * (taus1[0] + taus2[0]), rel=1e-12)
 
@@ -452,12 +485,28 @@ class TestRobustGcl:
         batch = md.PairBatch(rng.normal(size=(5, 5)), rng.normal(size=(5, 5)))
         net1 = const_tau_cl_tnet(4, tau=0.3, rho=1.0)
         net2 = const_tau_cl_tnet(4, tau=0.3, rho=1.0)
-        _, taus1, taus2 = md.gcl_robust_loss_and_taus(towers, net1, net2, batch, DroConfig(rho=0.0))
+        taus1, taus2 = cl_taus(towers, net1, net2, batch)
         tau = taus1[0]
         assert np.ptp(taus1) == 0.0 and taus2[0] == tau
         robust = md.robust_gcl_loss(towers, net1, net2, batch, DroConfig(rho=0.0))
         base = md.baseline_gcl_loss(towers, tau, tau, batch)
         assert robust.item() == pytest.approx(base.item() - 2 * tau * math.log(4), abs=1e-10)
+
+    def test_sources_mix_per_side(self):
+        towers = small_towers(seed=13)
+        rng = np.random.default_rng(130)
+        batch = md.PairBatch(rng.normal(size=(4, 5)), rng.normal(size=(4, 5)))
+        net1, net2 = cl_tnet(4, seed=13), cl_tnet(4, seed=14)
+        cfg = DroConfig(tau_max=0.05, rho=2.0)
+        taus1, taus2 = cl_taus(towers, net1, net2, batch)
+        both = md.robust_gcl_loss(towers, net1, net2, batch, cfg).item()
+        assert md.robust_gcl_loss(towers, taus1, net2, batch, cfg).item() == both
+        assert md.robust_gcl_loss(towers, net1, taus2, batch, cfg).item() == both
+        assert md.robust_gcl_loss(towers, taus1, taus2, batch, cfg).item() == both
+        with pytest.raises(DomainError, match="text side needs 4 positive"):
+            md.robust_gcl_loss(towers, net1, -taus2, batch, cfg)
+        with pytest.raises(DomainError, match="image side needs a ClEmbedding"):
+            md.robust_gcl_loss(towers, llm_tnet(4), net2, batch, cfg)
 
     def test_tempnet_gradients(self):
         towers = small_towers(seed=5)
@@ -479,7 +528,7 @@ class TestRobustGcl:
         batch = md.PairBatch(rng.normal(size=(4, 5)), rng.normal(size=(4, 5)))
         net1, net2 = cl_tnet(4, seed=5), cl_tnet(4, seed=6)
         cfg = DroConfig(tau_max=0.05, rho=2.0)
-        _, taus1, taus2 = md.gcl_robust_loss_and_taus(towers, net1, net2, batch, cfg)
+        taus1, taus2 = cl_taus(towers, net1, net2, batch)
 
         grads = grads_of(lambda: md.robust_gcl_loss(towers, net1, net2, batch, cfg))
 
@@ -489,7 +538,7 @@ class TestRobustGcl:
                 def frozen(probe):
                     trial_side = dataclasses.replace(side, **{field: probe})
                     trial = dataclasses.replace(towers, **{side_name: trial_side})
-                    return md.gcl_robust_loss_fixed_taus(trial, batch, cfg, taus1, taus2)
+                    return md.robust_gcl_loss(trial, taus1, taus2, batch, cfg)
 
                 assert finite_diff_check(frozen, getattr(side, field)) <= 1e-5
                 frozen_grads = grads_of(lambda: frozen(getattr(side, field)))
@@ -576,7 +625,7 @@ class TestPerplexity:
         tau = 0.7
         got = md.perplexity(lm, tau, batch)
         nll = []
-        for seq, rows in zip(batch.sequences, md.lm_logits(lm, batch)):
+        for seq, rows in zip(batch.sequences, sequence_logits(lm, batch)):
             for j in range(len(seq) - 1):
                 probs = np.exp(rows[j] / tau - (rows[j] / tau).max())
                 probs /= probs.sum()

@@ -8,21 +8,19 @@ import pytest
 from drotemp import diff_engine as de
 from drotemp.diff_engine import Tensor, finite_diff_check
 from drotemp.dro_core import DroConfig, LogitSet, robust_loss
-from drotemp.errors import DomainError
+from drotemp.errors import DomainError, NonFiniteError
 from drotemp.tau_solver import SolverOptions, newton_solve
 from drotemp.tempnet import (
-    TempNetCache,
     TempNetConfig,
     TempNetParams,
     Variant,
+    _cl_parts,
+    _head,
+    _llm_parts,
     cl_tau_batch,
-    forward_cl,
-    forward_llm,
     init_cl_tempnet,
     init_llm_tempnet,
     llm_tau_batch,
-    output_map,
-    parameterized_pooling,
 )
 
 ORACLE = json.loads(
@@ -64,6 +62,39 @@ def params_from_case(case, variant):
     )
 
 
+def head_params(w3, phi=1.0, b=0.0, rho=1.0, tau0=1e-3, tau_max=2.0):
+    """A network whose head pools len(w3) prototypical logits; the layers
+    before the head are placeholders, since _head is fed u directly."""
+    d2 = len(w3)
+    cfg = TempNetConfig(
+        variant=Variant.CL_EMBEDDING, d0=1, d1=d2, d2=d2, tau0=tau0, tau_max=tau_max, rho=rho
+    )
+    return TempNetParams(
+        cfg=cfg,
+        W1=Tensor(np.zeros((d2, 1))),
+        b1=Tensor(np.zeros(d2)),
+        W2=Tensor(np.eye(d2)),
+        w3=Tensor(np.asarray(w3, dtype=np.float64)),
+        phi=Tensor(np.asarray(float(phi))),
+        b=Tensor(np.asarray(float(b))),
+    )
+
+
+def pooled(u, w3, phi, b, rho) -> float:
+    """The pooled scalar s for one row of prototypical logits."""
+    s, _ = _head(head_params(w3, phi, b, rho), Tensor(np.asarray([u], dtype=np.float64)))
+    return float(s.data[0])
+
+
+def mapped(s, tau0, tau_max) -> float:
+    """The temperature at pooled scalar s. A constant u row pools to exactly
+    zero, so at rho = 1 the head's s is -b."""
+    p = head_params([1.0, 1.0], b=-s, tau0=tau0, tau_max=tau_max)
+    s_out, tau = _head(p, Tensor(np.ones((1, 2))))
+    assert s_out.data[0] == s
+    return float(tau.data[0])
+
+
 def unit_rows(rng, n, d):
     rows = rng.normal(size=(n, d))
     return rows / np.sqrt((rows * rows).sum(axis=1, keepdims=True))
@@ -102,59 +133,61 @@ class TestConfigValidation:
 
 class TestOutputMap:
     def test_zero_is_midpoint(self):
-        assert output_map(0.0, 0.001, 2.0) == pytest.approx(1.0005, abs=1e-15)
-        assert output_map(0.0, 0.2, 0.4) == pytest.approx(0.3, abs=1e-15)
+        assert mapped(0.0, 0.001, 2.0) == pytest.approx(1.0005, abs=1e-15)
+        assert mapped(0.0, 0.2, 0.4) == pytest.approx(0.3, abs=1e-15)
 
     def test_saturation(self):
-        assert output_map(50.0, 0.001, 2.0) == pytest.approx(2.0, abs=1e-12)
-        assert output_map(-50.0, 0.001, 2.0) == pytest.approx(0.001, abs=1e-12)
+        assert mapped(50.0, 0.001, 2.0) == pytest.approx(2.0, abs=1e-12)
+        assert mapped(-50.0, 0.001, 2.0) == pytest.approx(0.001, abs=1e-12)
 
     def test_monotone_on_fuzzed_pairs(self):
         rng = np.random.default_rng(3)
         s = rng.normal(size=(10_000, 2)) * 5.0
         lo, hi = s.min(axis=1), s.max(axis=1)
         keep = lo < hi
-        taus_lo = np.array([output_map(x, 0.001, 2.0) for x in lo[keep]])
-        taus_hi = np.array([output_map(x, 0.001, 2.0) for x in hi[keep]])
+        p, u = head_params([1.0, 1.0], tau0=0.001, tau_max=2.0), Tensor(np.ones((1, 2)))
+
+        def tau_at(x):
+            p.b.data = np.asarray(-x)
+            return _head(p, u)[1].data[0]
+
+        taus_lo = np.array([tau_at(x) for x in lo[keep]])
+        taus_hi = np.array([tau_at(x) for x in hi[keep]])
         assert (taus_lo < taus_hi).all()
 
     def test_frozen_values(self):
         for case in ORACLE["output_map"].values():
-            got = output_map(case["s"], case["tau0"], case["tau_max"])
+            got = mapped(case["s"], case["tau0"], case["tau_max"])
             assert got == pytest.approx(case["expected"], rel=1e-14, abs=1e-300)
-
-    def test_bad_range_rejected(self):
-        with pytest.raises(DomainError):
-            output_map(0.0, 1.0, 1.0)
 
 
 class TestPooling:
     def test_constant_u_gives_minus_b_over_rho(self):
         u = np.full(7, 3.25)
         w3 = np.linspace(-1, 1, 7)
-        assert parameterized_pooling(u, w3, 0.5, 1.4, 2.0) == pytest.approx(-0.7, abs=1e-12)
+        assert pooled(u, w3, 0.5, 1.4, 2.0) == pytest.approx(-0.7, abs=1e-12)
 
     def test_single_logit_identity_weights(self):
-        assert parameterized_pooling([5.0], [1.0], 1.0, 0.0, 3.0) == 0.0
+        assert pooled([5.0], [1.0], 1.0, 0.0, 3.0) == 0.0
 
     def test_frozen_values(self):
         for case in ORACLE["pooling"].values():
-            got = parameterized_pooling(
-                case["u"], case["w3"], case["phi"], case["b"], case["rho"]
-            )
+            got = pooled(case["u"], case["w3"], case["phi"], case["b"], case["rho"])
             assert got == pytest.approx(case["expected"], rel=1e-12, abs=1e-15)
 
     def test_domain_errors(self):
+        p = head_params([1.0])
+        p.phi.data = np.asarray(0.0)  # an optimizer step can drive phi to zero
         with pytest.raises(DomainError):
-            parameterized_pooling([1.0], [1.0], 0.0, 0.0, 1.0)
+            _head(p, Tensor(np.ones((1, 1))))
         with pytest.raises(DomainError):
-            parameterized_pooling([1.0], [1.0], 1.0, 0.0, -2.0)
+            head_params([1.0], rho=-2.0)
         with pytest.raises(DomainError):
-            parameterized_pooling([1.0, 2.0], [1.0], 1.0, 0.0, 1.0)
+            TempNetParams(**{**vars(head_params([1.0, 2.0])), "w3": Tensor(np.ones(1))})
 
     def test_large_logits_stable(self):
         # max-shifted softmax: huge prototypical logits must not overflow
-        s = parameterized_pooling([900.0, -900.0], [1.0, 1.0], 1.0, 0.0, 1.0)
+        s = pooled([900.0, -900.0], [1.0, 1.0], 1.0, 0.0, 1.0)
         assert np.isfinite(s)
         assert s == pytest.approx((1.0 - 0.5) * 900.0 + (0.0 - 0.5) * (-900.0), rel=1e-12)
 
@@ -190,9 +223,8 @@ class TestInitLlm:
         cfg = llm_cfg()
         p = init_llm_tempnet(cfg, seed=7)
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            tau, _ = forward_llm(p, rng.normal(size=cfg.d0) * 3.0)
-            assert cfg.tau0 < tau < cfg.tau_max
+        taus = llm_tau_batch(p, Tensor(rng.normal(size=(100, cfg.d0)) * 3.0)).data
+        assert ((cfg.tau0 < taus) & (taus < cfg.tau_max)).all()
 
     def test_variant_mismatch(self):
         with pytest.raises(DomainError):
@@ -266,63 +298,68 @@ class TestInitCl:
         cfg = cl_cfg()
         p = init_cl_tempnet(cfg, seed=12)
         rng = np.random.default_rng(13)
-        for row in unit_rows(rng, 50, cfg.d0):
-            tau, _ = forward_cl(p, row)
-            assert cfg.tau0 < tau < cfg.tau_max
+        taus = cl_tau_batch(p, Tensor(unit_rows(rng, 50, cfg.d0))).data
+        assert ((cfg.tau0 < taus) & (taus < cfg.tau_max)).all()
 
     def test_variant_mismatch(self):
         with pytest.raises(DomainError):
             init_cl_tempnet(llm_cfg(), seed=0)
 
 
+def one_row(parts, params, row, **kw):
+    """v, u, s and tau of a one-row batch, as plain values."""
+    v, u, s, tau = parts(params, Tensor(np.asarray(row, dtype=np.float64)[None, :]), **kw)
+    return v.data[0], u.data[0], float(s.data[0]), float(tau.data[0])
+
+
 class TestForwardLlm:
     def test_matches_independent_reference(self):
         case = ORACLE["llm_forward"]["small"]
         p = params_from_case(case, Variant.LLM_LOGITS)
-        tau, cache = forward_llm(p, np.asarray(case["input"]))
+        v, u, s, tau = one_row(_llm_parts, p, case["input"])
         want = case["expected"]
-        np.testing.assert_allclose(cache.v, want["v"], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(cache.u, want["u"], rtol=1e-12, atol=1e-15)
-        assert cache.s == pytest.approx(want["s"], rel=1e-12)
+        np.testing.assert_allclose(v, want["v"], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(u, want["u"], rtol=1e-12, atol=1e-15)
+        assert s == pytest.approx(want["s"], rel=1e-12)
         assert tau == pytest.approx(want["tau"], rel=1e-12)
-        assert cache.tau == tau
+        assert llm_tau_batch(p, Tensor(np.asarray([case["input"]]))).data[0] == tau
 
     def test_zero_vector_rejected(self):
         p = init_llm_tempnet(llm_cfg(), seed=0)
         with pytest.raises(DomainError):
-            forward_llm(p, np.zeros(12))
+            llm_tau_batch(p, Tensor(np.zeros((1, 12))))
 
     def test_nonfinite_rejected(self):
         p = init_llm_tempnet(llm_cfg(), seed=0)
-        bad = np.ones(12)
-        bad[3] = np.inf
-        with pytest.raises(DomainError):
-            forward_llm(p, bad)
+        bad = np.ones((1, 12))
+        bad[0, 3] = np.inf
+        with pytest.raises(NonFiniteError), np.errstate(invalid="ignore"):
+            llm_tau_batch(p, Tensor(bad))
 
     def test_wrong_length_rejected(self):
         p = init_llm_tempnet(llm_cfg(), seed=0)
         with pytest.raises(DomainError):
-            forward_llm(p, np.ones(13))
+            llm_tau_batch(p, Tensor(np.ones((1, 13))))
 
     def test_positive_scale_invariance(self):
         p = init_llm_tempnet(llm_cfg(), seed=2)
         rng = np.random.default_rng(8)
-        logits = rng.normal(size=12)
-        tau_a, _ = forward_llm(p, logits)
+        logits = rng.normal(size=(1, 12))
+        tau_a = llm_tau_batch(p, Tensor(logits)).data[0]
         # power-of-two scaling is lossless, so invariance is bit-exact
-        tau_pow2, _ = forward_llm(p, 4.0 * logits)
+        tau_pow2 = llm_tau_batch(p, Tensor(4.0 * logits)).data[0]
         assert tau_a == tau_pow2
         # a general positive scale rounds each component once before the
         # network ever sees it; invariance holds to normalization rounding
-        tau_b, _ = forward_llm(p, 3.7 * logits)
+        tau_b = llm_tau_batch(p, Tensor(3.7 * logits)).data[0]
         assert tau_b == pytest.approx(tau_a, rel=1e-12)
 
     def test_zeroed_head_gives_midpoint(self):
         cfg = llm_cfg(tau0=0.001, tau_max=2.0)
         p = init_llm_tempnet(cfg, seed=0)
         p.w3.data[:] = 0.0  # pooled sum vanishes, b = 0, so s = 0
-        tau, cache = forward_llm(p, np.arange(1.0, 13.0))
-        assert cache.s == 0.0
+        _, _, s, tau = one_row(_llm_parts, p, np.arange(1.0, 13.0))
+        assert s == 0.0
         assert tau == pytest.approx(1.0005, abs=1e-15)
 
     def test_range_fuzz(self):
@@ -341,23 +378,12 @@ class TestForwardCl:
     def test_matches_independent_reference(self, name):
         case = ORACLE["cl_forward"][name]
         p = params_from_case(case, Variant.CL_EMBEDDING)
-        tau, cache = forward_cl(p, np.asarray(case["input"]))
+        v, u, s, tau = one_row(_cl_parts, p, case["input"])
         want = case["expected"]
-        np.testing.assert_allclose(cache.v, want["v"], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(cache.u, want["u"], rtol=1e-12, atol=1e-15)
-        assert cache.s == pytest.approx(want["s"], rel=1e-12)
+        np.testing.assert_allclose(v, want["v"], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(u, want["u"], rtol=1e-12, atol=1e-15)
+        assert s == pytest.approx(want["s"], rel=1e-12)
         assert tau == pytest.approx(want["tau"], rel=1e-12)
-
-    def test_non_unit_embedding_rejected(self):
-        p = init_cl_tempnet(cl_cfg(), seed=0)
-        with pytest.raises(DomainError):
-            forward_cl(p, np.full(10, 0.5))
-
-    def test_slight_norm_error_tolerated(self):
-        p = init_cl_tempnet(cl_cfg(), seed=0)
-        e = np.zeros(10)
-        e[0] = 1.0 + 5e-7
-        forward_cl(p, e)
 
     def test_prototype_logits_bounded_by_v_norm(self):
         # unit prototype columns: |u_k| <= ||v|| by Cauchy-Schwarz
@@ -365,9 +391,9 @@ class TestForwardCl:
         rng = np.random.default_rng(31)
         for seed in range(5):
             p = init_cl_tempnet(cfg, seed=seed, sample_embeddings=rng.normal(size=(9, cfg.d1)))
-            for row in unit_rows(rng, 20, cfg.d0):
-                _, cache = forward_cl(p, row)
-                assert np.abs(cache.u).max() <= np.sqrt((cache.v**2).sum()) + 1e-12
+            v, u, _, _ = _cl_parts(p, Tensor(unit_rows(rng, 20, cfg.d0)))
+            bound = np.sqrt((v.data**2).sum(axis=1)) + 1e-12
+            assert (np.abs(u.data).max(axis=1) <= bound).all()
 
     def test_zero_w3_ignores_embedding(self):
         cfg = cl_cfg()
@@ -375,8 +401,8 @@ class TestForwardCl:
         p.w3.data[:] = 0.0
         p.b.data[()] = 0.8
         rng = np.random.default_rng(17)
-        ss = [forward_cl(p, row)[1].s for row in unit_rows(rng, 4, cfg.d0)]
-        assert all(s == pytest.approx(-0.8 / cfg.rho, abs=1e-15) for s in ss)
+        _, _, s, _ = _cl_parts(p, Tensor(unit_rows(rng, 4, cfg.d0)))
+        assert all(x == pytest.approx(-0.8 / cfg.rho, abs=1e-15) for x in s.data)
 
     def test_range_fuzz(self):
         cfg = cl_cfg()
@@ -451,7 +477,7 @@ class TestUpperBoundProperty:
                 logits = rng.normal(size=k)
                 target = int(rng.integers(k))
                 ls = LogitSet(float(logits[target]), logits)
-                tau_net, _ = forward_llm(params, logits)
+                tau_net = llm_tau_batch(params, Tensor(logits[None, :])).data[0]
                 solved.append(robust_loss(ls, newton_solve(ls, dro, opts).tau, dro))
                 at_net.append(robust_loss(ls, tau_net, dro))
             assert np.mean(solved) <= np.mean(at_net) + 1e-9

@@ -1,10 +1,14 @@
 """Optimizer, schedule, checkpointing, and training-loop behavior."""
 
+import binascii
+import json
 import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drotemp import diff_engine as de
 from drotemp import models as md
@@ -15,6 +19,7 @@ from drotemp.dro_core import DroConfig
 from drotemp.errors import (
     DomainError,
     IntegrityError,
+    NonFiniteError,
     ShapeError,
     TrainingDivergedError,
 )
@@ -96,38 +101,40 @@ class TestTrainConfig:
 
 
 class TestCosineLr:
+    """The shared lr multiplier: linear warmup to 1, then cosine decay to 0."""
+
     def test_zero_at_step_zero(self):
-        run = small_run(total_steps=1000, base_lr=0.02, warmup_fraction=0.01)
-        assert tr.cosine_lr(0, run) == 0.0
+        run = small_run(total_steps=1000, warmup_fraction=0.01)
+        assert tr._schedule_scale(0, run) == 0.0
 
     def test_warmup_is_linear_and_hits_base_exactly(self):
-        run = small_run(total_steps=1000, base_lr=0.02, warmup_fraction=0.01)
-        assert tr.cosine_lr(5, run) == pytest.approx(0.01, rel=1e-15)
-        assert tr.cosine_lr(10, run) == 0.02
+        run = small_run(total_steps=1000, warmup_fraction=0.01)
+        assert tr._schedule_scale(5, run) == pytest.approx(0.5, rel=1e-15)
+        assert tr._schedule_scale(10, run) == 1.0
 
     def test_cosine_midpoint_is_half_base(self):
-        run = small_run(total_steps=1010, base_lr=0.02, warmup_fraction=0.00990099)
+        run = small_run(total_steps=1010, warmup_fraction=0.00990099)
         # warmup rounds to 10 steps; midpoint of the remaining 1000
-        assert abs(tr.cosine_lr(510, run) - 0.01) <= 1e-12
+        assert abs(tr._schedule_scale(510, run) - 0.5) <= 1e-12
 
     def test_final_step_reaches_zero(self):
-        run = small_run(total_steps=1000, base_lr=0.02)
-        assert tr.cosine_lr(1000, run) == 0.0
+        run = small_run(total_steps=1000)
+        assert tr._schedule_scale(1000, run) == 0.0
 
     def test_monotone_decay_after_warmup(self):
-        run = small_run(total_steps=200, base_lr=0.1, warmup_fraction=0.05)
-        values = [tr.cosine_lr(s, run) for s in range(10, 201)]
+        run = small_run(total_steps=200, warmup_fraction=0.05)
+        values = [tr._schedule_scale(s, run) for s in range(10, 201)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("step", [-1, 1001])
     def test_out_of_range_step_rejected(self, step):
         run = small_run(total_steps=1000)
         with pytest.raises(DomainError):
-            tr.cosine_lr(step, run)
+            tr._schedule_scale(step, run)
 
     def test_one_step_run_is_all_warmup(self):
-        run = small_run(total_steps=1, base_lr=0.5)
-        assert tr.cosine_lr(1, run) == 0.5
+        run = small_run(total_steps=1)
+        assert tr._schedule_scale(1, run) == 1.0
 
 
 class TestAdamW:
@@ -279,6 +286,107 @@ class TestCheckpoint:
             tr.load_checkpoint(tmp_path / "nowhere.bin")
 
 
+def sections_of(raw: bytes):
+    """(name, payload) pairs of a checkpoint file, in file order."""
+    out, pos = [], 6
+    while pos < len(raw):
+        (name_len,) = struct.unpack("<H", raw[pos : pos + 2])
+        name = raw[pos + 2 : pos + 2 + name_len].decode()
+        pos += 2 + name_len
+        (plen,) = struct.unpack("<Q", raw[pos : pos + 8])
+        out.append((name, raw[pos + 8 : pos + 8 + plen]))
+        pos += 8 + plen + 4
+    return out
+
+
+def repacked(raw: bytes, sections) -> bytes:
+    """The checkpoint header followed by sections with fresh checksums."""
+    parts = [raw[:6]]
+    for name, payload in sections:
+        nb = name.encode()
+        parts += [struct.pack("<H", len(nb)), nb, struct.pack("<Q", len(payload)), payload,
+                  struct.pack("<I", binascii.crc32(payload))]
+    return b"".join(parts)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A working directory plus the bytes of a 2-step robust LM and CL checkpoint."""
+    root = tmp_path_factory.mktemp("fuzz")
+    tr.train(small_run(total_steps=2, eval_every=2), small_lm_task(), root / "lm")
+    pairs = cl_fixture(root)
+    run = small_run(total_steps=2, eval_every=2, batch_size=8)
+    tr.train(run, small_cl_task(pairs), root / "cl")
+    raws = {kind: (root / kind / "checkpoint.bin").read_bytes() for kind in ("lm", "cl")}
+    for raw in raws.values():
+        assert repacked(raw, sections_of(raw)) == raw
+    return root, raws
+
+
+class TestCheckpointFuzz:
+    """Damage of any kind raises IntegrityError, never a bare KeyError."""
+
+    KINDS = st.sampled_from(["lm", "cl"])
+
+    def load(self, root, raw: bytes):
+        path = root / "damaged.bin"
+        path.write_bytes(raw)
+        return tr.load_checkpoint(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=KINDS, data=st.data())
+    def test_truncation(self, fuzz_base, kind, data):
+        root, raws = fuzz_base
+        cut = data.draw(st.integers(0, len(raws[kind]) - 1))
+        with pytest.raises(IntegrityError):
+            self.load(root, raws[kind][:cut])
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=KINDS, data=st.data())
+    def test_bit_flip(self, fuzz_base, kind, data):
+        root, raws = fuzz_base
+        raw = bytearray(raws[kind])
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        raw[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(IntegrityError):
+            self.load(root, bytes(raw))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=KINDS, data=st.data())
+    def test_meta_key_dropped(self, fuzz_base, kind, data):
+        root, raws = fuzz_base
+        sections = sections_of(raws[kind])
+        meta = json.loads(sections[0][1])
+        key = data.draw(st.sampled_from(sorted(meta)))
+        del meta[key]
+        sections[0] = ("meta", json.dumps(meta).encode())
+        with pytest.raises(IntegrityError, match=f"'meta' is missing '{key}'"):
+            self.load(root, repacked(raws[kind], sections))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=KINDS, data=st.data())
+    def test_array_dropped(self, fuzz_base, kind, data):
+        root, raws = fuzz_base
+        sections = sections_of(raws[kind])
+        with_arrays = [i for i, (name, _) in enumerate(sections) if name not in ("meta", "rng")]
+        i = data.draw(st.sampled_from(with_arrays))
+        name, payload = sections[i]
+        arrays = tr._unpack_arrays(payload, name)
+        del arrays[data.draw(st.integers(0, len(arrays) - 1))]
+        sections[i] = (name, tr._pack_arrays(arrays))
+        with pytest.raises(IntegrityError, match=f"'{name}' is missing"):
+            self.load(root, repacked(raws[kind], sections))
+
+    def test_wrong_field_type(self, fuzz_base):
+        root, raws = fuzz_base
+        sections = sections_of(raws["lm"])
+        meta = json.loads(sections[0][1])
+        meta["foundation_cfg"]["vocab_size"] = "many"
+        sections[0] = ("meta", json.dumps(meta).encode())
+        with pytest.raises(IntegrityError, match="not describe a valid run"):
+            self.load(root, repacked(raws["lm"], sections))
+
+
 class TestLmTraining:
     def test_metrics_file_has_expected_rows(self, tmp_path):
         run = small_run(total_steps=25, eval_every=10)
@@ -386,6 +494,26 @@ class TestLmTraining:
             tr.train(run, small_lm_task(), tmp_path)
         assert 1 <= excinfo.value.step <= 5
         assert str(excinfo.value.step) in str(excinfo.value)
+
+    def test_only_non_finite_errors_count_as_divergence(self, tmp_path, monkeypatch):
+        run = small_run(total_steps=2, eval_every=2)
+
+        def failing_loss(exc):
+            def loss(*args):
+                raise exc
+
+            return loss
+
+        diverged = NonFiniteError("exp produced non-finite values")
+        monkeypatch.setattr(md, "robust_softmax_loss", failing_loss(diverged))
+        with pytest.raises(TrainingDivergedError) as excinfo:
+            tr.train(run, small_lm_task(), tmp_path / "a")
+        assert str(excinfo.value) == "training diverged at step 1: exp produced non-finite values"
+        # a domain error that merely mentions non-finite values is not a divergence
+        invalid = DomainError("W1 contains non-finite entries")
+        monkeypatch.setattr(md, "robust_softmax_loss", failing_loss(invalid))
+        with pytest.raises(DomainError, match="W1 contains"):
+            tr.train(run, small_lm_task(), tmp_path / "b")
 
     def test_checkpoint_shape_mismatch_rejected(self, tmp_path):
         run = small_run(total_steps=2, eval_every=2)
