@@ -3,21 +3,11 @@
 f(z, .) is convex on (0, inf) -- its second derivative is a Gibbs variance --
 so the minimum over [tau0, inf) is either at the boundary, exactly when the
 gradient at tau0 is already nonnegative, or at the unique interior root of
-the gradient. newton_solve decides the boundary case up front from that
-gradient sign, then runs Newton updates tau <- tau - grad/hess safeguarded by
-bisection on a maintained sign-change bracket. golden_section_oracle is an
-independent derivative-free minimizer used to cross-check the solver.
-
-batch_solve runs the same method on many instances at once, vectorized:
-rows are grouped by K into (rows, K) margin blocks of at most _BLOCK_ELEMENTS
-entries, each block iterates with a per-row active set, and an iterate's
-gradient and curvature come from one exp pass. Every step is elementwise or
-a reduction along a row, so a row's solution is bit-identical whatever
-batch, block or K mix it is solved in. The arithmetic follows grad_tau and
-hess_tau step for step (row dot products through the same kernel as their
-1-d ``@``, math.log per row), so where numpy dispatches both to one dot
-kernel the batch reproduces newton_solve exactly; the tested contract is
-solver tolerance. newton_solve stays the scalar reference.
+the gradient. batch_solve finds it for many instances at once by safeguarded
+Newton, vectorized over (rows, K) margin blocks; newton_solve is batch_solve
+on one instance. golden_section_oracle (derivative-free) and
+dro_core.primal_dro_oracle (the primal worst case) are the independent
+references the solver is checked against.
 
 The gradient equals rho - KL(gibbs(tau), uniform) and tends to rho as tau
 grows, so for rho > 0 a finite minimizer always exists; the bracket_hi guard
@@ -33,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dro_core import DroConfig, LogitSet, grad_tau, hess_tau, robust_loss
+# grad_tau and hess_tau are not called here; perfbench's tracer wraps them by name
+from .dro_core import DroConfig, LogitSet, grad_tau, hess_tau, robust_loss  # noqa: F401
 from .errors import DomainError
 
 __all__ = [
@@ -51,7 +42,7 @@ __all__ = [
 _MIN_CURVATURE = 1e-14
 # margins per batch_solve block: large enough to amortize numpy call overhead,
 # small enough that a block's temporaries stay in cache (one 400 x 512 block
-# ran slower than the scalar loop)
+# ran slower than solving its rows one at a time)
 _BLOCK_ELEMENTS = 16_384
 
 
@@ -88,9 +79,10 @@ class SolverOptions:
             raise DomainError(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.bracket_hi <= self.init_tau:
+        if not (math.isfinite(self.bracket_hi) and self.bracket_hi > self.init_tau):
             raise DomainError(
-                f"bracket_hi must exceed init_tau, got {self.bracket_hi} <= {self.init_tau}"
+                f"bracket_hi must be finite and exceed init_tau={self.init_tau},"
+                f" got {self.bracket_hi}"
             )
 
 
@@ -105,53 +97,11 @@ class TauSolution:
 def newton_solve(
     ls: LogitSet, cfg: DroConfig, opts: SolverOptions = SolverOptions()
 ) -> TauSolution:
-    """Minimize f(z, tau) over tau >= tau0.
-
-    Convexity makes the clamp decision exact: grad_tau(tau0) >= 0 means the
-    whole ray is nondecreasing and tau0 is the minimizer. Otherwise a sign
-    change is bracketed (doubling up to bracket_hi) and Newton iterates from
-    init_tau, replacing any step that leaves the open bracket, or that meets
-    curvature <= 1e-14, with a bisection step. Stops when |delta tau| < tol
-    and |grad| < tol * max(1, rho).
-    """
-    g0 = grad_tau(ls, cfg.tau0, cfg)
-    if g0 >= 0.0:
-        return TauSolution(cfg.tau0, SolveStatus.CLAMPED_AT_TAU0, 0, g0)
-
-    # bracket the root: grad(lo) < 0 <= grad(hi)
-    lo, hi = cfg.tau0, max(2.0 * cfg.tau0, opts.init_tau)
-    g_hi = grad_tau(ls, hi, cfg)
-    while g_hi < 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > opts.bracket_hi:
-            raise UnboundedDescentError(
-                f"gradient still {g_hi:.3e} at tau={lo:.3e}; "
-                f"no minimizer below bracket_hi={opts.bracket_hi}"
-            )
-        g_hi = grad_tau(ls, hi, cfg)
-
-    x = min(max(opts.init_tau, lo), hi)
-    g = grad_tau(ls, x, cfg)
-    grad_scale = max(1.0, cfg.rho)
-    for iteration in range(1, opts.max_iter + 1):
-        if g < 0.0:
-            lo = x
-        else:
-            hi = x
-        curvature = hess_tau(ls, x)
-        if curvature <= _MIN_CURVATURE:
-            nxt = 0.5 * (lo + hi)
-        else:
-            nxt = x - g / curvature
-            if not (lo < nxt < hi):
-                nxt = 0.5 * (lo + hi)
-        delta = abs(nxt - x)
-        x = nxt
-        g = grad_tau(ls, x, cfg)
-        if delta < opts.tol and abs(g) < opts.tol * grad_scale:
-            return TauSolution(x, SolveStatus.INTERIOR, iteration, g)
-    return TauSolution(x, SolveStatus.MAX_ITER_REACHED, opts.max_iter, g)
+    """batch_solve on one instance; no bounded minimizer raises UnboundedDescentError."""
+    try:
+        return batch_solve([ls], cfg, opts)[0]
+    except BatchSolveError as exc:
+        raise exc.cause from None
 
 
 def golden_section_oracle(
@@ -206,40 +156,22 @@ def _k_blocks(instances: list[LogitSet]):
             yield idx, contrast - positive[:, None]
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] for every row: stacked matmul takes the same dot kernel
-    per row as the 1-d ``@`` in grad_tau / hess_tau.
-
-    Row sums would be cheaper to write but round differently, and a last-ulp
-    difference can move a row onto or off an exact zero gradient, where
-    newton_solve's bracket rule spends extra bisection steps: with row sums,
-    3 of 102 random K = 8 rows took 2-3 iterations more than newton_solve.
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _row_log(values: np.ndarray) -> np.ndarray:
-    """math.log per entry: np.log may round differently from the scalar path."""
-    return np.fromiter(map(math.log, values.tolist()), dtype=np.float64, count=values.size)
-
-
 def _grad_curvature(d: np.ndarray, tau: np.ndarray, rho: float, curvature: bool = True):
     """grad_tau and (if asked) hess_tau of every row at its own tau, from one
     exp pass; the curvature is None when not asked for.
 
-    d holds each row's shifted margins h - max h; the arithmetic is that of
-    grad_tau and hess_tau, step for step, so each row reproduces them.
+    d holds each row's shifted margins h - max h, so exp never overflows.
     """
     z = d / tau[:, None]
     p = np.exp(z)
     se = p.sum(axis=1)
     p /= se[:, None]
-    mu = _row_dot(p, z)
-    grad = _row_log(se / d.shape[1]) - mu + rho
+    mu = np.einsum("ij,ij->i", p, z)
+    grad = np.log(se / d.shape[1]) - mu + rho
     if not curvature:
         return grad, None
     z -= mu[:, None]
-    return grad, _row_dot(p, np.square(z, out=z)) / tau
+    return grad, np.einsum("ij,ij->i", p, np.square(z, out=z)) / tau
 
 
 _CLAMPED, _INTERIOR, _MAX_ITER = range(3)
@@ -247,7 +179,7 @@ _STATUSES = (SolveStatus.CLAMPED_AT_TAU0, SolveStatus.INTERIOR, SolveStatus.MAX_
 
 
 def _solve_block(h: np.ndarray, cfg: DroConfig, opts: SolverOptions):
-    """newton_solve on every row of an (n, K) margin block.
+    """The safeguarded Newton method on every row of an (n, K) margin block.
 
     Returns the rows' TauSolutions and (row, message) of the first row
     without a bounded minimizer, or None.
@@ -260,8 +192,8 @@ def _solve_block(h: np.ndarray, cfg: DroConfig, opts: SolverOptions):
     iterations = np.zeros(n, dtype=np.int64)
     failure = None
 
-    # bracket grad(lo) < 0 <= grad(hi): newton_solve's doubling schedule is
-    # the same for every row, and a row leaves it at its first grad(hi) >= 0
+    # bracket grad(lo) < 0 <= grad(hi): the doubling schedule is the same for
+    # every row, and a row leaves it at its first grad(hi) >= 0
     lo, hi = np.empty(n), np.empty(n)
     active = pending = np.flatnonzero(grad < 0.0)
     t_lo, t_hi = cfg.tau0, max(2.0 * cfg.tau0, opts.init_tau)
@@ -285,8 +217,21 @@ def _solve_block(h: np.ndarray, cfg: DroConfig, opts: SolverOptions):
     x = np.minimum(np.maximum(opts.init_tau, lo), hi)
     g, curvature = _grad_curvature(d, x, cfg.rho)
     grad_tol = opts.tol * max(1.0, cfg.rho)
+    # an exact zero gradient is the root itself: that iterate, the start
+    # included, is converged (the bracket rule below would bisect away from it)
+    done = g == 0.0
     iteration = 0
-    while active.size and iteration < opts.max_iter:
+    while True:
+        if np.count_nonzero(done):
+            rows = active[done]
+            tau[rows], grad[rows], iterations[rows] = x[done], g[done], iteration
+            status[rows] = _INTERIOR
+            keep = ~done
+            active, x, g, curvature, lo, hi, d = (
+                v[keep] for v in (active, x, g, curvature, lo, hi, d)
+            )
+        if not active.size or iteration == opts.max_iter:
+            break
         iteration += 1
         below = g < 0.0
         np.copyto(lo, x, where=below)
@@ -298,16 +243,8 @@ def _solve_block(h: np.ndarray, cfg: DroConfig, opts: SolverOptions):
         done = np.abs(nxt - x) < opts.tol
         x = nxt
         g, curvature = _grad_curvature(d, x, cfg.rho)
-        if not np.count_nonzero(done):
-            continue
         done &= np.abs(g) < grad_tol
-        rows = active[done]
-        tau[rows], grad[rows], iterations[rows] = x[done], g[done], iteration
-        status[rows] = _INTERIOR
-        keep = ~done
-        active, x, g, curvature, lo, hi, d = (
-            v[keep] for v in (active, x, g, curvature, lo, hi, d)
-        )
+        done |= g == 0.0
     tau[active], grad[active], iterations[active] = x, g, opts.max_iter
     status[active] = _MAX_ITER
     columns = (tau.tolist(), status.tolist(), iterations.tolist(), grad.tolist())
@@ -318,13 +255,18 @@ def _solve_block(h: np.ndarray, cfg: DroConfig, opts: SolverOptions):
 def batch_solve(
     instances: list[LogitSet], cfg: DroConfig, opts: SolverOptions = SolverOptions()
 ) -> list[TauSolution]:
-    """newton_solve's method over a list, vectorized, order preserved.
+    """Minimize f(z, tau) over tau >= tau0 for every instance, order preserved.
 
-    Rows are grouped by K and solved a block at a time; each row's solution
-    is independent of the rest of the batch. Within solver tolerance of
-    newton_solve: same status, tau within 1e-6 relative, iteration counts
-    within one. Rows with no bounded minimizer raise BatchSolveError for the
-    smallest such index, with an UnboundedDescentError cause.
+    grad_tau(tau0) >= 0 means, by convexity, that tau0 is the minimizer
+    (ClampedAtTau0). Otherwise a sign change is bracketed (doubling up to
+    bracket_hi) and Newton iterates from init_tau; a step that leaves the open
+    bracket, or meets curvature <= 1e-14, becomes a bisection step. A row is
+    Interior once |delta tau| < tol and |grad| < tol * max(1, rho), or at an
+    exactly zero gradient; if neither within max_iter, it is MaxIterReached.
+
+    Rows are grouped by K and solved a block at a time, each independent of
+    the rest of the batch. Rows with no bounded minimizer raise BatchSolveError
+    for the smallest such index, with an UnboundedDescentError cause.
     """
     if not instances:
         raise DomainError("batch_solve needs a nonempty instance list")
@@ -349,6 +291,6 @@ def batch_robust_loss(instances: list[LogitSet], taus, cfg: DroConfig) -> np.nda
     for idx, h in _k_blocks(instances):
         tau = taus[idx]
         h_max = h.max(axis=1)
-        log_mean = _row_log(np.exp((h - h_max[:, None]) / tau[:, None]).sum(axis=1) / h.shape[1])
+        log_mean = np.log(np.exp((h - h_max[:, None]) / tau[:, None]).sum(axis=1) / h.shape[1])
         out[idx] = h_max + tau * log_mean + tau * cfg.rho
     return out

@@ -31,7 +31,7 @@ from .dro_core import (
     robust_loss,
 )
 from .errors import DomainError
-from .tau_solver import SolveStatus, SolverOptions, newton_solve
+from .tau_solver import SolveStatus, SolverOptions, batch_robust_loss, batch_solve, newton_solve
 
 TOLERANCES = {
     "bz_bounds": 1e-12,
@@ -200,13 +200,11 @@ def _upper_bound_draw(rng: np.random.Generator) -> Tuple[float, float]:
     logits = rng.normal(size=(n, k))
     taus = tn.llm_tau_batch(net, Tensor(logits)).data
 
-    solved, predicted = 0.0, 0.0
-    for row, tau_hat in zip(logits, taus):
-        ls = LogitSet(float(row.max()), row)
-        sol = newton_solve(ls, cfg, SolverOptions(bracket_hi=1e7))
-        solved += robust_loss(ls, sol.tau, cfg)
-        predicted += robust_loss(ls, float(tau_hat), cfg)
-    return solved / n, predicted / n
+    instances = [LogitSet(float(row.max()), row) for row in logits]
+    solutions = batch_solve(instances, cfg, SolverOptions(bracket_hi=1e7))
+    solved = batch_robust_loss(instances, [sol.tau for sol in solutions], cfg)
+    predicted = batch_robust_loss(instances, taus, cfg)
+    return float(solved.mean()), float(predicted.mean())
 
 
 def check_upper_bound(n_draws: int = 100, seed: int = 0) -> CheckReport:

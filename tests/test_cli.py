@@ -344,26 +344,42 @@ class TestSolveTau:
         src.write_text(
             '{"positive":1.0,"contrast":[1.0,1.0]}\n'
             '{"positive":0.3,"contrast":[1.0,0.2,-0.5]}\n'
-            '{"positive":0.0,"contrast":[2.0,-1.0,0.5,0.1]}\n',
+            '{"positive":0.0,"contrast":[2.0,-1.0,0.5,0.1]}\n'
+            '{"positive":-0.4,"contrast":[0.2,1.0,0.2,-0.6,-1.3]}\n',
             encoding="utf-8",
         )
         dst = tmp_path / "out.jsonl"
         assert run_cli(["solve-tau", "--input", str(src), "--output", str(dst)]) == 0
         assert capsys.readouterr().out == (
-            f"solved 3 instances -> {dst} (Interior 2, ClampedAtTau0 1, MaxIterReached 0)\n"
+            f"solved 4 instances -> {dst} (Interior 3, ClampedAtTau0 1, MaxIterReached 0)\n"
         )
+        # under tol 1e-300 only an exact zero gradient converges: lines 2 and
+        # 3 reach one, line 4 stops at the iteration limit
         assert run_cli(
             ["solve-tau", "--input", str(src), "--output", str(dst), "--tol", "1e-300"]
         ) == 0
-        statuses = [json.loads(line)["status"] for line in dst.read_text().splitlines()]
-        n_max = statuses.count("MaxIterReached")
-        assert n_max >= 1
+        records = [json.loads(line) for line in dst.read_text().splitlines()]
+        assert [r["status"] for r in records] == [
+            "ClampedAtTau0", "Interior", "Interior", "MaxIterReached"
+        ]
+        assert records[1]["grad"] == records[2]["grad"] == 0.0
         captured = capsys.readouterr()
         assert captured.out == (
-            f"solved 3 instances -> {dst} (Interior {statuses.count('Interior')},"
-            f" ClampedAtTau0 1, MaxIterReached {n_max})\n"
+            f"solved 4 instances -> {dst} (Interior 2, ClampedAtTau0 1, MaxIterReached 1)\n"
         )
-        assert captured.err.startswith(f"warning: {n_max} of 3 instances")
+        assert captured.err.startswith("warning: 1 of 4 instances")
+
+    @pytest.mark.parametrize("bracket_hi", ["nan", "inf"])
+    def test_non_finite_bracket_hi_exits_1(self, tmp_path, capsys, bracket_hi):
+        # rho = 0 with spread margins has no bounded minimizer
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"positive":0.0,"contrast":[0.0,1.0]}\n', encoding="utf-8")
+        dst = tmp_path / "out.jsonl"
+        argv = ["solve-tau", "--input", str(src), "--output", str(dst),
+                "--rho", "0", "--bracket-hi", bracket_hi]
+        assert run_cli(argv) == 1
+        assert "bracket_hi must be finite" in capsys.readouterr().err
+        assert not dst.exists()
 
     @pytest.mark.parametrize("text", ["", "\n  \n\n"])
     def test_empty_and_blank_streams_write_empty_output(self, tmp_path, capsys, text):

@@ -45,6 +45,8 @@ class TestSolverOptions:
             {"tol": -1e-9},
             {"max_iter": 0},
             {"bracket_hi": 0.5},
+            {"bracket_hi": float("nan")},
+            {"bracket_hi": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -73,8 +75,24 @@ class TestNewtonSolve:
             if sol.status is SolveStatus.INTERIOR:
                 interior += 1
                 assert abs(sol.final_grad) <= 1e-8 * max(1.0, cfg.rho)
-                assert abs(grad_tau(ls, sol.tau, cfg)) == abs(sol.final_grad)
+                # the row reduction and grad_tau's 1-d dot round differently
+                assert abs(grad_tau(ls, sol.tau, cfg) - sol.final_grad) <= 8 * np.finfo(float).eps
         assert interior >= 80
+
+    def test_exact_zero_gradient_is_converged(self):
+        # the iterates reach grad == 0.0 exactly before |grad| < tol = 1e-300
+        # can hold: that is the root, so the solve stops there as Interior
+        ls = LogitSet(0.0, [2.0, -1.0, 0.5, 0.1])
+        cfg = DroConfig(rho=1.0)
+        sol = newton_solve(ls, cfg, SolverOptions(tol=1e-300))
+        assert sol.status is SolveStatus.INTERIOR
+        assert sol.final_grad == 0.0
+        assert sol.iterations < 10
+        oracle = golden_section_oracle(ls, cfg, cfg.tau0, 1e3, tol=1e-10)
+        assert abs(sol.tau - oracle) <= 1e-6 * max(1.0, oracle)
+        # started on that root, the solve takes no step and keeps it
+        again = newton_solve(ls, cfg, SolverOptions(init_tau=sol.tau))
+        assert again == TauSolution(sol.tau, SolveStatus.INTERIOR, 0, 0.0)
 
     def test_matches_golden_section_on_1000_instances(self):
         rng = np.random.default_rng(1)
@@ -199,11 +217,7 @@ class TestBatchSolve:
         out = batch_solve([LogitSet(0.0, [1.0, 1.0])], DroConfig(rho=1.0))
         assert [s.status for s in out] == [SolveStatus.CLAMPED_AT_TAU0]
 
-    def test_matches_sequential_and_permutation(self):
-        # batch_solve repeats grad_tau / hess_tau's arithmetic and matches
-        # newton_solve bit for bit where numpy sends both paths' dot products
-        # to one kernel; that is a property of the build, so the contract
-        # tested here is solver tolerance
+    def test_matches_golden_section_and_permutation(self):
         rng = np.random.default_rng(7)
         for rho, opts in [
             (0.5, SolverOptions()),
@@ -218,12 +232,13 @@ class TestBatchSolve:
             instances += [LogitSet(0.0, [1.0]), LogitSet(0.5, [0.5, 0.5, 0.5])]
             batch = batch_solve(instances, cfg, opts)
             for i, (ls, got) in enumerate(zip(instances, batch)):
-                ref = newton_solve(ls, cfg, opts)
-                assert got.status is ref.status, (rho, i)
-                assert abs(got.tau - ref.tau) <= 1e-6 * max(1.0, ref.tau), (rho, i)
-                assert abs(got.iterations - ref.iterations) <= 1, (rho, i)
+                if got.status is SolveStatus.MAX_ITER_REACHED:
+                    assert got.iterations == opts.max_iter, (rho, i)
+                    continue
                 if got.status is SolveStatus.INTERIOR:
-                    assert abs(got.final_grad) < opts.tol * max(1.0, rho)
+                    assert abs(got.final_grad) < opts.tol * max(1.0, rho), (rho, i)
+                ref = golden_section_oracle(ls, cfg, cfg.tau0, opts.bracket_hi, tol=1e-10)
+                assert abs(got.tau - ref) <= 1e-6 * max(1.0, got.tau), (rho, i)
 
             perm = list(reversed(range(len(instances))))
             permuted = batch_solve([instances[i] for i in perm], cfg, opts)
