@@ -20,6 +20,12 @@ last two axes of a 3-D tensor and reshape moves between the flat (n*m, d) and
 stacked (n, m, d) views, so a model can batch equal-length sequences through
 per-sequence attention without a block-diagonal mask.
 
+Ops do not check their outputs for NaN or infinity: a non-finite value flows
+on, and the callers check where it matters. The trainer checks the loss value
+and each optimizer group's flat update, the temperature networks their inputs
+and outputs, the evaluation passes their results and the checkpoint reader
+every stored array.
+
 Tapes are single-owner while recording (the active-tape stack is
 thread-local); a finished tape is read-only and may be consumed anywhere.
 """
@@ -31,7 +37,7 @@ import threading
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ShapeError
+from .errors import DomainError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -159,14 +165,8 @@ class Gradients:
         return len(self._entries)
 
 
-def _finite(out: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(out).all():
-        raise NonFiniteError(f"{op} produced non-finite values")
-    return out
-
-
-def _emit(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    out = Tensor(_finite(out_data, op))
+def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+    out = Tensor(out_data)
     needs = any(t.requires_grad for t in inputs)
     out.requires_grad = needs
     tape = _current_tape()
@@ -205,7 +205,6 @@ def add(a, b) -> Tensor:
     _pairwise_shapes("add", a, b)
     out = a.data + b.data
     return _emit(
-        "add",
         out,
         (a, b),
         lambda g: (_reduce_to(g, a.shape), _reduce_to(g, b.shape)),
@@ -217,7 +216,6 @@ def sub(a, b) -> Tensor:
     _pairwise_shapes("sub", a, b)
     out = a.data - b.data
     return _emit(
-        "sub",
         out,
         (a, b),
         lambda g: (_reduce_to(g, a.shape), _reduce_to(-g, b.shape)),
@@ -229,7 +227,6 @@ def mul(a, b) -> Tensor:
     _pairwise_shapes("mul", a, b)
     out = a.data * b.data
     return _emit(
-        "mul",
         out,
         (a, b),
         lambda g: (_reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)),
@@ -237,39 +234,39 @@ def mul(a, b) -> Tensor:
 
 
 def neg(x: Tensor) -> Tensor:
-    return _emit("neg", -x.data, (x,), lambda g: (-g,))
+    return _emit(-x.data, (x,), lambda g: (-g,))
 
 
 def reciprocal(x: Tensor) -> Tensor:
-    # non-finite results (division by zero) are rejected by _emit, so the
-    # numpy warning is redundant noise
+    # a non-finite result (division by zero) flows on to the caller's check
+    # of its loss, gradients or outputs; the numpy warning would only repeat it
     with np.errstate(divide="ignore"):
         out = 1.0 / x.data
-    return _emit("reciprocal", out, (x,), lambda g: (-g * out * out,))
+    return _emit(out, (x,), lambda g: (-g * out * out,))
 
 
 def exp(x: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         out = np.exp(x.data)
-    return _emit("exp", out, (x,), lambda g: (g * out,))
+    return _emit(out, (x,), lambda g: (g * out,))
 
 
 def log(x: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(x.data)
-    return _emit("log", out, (x,), lambda g: (g / x.data,))
+    return _emit(out, (x,), lambda g: (g / x.data,))
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
-    return _emit("relu", np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    return _emit(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def logistic(x: Tensor) -> Tensor:
     d = x.data
     t = np.exp(-np.abs(d))  # in (0, 1]: stable for any magnitude
     out = np.where(d >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    return _emit("logistic", out, (x,), lambda g: (g * out * (1.0 - out),))
+    return _emit(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -290,7 +287,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return np.outer(g, bd), ad.T @ g
         return g * bd, g * ad  # 1-d dot product, g is scalar
 
-    return _emit("matmul", ad @ bd, (a, b), back)
+    return _emit(ad @ bd, (a, b), back)
 
 
 def _stacked_matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -308,18 +305,18 @@ def _stacked_matmul(a: Tensor, b: Tensor) -> Tensor:
         k, p = bd.shape
         return ga, ad.reshape(-1, k).T @ g.reshape(-1, p)
 
-    return _emit("matmul", ad @ bd, (a, b), back)
+    return _emit(ad @ bd, (a, b), back)
 
 
 def transpose(x: Tensor) -> Tensor:
     """Matrix transpose; a 3-D tensor swaps its last two axes per slice."""
     if x.data.ndim == 3:
         return _emit(
-            "transpose", np.swapaxes(x.data, 1, 2).copy(), (x,), lambda g: (np.swapaxes(g, 1, 2),)
+            np.swapaxes(x.data, 1, 2).copy(), (x,), lambda g: (np.swapaxes(g, 1, 2),)
         )
     if x.data.ndim != 2:
         raise ShapeError("transpose", x.shape, x.shape)
-    return _emit("transpose", x.data.T.copy(), (x,), lambda g: (g.T,))
+    return _emit(x.data.T.copy(), (x,), lambda g: (g.T,))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -327,7 +324,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(n) for n in shape)
     if min(shape, default=0) < 0 or math.prod(shape) != x.data.size:
         raise ShapeError("reshape", x.shape, shape)
-    return _emit("reshape", x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
+    return _emit(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -340,14 +337,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
     if x.data.ndim != 2 or v.data.ndim != 1 or x.shape[1] != v.shape[0]:
         raise ShapeError("add_rowvec", x.shape, v.shape)
-    return _emit("add_rowvec", x.data + v.data, (x, v), lambda g: (g, g.sum(axis=0)))
+    return _emit(x.data + v.data, (x, v), lambda g: (g, g.sum(axis=0)))
 
 
 def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
     if x.data.ndim != 2 or v.data.ndim != 1 or x.shape[1] != v.shape[0]:
         raise ShapeError("mul_rowvec", x.shape, v.shape)
     return _emit(
-        "mul_rowvec",
         x.data * v.data,
         (x, v),
         lambda g: (g * v.data, (g * x.data).sum(axis=0)),
@@ -360,7 +356,6 @@ def scale_rows(x: Tensor, s: Tensor) -> Tensor:
         raise ShapeError("scale_rows", x.shape, s.shape)
     col = s.data[:, None]
     return _emit(
-        "scale_rows",
         x.data * col,
         (x, s),
         lambda g: (g * col, (g * x.data).sum(axis=1)),
@@ -376,7 +371,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         inner = (g * out).sum(axis=axis, keepdims=True)
         return ((g - inner) * out,)
 
-    return _emit("softmax", out, (x,), back)
+    return _emit(out, (x,), back)
 
 
 def logsumexp(x: Tensor, axis: int | None = None) -> Tensor:
@@ -391,7 +386,7 @@ def logsumexp(x: Tensor, axis: int | None = None) -> Tensor:
             return (g * soft,)
         return (np.expand_dims(g, axis) * soft,)
 
-    return _emit("logsumexp", out, (x,), back)
+    return _emit(out, (x,), back)
 
 
 def l2_normalize(x: Tensor, axis: int = -1, zero_policy: str = "error") -> Tensor:
@@ -416,7 +411,7 @@ def l2_normalize(x: Tensor, axis: int = -1, zero_policy: str = "error") -> Tenso
         grad = (g - out * inner) / norm
         return (np.where(zero, 0.0, grad),) if zero.any() else (grad,)
 
-    return _emit("l2_normalize", out, (x,), back)
+    return _emit(out, (x,), back)
 
 
 def mean(x: Tensor, axis: int | None = None) -> Tensor:
@@ -427,7 +422,7 @@ def mean(x: Tensor, axis: int | None = None) -> Tensor:
     else:
         count = x.shape[axis]
         back = lambda g: (np.repeat(np.expand_dims(g / count, axis), count, axis=axis),)
-    return _emit("mean", np.asarray(out), (x,), back)
+    return _emit(np.asarray(out), (x,), back)
 
 
 def sum(x: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - op name
@@ -436,7 +431,7 @@ def sum(x: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - op name
         back = lambda g: (np.full(x.shape, float(g)),)
     else:
         back = lambda g: (np.repeat(np.expand_dims(g, axis), x.shape[axis], axis=axis),)
-    return _emit("sum", np.asarray(out), (x,), back)
+    return _emit(np.asarray(out), (x,), back)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -451,7 +446,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[0] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
     out = np.concatenate([t.data for t in tensors], axis=0)
-    return _emit("concat", out, tuple(tensors), lambda g: tuple(np.split(g, splits, axis=0)))
+    return _emit(out, tuple(tensors), lambda g: tuple(np.split(g, splits, axis=0)))
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
@@ -467,7 +462,7 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         gx[start:stop] = g
         return (gx,)
 
-    return _emit("slice_rows", x.data[start:stop].copy(), (x,), back)
+    return _emit(x.data[start:stop].copy(), (x,), back)
 
 
 def add_colvec(x: Tensor, v: Tensor) -> Tensor:
@@ -475,7 +470,6 @@ def add_colvec(x: Tensor, v: Tensor) -> Tensor:
     if x.data.ndim != 2 or v.data.ndim != 1 or x.shape[0] != v.shape[0]:
         raise ShapeError("add_colvec", x.shape, v.shape)
     return _emit(
-        "add_colvec",
         x.data + v.data[:, None],
         (x, v),
         lambda g: (g, g.sum(axis=1)),
@@ -496,7 +490,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
         gx[rows, ii] = g
         return (gx,)
 
-    return _emit("gather_rows", x.data[rows, ii], (x,), back)
+    return _emit(x.data[rows, ii], (x,), back)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -513,7 +507,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         np.add.at(gt, ii, g)
         return (gt,)
 
-    return _emit("embedding_lookup", table.data[ii], (table,), back)
+    return _emit(table.data[ii], (table,), back)
 
 
 def stop_gradient(x: Tensor) -> Tensor:

@@ -34,7 +34,7 @@ from . import diff_engine as de
 from . import tempnet as tn
 from .diff_engine import Tensor
 from .dro_core import DroConfig
-from .errors import DegenerateBatchError, DomainError
+from .errors import DegenerateBatchError, DomainError, NonFiniteError
 
 _NEG_MASK = -1e9  # additive score mask; exp underflows to exactly zero
 
@@ -306,6 +306,7 @@ def lm_eval_pass(
     logit-variant temperature network evaluated per position. Perplexity is
     exp of the mean NLL under temperature-scaled probabilities; temperatures
     come back sequence-major. The forward runs EVAL_CHUNK sequences at a time.
+    A non-finite log-likelihood raises NonFiniteError.
     """
     batches = [corpus] if isinstance(corpus, TokenBatch) else list(corpus)
     if not batches:
@@ -333,6 +334,8 @@ def lm_eval_pass(
         lse = shift + np.log(np.exp(scaled - shift[:, None]).sum(axis=1))
         total += float((lse - scaled[np.arange(rows.shape[0]), targets]).sum())
         tau_parts.append(taus)
+    if not math.isfinite(total):
+        raise NonFiniteError(f"perplexity: the validation log-likelihood is {total}")
     taus = np.concatenate(tau_parts)
     return float(np.exp(total / taus.size)), taus
 
@@ -521,7 +524,8 @@ def recall_at_k(towers: TwoTowerParams, eval_pairs: PairBatch, k: int) -> Tuple[
     """(image_retrieval, text_retrieval) recall@k over the evaluation pairs.
 
     image_retrieval ranks images for each text query; text_retrieval ranks
-    texts for each image query. Ties break toward the lower index.
+    texts for each image query. Ties break toward the lower index. A
+    non-finite similarity raises NonFiniteError.
     """
     n = eval_pairs.n
     if not (1 <= k <= n):
@@ -529,6 +533,8 @@ def recall_at_k(towers: TwoTowerParams, eval_pairs: PairBatch, k: int) -> Tuple[
     sims = encode_image(towers, Tensor(eval_pairs.x)).data @ encode_text(
         towers, Tensor(eval_pairs.t)
     ).data.T
+    if not np.isfinite(sims).all():
+        raise NonFiniteError("recall_at_k: the embedding similarities are not all finite")
 
     def recall(score_rows: np.ndarray) -> float:
         hits = 0

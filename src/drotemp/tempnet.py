@@ -25,7 +25,7 @@ import numpy as np
 
 from . import diff_engine as de
 from .diff_engine import Tensor
-from .errors import DomainError
+from .errors import DomainError, NonFiniteError
 
 
 class Variant(Enum):
@@ -225,6 +225,16 @@ def _cl_parts(params: TempNetParams, embeddings: Tensor) -> Tuple[Tensor, Tensor
     return (v, u, *_head(params, u))
 
 
+def _check_finite(data: np.ndarray, what: str) -> None:
+    """NonFiniteError if data holds a NaN or an infinity.
+
+    The tape does not check its ops, so the batch entry points check both
+    ends: the ReLU maps a NaN input to zero, so only the input check sees it.
+    """
+    if not np.isfinite(data).all():
+        raise NonFiniteError(f"{what} are not all finite")
+
+
 def llm_tau_batch(params: TempNetParams, logits: Tensor, zero_rows: str = "error") -> Tensor:
     """Temperatures for a batch of raw logit rows (n x d0) -> (n,).
 
@@ -235,11 +245,17 @@ def llm_tau_batch(params: TempNetParams, logits: Tensor, zero_rows: str = "error
     """
     if logits.data.ndim != 2 or logits.shape[1] != params.cfg.d0:
         raise DomainError(f"expected n x {params.cfg.d0} logits, got {logits.shape}")
-    return _llm_parts(params, logits, zero_rows)[3]
+    _check_finite(logits.data, "llm_tau_batch: logit rows")
+    tau = _llm_parts(params, logits, zero_rows)[3]
+    _check_finite(tau.data, "llm_tau_batch: temperatures")
+    return tau
 
 
 def cl_tau_batch(params: TempNetParams, embeddings: Tensor) -> Tensor:
     """Temperatures for a batch of embedding rows (n x d0) -> (n,)."""
     if embeddings.data.ndim != 2 or embeddings.shape[1] != params.cfg.d0:
         raise DomainError(f"expected n x {params.cfg.d0} embeddings, got {embeddings.shape}")
-    return _cl_parts(params, embeddings)[3]
+    _check_finite(embeddings.data, "cl_tau_batch: embedding rows")
+    tau = _cl_parts(params, embeddings)[3]
+    _check_finite(tau.data, "cl_tau_batch: temperatures")
+    return tau

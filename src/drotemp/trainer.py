@@ -22,6 +22,7 @@ through the same loop so their metrics are directly comparable.
 from __future__ import annotations
 
 import binascii
+import bisect
 import dataclasses
 import hashlib
 import json
@@ -172,6 +173,70 @@ class OptimizerState:
     moments: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
+class ParamGroup:
+    """One optimizer group's parameters, gradient and moments, each held as
+    one contiguous vector (p, g, m, v) with a slice per named tensor.
+
+    Building the group copies each tensor into p and rebinds its ``.data`` to
+    a view of its slice, so an in-place update of p updates every tensor.
+    Moments already in ``state`` (a resumed run) are copied into m / v and
+    their entries rebound to views the same way; moments not yet there start
+    at zero and enter ``state.moments`` at the group's first update. The
+    checkpoint therefore still reads and writes one array per name.
+    """
+
+    def __init__(self, named_tensors: Sequence[Tuple[str, Tensor]], state: OptimizerState):
+        self.names = [name for name, _ in named_tensors]
+        self.tensors = [tensor for _, tensor in named_tensors]
+        self.offsets = [0]
+        for tensor in self.tensors:
+            self.offsets.append(self.offsets[-1] + tensor.size)
+        self.p, self.g, self.m, self.v = (np.zeros(self.offsets[-1]) for _ in range(4))
+        self.state = state
+        self._pending = {}
+        for name, tensor, lo, hi in zip(self.names, self.tensors, self.offsets, self.offsets[1:]):
+            shape = tensor.shape
+            self.p[lo:hi] = tensor.data.reshape(-1)
+            tensor.data = self.p[lo:hi].reshape(shape)
+            views = (self.m[lo:hi].reshape(shape), self.v[lo:hi].reshape(shape))
+            if name in state.moments:
+                for saved, flat in zip(state.moments[name], (self.m, self.v)):
+                    if saved.shape != shape:
+                        raise ShapeError("adamw_step", saved.shape, shape)
+                    flat[lo:hi] = saved.reshape(-1)
+                state.moments[name] = views
+            else:
+                self._pending[name] = views
+
+    def gather(self, grads: Gradients) -> np.ndarray:
+        """The flat gradient g; a parameter without a recorded gradient gets zeros."""
+        parts = []
+        for tensor in self.tensors:
+            if tensor in grads:
+                data = grads[tensor].data
+                if data.shape != tensor.shape:
+                    raise ShapeError("adamw_step", data.shape, tensor.shape)
+                parts.append(data.reshape(-1))
+            else:
+                parts.append(np.zeros(tensor.size))
+        return np.concatenate(parts, out=self.g)
+
+    def commit(self, p: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
+        """Write an accepted update into the buffers and count the step."""
+        self.p[:] = p
+        self.m[:] = m
+        self.v[:] = v
+        self.state.step += 1
+        if self._pending:
+            self.state.moments.update(self._pending)
+            self._pending = {}
+
+    def first_non_finite(self, flat: np.ndarray) -> str:
+        """Name of the parameter owning the first non-finite entry of flat."""
+        index = int(np.flatnonzero(~np.isfinite(flat))[0])
+        return self.names[bisect.bisect_right(self.offsets, index) - 1]
+
+
 def _schedule_scale(step: int, cfg: TrainConfig) -> float:
     """Schedule multiplier in [0, 1]; both lr groups share the shape."""
     total = int(cfg.total_steps)
@@ -184,39 +249,46 @@ def _schedule_scale(step: int, cfg: TrainConfig) -> float:
     return 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def adamw_step(
-    named_tensors: Sequence[Tuple[str, Tensor]],
-    grads: Gradients,
-    state: OptimizerState,
-    lr: float,
-    cfg: TrainConfig,
-) -> None:
-    """One decoupled-weight-decay Adam update, applied in place.
+def adamw_step(group: ParamGroup, grads: Gradients, lr: float, cfg: TrainConfig) -> None:
+    """One decoupled-weight-decay Adam update of a whole group, in place.
 
     Decay multiplies the weight by (1 - lr * weight_decay) before the moment
     update is subtracted, so a zero gradient shrinks a weight by exactly that
     factor. Parameters without a recorded gradient are treated as zero-grad.
-    Moments are keyed by the given names and created lazily as zeros.
+
+    A non-finite gradient, or an update whose new weights or second moments
+    would not be finite, raises TrainingDivergedError with the step the
+    update would have been (the training step, when ``train`` calls it) and
+    the first parameter concerned; p, m, v and the step are then unchanged.
     """
-    state.step += 1
-    t = state.step
+    t = group.state.step + 1
+    g = group.gather(grads)
     c1 = 1.0 - cfg.beta1**t
     c2 = 1.0 - cfg.beta2**t
-    for name, tensor in named_tensors:
-        g = grads[tensor].data if tensor in grads else np.zeros(tensor.shape)
-        if g.shape != tensor.shape:
-            raise ShapeError("adamw_step", g.shape, tensor.shape)
-        if name in state.moments:
-            m, v = state.moments[name]
-            if m.shape != tensor.shape:
-                raise ShapeError("adamw_step", m.shape, tensor.shape)
+    # the same elementwise operations, in the same order, as the per-tensor
+    # update m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+    # p = p (1 - lr wd) - lr (m / c1) / (sqrt(v / c2) + eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = cfg.beta1 * group.m
+        m += (1.0 - cfg.beta1) * g
+        gg = (1.0 - cfg.beta2) * g
+        gg *= g
+        v = cfg.beta2 * group.v
+        v += gg
+        update = m / c1
+        update /= np.sqrt(v / c2) + cfg.eps
+        update *= lr
+        p = group.p * (1.0 - lr * cfg.weight_decay)
+        p -= update
+    # a non-finite gradient makes v non-finite, so these two checks cover it
+    if not (np.isfinite(p).all() and np.isfinite(v).all()):
+        if not np.isfinite(g).all():
+            detail = f"non-finite gradient in {group.first_non_finite(g)}"
         else:
-            m, v = np.zeros(tensor.shape), np.zeros(tensor.shape)
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        state.moments[name] = (m, v)
-        update = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
-        tensor.data = tensor.data * (1.0 - lr * cfg.weight_decay) - lr * update
+            bad, what = (p, "weights") if not np.isfinite(p).all() else (v, "second moments")
+            detail = f"update of {group.first_non_finite(bad)} gives non-finite {what}"
+        raise TrainingDivergedError(t, detail)
+    group.commit(p, m, v)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +366,10 @@ def _unpack_arrays(payload: bytes, section: str) -> List[Tuple[str, np.ndarray]]
         named.append((name, arr))
     if pos != len(payload):
         raise IntegrityError(f"checkpoint section {section!r} has trailing bytes")
+    # one check per section; the per-array search runs only on failure
+    if named and not np.isfinite(np.concatenate([arr.reshape(-1) for _, arr in named])).all():
+        bad = next(name for name, arr in named if not np.isfinite(arr).all())
+        raise IntegrityError(f"checkpoint section {section!r} holds non-finite values in {bad}")
     return named
 
 
@@ -761,6 +837,9 @@ def train(
         for _, tensor in runtime.model_tensors():
             tensor.requires_grad = False
     train_tempnet = task.objective == "robust"
+    # built after restore, which swaps in the checkpoint's tensors
+    model_group = ParamGroup(runtime.model_tensors(), opt_model) if train_model else None
+    tempnet_group = ParamGroup(runtime.tempnet_tensors(), opt_tempnet) if train_tempnet else None
 
     end_step = int(run.total_steps) if stop_at_step is None else int(stop_at_step)
     if not (start_step <= end_step <= run.total_steps):
@@ -798,11 +877,15 @@ def train(
             metrics.write(METRICS_HEADER + "\n")
         for step in range(start_step + 1, end_step + 1):
             batch = runtime.sample_batch(rng)
+            # tape ops pass NaN / inf on, unchecked and without numpy's
+            # warnings; the temperatures, the loss value and each group's
+            # update are checked instead
             try:
-                with Tape() as tape:
-                    loss = runtime.loss(batch)
-                loss_value = loss.item()
-                grads = backward(loss, tape)
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    with Tape() as tape:
+                        loss = runtime.loss(batch)
+                    loss_value = loss.item()
+                    grads = backward(loss, tape)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(step, str(exc)) from exc
             if not math.isfinite(loss_value):
@@ -812,12 +895,12 @@ def train(
             lr_model = run.base_lr * scale if train_model else 0.0
             lr_tempnet = run.tempnet_lr * scale if train_tempnet else 0.0
             if train_model:
-                adamw_step(runtime.model_tensors(), grads, opt_model, lr_model, run)
+                adamw_step(model_group, grads, lr_model, run)
             if train_tempnet:
-                adamw_step(runtime.tempnet_tensors(), grads, opt_tempnet, lr_tempnet, run)
+                adamw_step(tempnet_group, grads, lr_tempnet, run)
                 for net in runtime.tempnets:
                     if float(net.phi.data) < PHI_FLOOR:
-                        net.phi.data = np.asarray(PHI_FLOOR)
+                        net.phi.data[...] = PHI_FLOOR
 
             if step % run.eval_every == 0 or step == run.total_steps:
                 metric, taus = runtime.evaluate()

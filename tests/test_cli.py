@@ -763,6 +763,33 @@ class TestEval:
 # verify
 
 
+class TestNonFiniteCheckpoint:
+    """A checkpoint holding one NaN weight, written with valid checksums:
+    eval and export-temps exit 1 with one stderr line and write nothing."""
+
+    @pytest.mark.parametrize("command", ["eval", "export-temps"])
+    @pytest.mark.parametrize("kind", ["lm", "cl"])
+    def test_exits_1_with_one_line(self, lm_run, cl_run, tmp_path, capsys, kind, command):
+        if kind == "lm":
+            source, data, weight = lm_run / "checkpoint.bin", ["--corpus", CORPUS], "blocks.0.Wq"
+        else:
+            run_dir, pairs = cl_run
+            source, data, weight = run_dir / "checkpoint.bin", ["--pairs", str(pairs)], "image.W2"
+        ckpt = tr.load_checkpoint(source)
+        dict(ckpt.foundation.tensors())[weight].data.reshape(-1)[0] = np.nan
+        bad = tmp_path / "checkpoint.bin"
+        tr.save_checkpoint(ckpt, bad)
+        out_path = tmp_path / "out.csv"
+        target = ["--out", str(out_path)] if command == "eval" else ["--output", str(out_path)]
+        capsys.readouterr()
+        rc = run_cli([command, "--checkpoint", str(bad), *data, *target])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "nan" not in out.lower()
+        assert not out_path.exists()
+
+
 class TestVerifyCommand:
     def test_single_check_passes(self, capsys):
         assert run_cli(["verify", "--only", "check_bz_bounds", "--seed", "3"]) == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import drotemp.diff_engine as de
+import drotemp.tempnet as tn
 from drotemp.diff_engine import (
     Gradients,
     Tape,
@@ -60,9 +61,15 @@ class TestForwardValues:
             de.l2_normalize(Tensor([0.0, 0.0]))
 
     def test_non_finite_output_has_its_own_type(self):
-        with pytest.raises(NonFiniteError, match="reciprocal produced non-finite values"):
-            with np.errstate(divide="ignore"):
-                de.reciprocal(Tensor([1.0, 0.0]))
+        # an op passes a non-finite value on, and so does its gradient; the
+        # callers' checks raise NonFiniteError (temperature networks, eval
+        # passes) or TrainingDivergedError (loss value, flat gradients)
+        x = Tensor([1.0, 0.0], requires_grad=True)
+        with Tape() as tape:
+            out = de.reciprocal(x)
+            total = de.sum(out)
+        assert out.data[1] == np.inf
+        assert backward(total, tape)[x].data[1] == -np.inf
         assert issubclass(NonFiniteError, DomainError)
 
     def test_logistic_extremes_stay_finite(self):
@@ -83,8 +90,13 @@ class TestForwardValues:
         np.testing.assert_allclose(got, ref, rtol=1e-14)
 
     def test_exp_overflow_is_a_domain_error(self):
-        with pytest.raises(DomainError):
-            de.exp(Tensor([1000.0]))
+        # the op passes the overflow on as inf; the check of whoever consumes
+        # it raises NonFiniteError, a DomainError (here a temperature network)
+        out = de.exp(Tensor([[1000.0, 0.0]]))
+        assert out.data[0, 0] == np.inf
+        cfg = tn.TempNetConfig(variant=tn.Variant.CL_EMBEDDING, d0=2, d1=4, d2=2)
+        with pytest.raises(DomainError, match="embedding rows are not all finite"):
+            tn.cl_tau_batch(tn.init_cl_tempnet(cfg, seed=0), out)
 
     def test_matmul_vector_cases(self):
         a = Tensor([1.0, 2.0])

@@ -10,7 +10,7 @@ from drotemp import models as md
 from drotemp import tempnet as tn
 from drotemp.diff_engine import Tape, Tensor, backward, finite_diff_check
 from drotemp.dro_core import DroConfig, LogitSet, robust_loss
-from drotemp.errors import DegenerateBatchError, DomainError
+from drotemp.errors import DegenerateBatchError, DomainError, NonFiniteError
 from drotemp.tau_solver import SolverOptions, newton_solve
 
 ASSETS = pathlib.Path(__file__).parent.parent / "src" / "drotemp" / "assets"
@@ -641,6 +641,15 @@ class TestPerplexity:
         with pytest.raises(DomainError):
             md.perplexity(lm, cl_tnet(7), md.TokenBatch([[0, 1]]))
 
+    def test_non_finite_weight_raises_instead_of_a_nan_perplexity(self):
+        lm = small_lm(seed=14)
+        lm.out_proj.data[0, 0] = np.nan
+        batch = md.TokenBatch([[0, 1, 2, 3], [4, 5]])
+        with pytest.raises(NonFiniteError, match="log-likelihood is nan"):
+            md.lm_eval_pass(lm, 0.7, batch)
+        with pytest.raises(NonFiniteError, match="logit rows are not all finite"):
+            md.lm_eval_pass(lm, llm_tnet(7), batch)
+
 
 class TestRecallAtK:
     def test_identity_structure_is_perfect(self):
@@ -691,6 +700,13 @@ class TestRecallAtK:
             md.recall_at_k(towers, batch, 3)
         with pytest.raises(DomainError):
             md.recall_at_k(towers, batch, 0)
+
+    def test_non_finite_weight_raises_instead_of_a_recall(self):
+        towers = small_towers(seed=13)
+        towers.image.W2.data[0, 0] = np.nan
+        batch = md.PairBatch(np.eye(3, 5), np.ones((3, 5)))
+        with pytest.raises(NonFiniteError, match="similarities are not all finite"):
+            md.recall_at_k(towers, batch, 1)
 
 
 class TestCorpusPlumbing:

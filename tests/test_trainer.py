@@ -138,12 +138,15 @@ class TestCosineLr:
 
 
 class TestAdamW:
+    """AdamW on a flat ParamGroup: same inputs and bounds as the per-tensor
+    optimizer it replaced, plus the divergence guard."""
+
     def test_zero_gradient_is_pure_decay(self):
         run = small_run(base_lr=0.01, weight_decay=0.1)
         w0 = np.linspace(-1.0, 2.0, 6).reshape(2, 3)
         w = Tensor(w0.copy(), requires_grad=True)
         state = tr.OptimizerState()
-        tr.adamw_step([("w", w)], Gradients(), state, lr=0.01, cfg=run)
+        tr.adamw_step(tr.ParamGroup([("w", w)], state), Gradients(), lr=0.01, cfg=run)
         assert np.array_equal(w.data, w0 * (1.0 - 0.01 * 0.1))
         assert state.step == 1
 
@@ -151,7 +154,7 @@ class TestAdamW:
         run = small_run(weight_decay=0.0)
         w = Tensor(np.asarray(1.5), requires_grad=True)
         grads = grads_for([(w, np.asarray(0.5))])
-        tr.adamw_step([("w", w)], grads, tr.OptimizerState(), lr=0.1, cfg=run)
+        tr.adamw_step(tr.ParamGroup([("w", w)], tr.OptimizerState()), grads, lr=0.1, cfg=run)
         m_hat = (0.1 * 0.5) / (1.0 - 0.9)
         v_hat = (0.05 * 0.25) / (1.0 - 0.95)
         expected = 1.5 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
@@ -168,8 +171,9 @@ class TestAdamW:
         tensors = [Tensor(a.copy(), requires_grad=True) for a in starts]
         named = [(f"p{i}", t) for i, t in enumerate(tensors)]
         state = tr.OptimizerState()
+        group = tr.ParamGroup(named, state)
         for lr, gs in zip(lrs, grad_steps):
-            tr.adamw_step(named, grads_for(list(zip(tensors, gs))), state, lr=lr, cfg=run)
+            tr.adamw_step(group, grads_for(list(zip(tensors, gs))), lr=lr, cfg=run)
 
         ref = [a.copy() for a in starts]
         m = [np.zeros_like(a) for a in starts]
@@ -186,11 +190,83 @@ class TestAdamW:
         assert state.step == 2
 
     def test_moment_shape_mismatch_is_structured_error(self):
-        run = small_run()
         w = Tensor(np.zeros((2, 2)), requires_grad=True)
         state = tr.OptimizerState(moments={"w": (np.zeros(3), np.zeros(3))})
         with pytest.raises(ShapeError):
-            tr.adamw_step([("w", w)], Gradients(), state, lr=0.01, cfg=run)
+            tr.ParamGroup([("w", w)], state)
+
+    def test_flat_update_equals_per_tensor_update_bit_for_bit(self):
+        # the per-tensor update the flat one replaced, in its operation order
+        run = small_run(base_lr=0.05, weight_decay=0.04, beta1=0.9, beta2=0.999)
+        rng = np.random.default_rng(8)
+        shapes = [(3, 2), (4,), ()]
+        starts = [rng.normal(size=s) for s in shapes]
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in starts]
+        group = tr.ParamGroup([(f"p{i}", t) for i, t in enumerate(tensors)], tr.OptimizerState())
+        ref = [a.copy() for a in starts]
+        m = [np.zeros_like(a) for a in starts]
+        v = [np.zeros_like(a) for a in starts]
+        for t, lr in enumerate([0.05, 0.02, 0.01], start=1):
+            gs = [rng.normal(size=s) for s in shapes]
+            tr.adamw_step(group, grads_for(list(zip(tensors, gs))), lr=lr, cfg=run)
+            c1, c2 = 1.0 - run.beta1**t, 1.0 - run.beta2**t
+            for i, g in enumerate(gs):
+                m[i] = run.beta1 * m[i] + (1.0 - run.beta1) * g
+                v[i] = run.beta2 * v[i] + (1.0 - run.beta2) * g * g
+                update = (m[i] / c1) / (np.sqrt(v[i] / c2) + run.eps)
+                ref[i] = ref[i] * (1.0 - lr * run.weight_decay) - lr * update
+        for i, tensor in enumerate(tensors):
+            assert np.array_equal(tensor.data, ref[i])
+            assert np.array_equal(group.state.moments[f"p{i}"][0], m[i])
+            assert np.array_equal(group.state.moments[f"p{i}"][1], v[i])
+            assert np.shares_memory(tensor.data, group.p)
+
+    def test_moments_enter_the_state_at_the_first_update(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        state = tr.OptimizerState()
+        group = tr.ParamGroup([("w", w)], state)
+        assert state.moments == {}
+        tr.adamw_step(group, Gradients(), lr=0.01, cfg=small_run())
+        assert list(state.moments) == ["w"]
+        assert all(np.shares_memory(a, b) for a, b in zip(state.moments["w"], (group.m, group.v)))
+
+    def test_resumed_moments_are_copied_in_and_rebound(self):
+        run = small_run()
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        saved = (np.full((2, 2), 0.5), np.full((2, 2), 0.25))
+        state = tr.OptimizerState(step=3, moments={"w": saved})
+        group = tr.ParamGroup([("w", w)], state)
+        assert np.array_equal(group.m, np.full(4, 0.5)) and np.array_equal(group.v, np.full(4, 0.25))
+        tr.adamw_step(group, grads_for([(w, np.ones((2, 2)))]), lr=0.01, cfg=run)
+        m, v = state.moments["w"]
+        assert np.array_equal(m.reshape(-1), group.m) and np.shares_memory(m, group.m)
+        assert np.array_equal(v.reshape(-1), group.v) and np.shares_memory(v, group.v)
+        assert np.array_equal(saved[0], np.full((2, 2), 0.5))  # the loaded arrays are not written
+
+    REFUSALS = {
+        "nan_gradient": "step 3: non-finite gradient in b",
+        "overflowing_weights": "step 3: update of a gives non-finite weights",
+        "overflowing_moment": "step 3: update of b gives non-finite second moments",
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_divergent_update_is_refused_and_changes_nothing(self, case):
+        run = small_run(weight_decay=1e155 if case == "overflowing_weights" else 0.1)
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        b = Tensor(np.array([[0.5, 0.25], [3.0, -1.0]]), requires_grad=True)
+        group = tr.ParamGroup([("a", a), ("b", b)], tr.OptimizerState())
+        for _ in range(2):
+            tr.adamw_step(group, grads_for([(a, np.ones(2)), (b, np.ones((2, 2)))]), lr=1e-3, cfg=run)
+        before = [arr.copy() for arr in (group.p, group.m, group.v)]
+        bad = np.ones((2, 2))
+        bad[1, 0] = {"nan_gradient": np.nan, "overflowing_moment": 1e200}.get(case, 1.0)
+        lr = 1e155 if case == "overflowing_weights" else 1e-3
+        with pytest.raises(TrainingDivergedError, match=self.REFUSALS[case]) as excinfo:
+            tr.adamw_step(group, grads_for([(a, np.ones(2)), (b, bad)]), lr=lr, cfg=run)
+        assert excinfo.value.step == 3
+        for was, now in zip(before, (group.p, group.m, group.v)):
+            assert was.tobytes() == now.tobytes()
+        assert group.state.step == 2
 
 
 def section_span(raw: bytes, name: str):
@@ -489,11 +565,27 @@ class TestLmTraining:
         )
 
     def test_divergence_aborts_with_step(self, tmp_path):
+        # lr * weight_decay overflows; the optimizer refuses the update before
+        # it reaches the weights, and no numpy warning escapes (pytest turns
+        # one into an error)
         run = small_run(total_steps=5, base_lr=1e155, weight_decay=1e155, eval_every=100)
-        with pytest.raises(TrainingDivergedError) as excinfo, np.errstate(over="ignore"):
+        with pytest.raises(TrainingDivergedError) as excinfo:
             tr.train(run, small_lm_task(), tmp_path)
         assert 1 <= excinfo.value.step <= 5
         assert str(excinfo.value.step) in str(excinfo.value)
+        assert str(excinfo.value) == "training diverged at step 1: update of emb gives non-finite weights"
+        assert not (tmp_path / "checkpoint.bin").exists()
+
+    def test_non_finite_loss_from_a_tape_op_is_divergence(self, tmp_path, monkeypatch):
+        # 1 / (+-0) gives +-inf and their mean NaN: the tape passes both on,
+        # without a numpy warning, and the loss-value check stops the step
+        def infinite_loss(params, temps, batch, cfg):
+            return de.mean(de.reciprocal(de.mul(params.emb, 0.0)))
+
+        monkeypatch.setattr(md, "robust_softmax_loss", infinite_loss)
+        with pytest.raises(TrainingDivergedError) as excinfo:
+            tr.train(small_run(total_steps=2, eval_every=2), small_lm_task(), tmp_path)
+        assert str(excinfo.value) == "training diverged at step 1: loss value nan"
 
     def test_only_non_finite_errors_count_as_divergence(self, tmp_path, monkeypatch):
         run = small_run(total_steps=2, eval_every=2)
@@ -504,11 +596,14 @@ class TestLmTraining:
 
             return loss
 
-        diverged = NonFiniteError("exp produced non-finite values")
+        # what the logit TempNet raises when its temperatures are not finite
+        diverged = NonFiniteError("llm_tau_batch: temperatures are not all finite")
         monkeypatch.setattr(md, "robust_softmax_loss", failing_loss(diverged))
         with pytest.raises(TrainingDivergedError) as excinfo:
             tr.train(run, small_lm_task(), tmp_path / "a")
-        assert str(excinfo.value) == "training diverged at step 1: exp produced non-finite values"
+        assert str(excinfo.value) == (
+            "training diverged at step 1: llm_tau_batch: temperatures are not all finite"
+        )
         # a domain error that merely mentions non-finite values is not a divergence
         invalid = DomainError("W1 contains non-finite entries")
         monkeypatch.setattr(md, "robust_softmax_loss", failing_loss(invalid))
@@ -657,3 +752,63 @@ class TestReadMetrics:
         path.write_text("step,loss\n1,2.0\n")
         with pytest.raises(DomainError, match="header"):
             tr.read_metrics(path)
+
+
+class TestOptimizerGroups:
+    """train() gives each optimizer group flat buffers; the checkpoint keeps
+    one array per name, and resume copies the saved moments in."""
+
+    def test_cl_robust_resume_gives_the_uninterrupted_bytes(self, tmp_path):
+        # two TempNets in one group, stopped mid-run and resumed in place
+        run = small_run(total_steps=12, eval_every=4, batch_size=8)
+        task = small_cl_task(cl_fixture(tmp_path))
+        tr.train(run, task, tmp_path / "full")
+        tr.train(run, task, tmp_path / "part", stop_at_step=6)
+        tr.train(run, task, tmp_path / "part", resume_from=tmp_path / "part" / "checkpoint.bin")
+        for name in ("metrics.csv", "checkpoint.bin"):
+            assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    def test_tempnet_only_writes_an_empty_model_optimizer_section(self, tmp_path):
+        run = small_run(total_steps=4, eval_every=2)
+        tr.train(run, small_lm_task(), tmp_path / "base")
+        follow = small_lm_task(mode="tempnet-only", init_from=str(tmp_path / "base" / "checkpoint.bin"))
+        tr.train(run, follow, tmp_path / "follow")
+        raw = (tmp_path / "follow" / "checkpoint.bin").read_bytes()
+        lo, hi = section_span(raw, "opt_model")
+        assert raw[lo:hi] == struct.pack("<I", 0)
+        loaded = tr.load_checkpoint(tmp_path / "follow" / "checkpoint.bin")
+        assert loaded.opt_model.step == 0 and loaded.opt_model.moments == {}
+        assert loaded.opt_tempnet.step == 4 and len(loaded.opt_tempnet.moments) == 6
+
+    def test_step_zero_checkpoint_has_no_moments(self, tmp_path):
+        tr.train(small_run(), small_lm_task(), tmp_path, stop_at_step=0)
+        loaded = tr.load_checkpoint(tmp_path / "checkpoint.bin")
+        assert loaded.opt_model.moments == {} and loaded.opt_tempnet.moments == {}
+
+    def test_wrong_shape_checkpoint_moment_raises_before_step_one(self, tmp_path, monkeypatch):
+        run, task = small_run(total_steps=6, eval_every=2), small_lm_task()
+        tr.train(run, task, tmp_path, stop_at_step=2)
+        path = tmp_path / "checkpoint.bin"
+        ckpt = tr.load_checkpoint(path)
+        m, v = ckpt.opt_tempnet.moments["tempnet0.W1"]
+        ckpt.opt_tempnet.moments["tempnet0.W1"] = (m[:, :-1], v[:, :-1])
+        tr.save_checkpoint(ckpt, path)
+        metrics = (tmp_path / "metrics.csv").read_bytes()
+
+        def no_step(self, rng):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(tr._LmRuntime, "sample_batch", no_step)
+        with pytest.raises(ShapeError):
+            tr.train(run, task, tmp_path, resume_from=path)
+        assert (tmp_path / "metrics.csv").read_bytes() == metrics
+
+    def test_non_finite_checkpoint_value_is_an_integrity_error(self, tmp_path):
+        tr.train(small_run(total_steps=2, eval_every=2), small_lm_task(), tmp_path)
+        path = tmp_path / "checkpoint.bin"
+        ckpt = tr.load_checkpoint(path)
+        ckpt.foundation.blocks[0].Wq.data[0, 0] = np.nan
+        tr.save_checkpoint(ckpt, path)
+        with pytest.raises(IntegrityError, match="'foundation' holds non-finite values in blocks.0.Wq"):
+            tr.load_checkpoint(path)
+
