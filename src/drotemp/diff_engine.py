@@ -258,7 +258,8 @@ def log(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0
+    # a NaN input passes through, so the checks downstream still see it
+    mask = ~(x.data <= 0.0)
     return _emit(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
 
 

@@ -229,7 +229,7 @@ def _check_finite(data: np.ndarray, what: str) -> None:
     """NonFiniteError if data holds a NaN or an infinity.
 
     The tape does not check its ops, so the batch entry points check both
-    ends: the ReLU maps a NaN input to zero, so only the input check sees it.
+    ends: the ReLU maps a -inf input to zero, so only the input check sees it.
     """
     if not np.isfinite(data).all():
         raise NonFiniteError(f"{what} are not all finite")

@@ -792,8 +792,10 @@ def train(
     out_dir,
     stop_at_step: Optional[int] = None,
     resume_from=None,
-) -> Tuple[Checkpoint, Path]:
-    """Run the loop; returns the final checkpoint and the metrics file path.
+) -> Tuple[Checkpoint, Path, Optional[np.ndarray]]:
+    """Run the loop; returns the final checkpoint, the metrics file path and
+    the temperatures of the evaluation at the final step (None when the run
+    stops at a step that does not evaluate).
 
     ``stop_at_step`` ends the run early (after writing the checkpoint), and
     ``resume_from`` continues a checkpointed run with the identical config;
@@ -872,6 +874,7 @@ def train(
     # the file, so an interrupted-then-resumed run leaves the same metrics as
     # an uninterrupted one
     append = resume_from is not None and metrics_path.exists()
+    final_taus = None
     with open(metrics_path, "a" if append else "w", encoding="utf-8") as metrics:
         if not append:
             metrics.write(METRICS_HEADER + "\n")
@@ -908,7 +911,9 @@ def train(
                     _metrics_row(step, loss_value, metric, taus, lr_model, lr_tempnet) + "\n"
                 )
                 metrics.flush()
+                if step == end_step:
+                    final_taus = taus
 
     final = snapshot(end_step)
     save_checkpoint(final, ckpt_path)
-    return final, metrics_path
+    return final, metrics_path, final_taus

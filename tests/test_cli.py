@@ -7,6 +7,7 @@ observable without subprocesses.
 import binascii
 import json
 import os
+import resource
 import stat
 import struct
 
@@ -530,6 +531,34 @@ class TestTrainLm:
         assert run_cli(["train-lm", "--out", str(out)] + LM_OVERRIDES) == 0
         assert (out / "metrics.csv").read_bytes() == (lm_run / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("objective", ["robust", "ce"])
+    def test_temperatures_equal_export_from_checkpoint(self, tmp_path, objective):
+        # train-lm writes the final evaluation's taus; export-temps recomputes
+        # them from the checkpoint, and the two files must agree byte for byte
+        out = tmp_path / "run"
+        argv = ["train-lm", "--out", str(out), *LM_OVERRIDES, f"task.objective={objective}"]
+        assert run_cli(argv) == 0
+        exported = tmp_path / "export.csv"
+        rc = run_cli(
+            ["export-temps", "--checkpoint", str(out / "checkpoint.bin"),
+             "--corpus", CORPUS, "--output", str(exported)]
+        )
+        assert rc == 0
+        assert (out / "temperatures.csv").read_bytes() == exported.read_bytes()
+        _, taus = read_taus(exported)
+        assert (taus == 1.0).all() if objective == "ce" else np.unique(taus).size > 1
+
+    def test_steps_reuse_the_freed_heap(self, tmp_path):
+        # each step frees its tape's temporaries; the next step must get them
+        # back from the heap, not as fresh pages from the OS (a heap trimmed
+        # after every step costs 60-300 minor faults per step at this shape)
+        argv = ["train-lm", "--out", str(tmp_path / "run"), f"data.corpus={CORPUS}",
+                "train.total_steps=40", "train.eval_every=40"]
+        assert run_cli(argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert run_cli(argv) == 0
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 40 * 25
+
     def test_missing_corpus_names_key(self, tmp_path, capsys):
         rc = run_cli(["train-lm", "--out", str(tmp_path / "x"), "train.total_steps=5"])
         assert rc == 1
@@ -583,7 +612,7 @@ def frozen_sharp_lm(tmp_path_factory):
         corpus_path=str(corpus), context_len=8, d_model=16, d_ff=32,
         tempnet_d1=8, tempnet_d2=4,
     )
-    ckpt, _ = tr.train(run, task, root / "base", stop_at_step=0)
+    ckpt, _, _ = tr.train(run, task, root / "base", stop_at_step=0)
     for name, tensor in ckpt.foundation.tensors():
         if "out_proj" in name:
             tensor.data = 4.0 * rng.normal(size=tensor.data.shape)

@@ -27,6 +27,29 @@ class TestForwardValues:
             de.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0]
         )
 
+    def test_relu_passes_nan_and_its_gradient(self):
+        x = Tensor([np.nan, -1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            out = de.relu(x)
+            total = de.sum(out)
+        np.testing.assert_array_equal(out.data, [np.nan, 0.0, 2.0])
+        np.testing.assert_array_equal(backward(total, tape)[x].data, [1.0, 0.0, 1.0])
+
+    def test_relu_bits_on_finite_inputs_match_the_greater_than_mask(self):
+        rng = np.random.default_rng(31)
+        data = np.concatenate(
+            [rng.normal(size=64), [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf]]
+        )
+        g = rng.normal(size=data.size)
+        x = Tensor(data, requires_grad=True)
+        with Tape() as tape:
+            out = de.relu(x)
+            total = de.sum(de.mul(out, Tensor(g)))
+        old_mask = data > 0.0
+        old_out = np.where(old_mask, data, 0.0)
+        assert out.data.tobytes() == old_out.tobytes()
+        assert backward(total, tape)[x].data.tobytes() == (g * old_mask).tobytes()
+
     def test_l2_normalize(self):
         np.testing.assert_allclose(
             de.l2_normalize(Tensor([3.0, 4.0])).data, [0.6, 0.8], atol=1e-15

@@ -286,9 +286,9 @@ class TestStackedForward:
         lm = small_lm(seed=25)
         net = llm_tnet(7, seed=25)
         rng = np.random.default_rng(250)
-        lengths = [6] * 11 + [3] * 6 + [2]
+        lengths = [6] * 21 + [3] * 12 + [2]
         batch = md.TokenBatch([rng.integers(7, size=m) for m in lengths])
-        assert len(lengths) > 2 * md.EVAL_CHUNK
+        assert len(lengths) > 2 * md.EVAL_BLOCK
         ppl, taus = md.lm_eval_pass(lm, net, batch)
         per_seq = [
             tn.llm_tau_batch(net, Tensor(reference_logits(lm, seq)[:-1])).data
@@ -299,6 +299,21 @@ class TestStackedForward:
         fixed_ppl, fixed_taus = md.lm_eval_pass(lm, 0.8, batch)
         assert fixed_taus.shape == (batch.n_targets,) and (fixed_taus == 0.8).all()
         assert fixed_ppl == md.perplexity(lm, 0.8, batch)
+
+    @pytest.mark.parametrize("source", ["tempnet", 0.8])
+    def test_eval_pass_bits_do_not_depend_on_block_size(self, monkeypatch, source):
+        lm = small_lm(seed=26)
+        net = llm_tnet(7, seed=26) if source == "tempnet" else source
+        rng = np.random.default_rng(260)
+        lengths = [6] * 37 + [4] * 5 + [2]
+        batch = md.TokenBatch([rng.integers(7, size=m) for m in lengths])
+        results = []
+        for block in (1, 8, md.EVAL_BLOCK):
+            monkeypatch.setattr(md, "EVAL_BLOCK", block)
+            results.append(md.lm_eval_pass(lm, net, batch))
+        for ppl, taus in results[1:]:
+            assert ppl == results[0][0]
+            np.testing.assert_array_equal(taus, results[0][1])
 
 
 class TestRobustSoftmaxLoss:
@@ -701,6 +716,16 @@ class TestRecallAtK:
         with pytest.raises(DomainError):
             md.recall_at_k(towers, batch, 0)
 
+    def test_nan_hidden_weight_reaches_the_embeddings_and_recall(self):
+        # the ReLU passes a NaN pre-activation on instead of zeroing it
+        towers = small_towers(seed=13)
+        towers.image.W1.data[0, 0] = np.nan
+        batch = md.PairBatch(np.eye(3, 5), np.ones((3, 5)))
+        emb = md.encode_image(towers, Tensor(batch.x)).data
+        assert not np.isfinite(emb).all()
+        with pytest.raises(NonFiniteError):
+            md.recall_at_k(towers, batch, 1)
+
     def test_non_finite_weight_raises_instead_of_a_recall(self):
         towers = small_towers(seed=13)
         towers.image.W2.data[0, 0] = np.nan
@@ -719,6 +744,33 @@ class TestCorpusPlumbing:
             vocab.encode("dog")
         with pytest.raises(DomainError):
             vocab.decode([99])
+
+    def test_vocab_encode_matches_dict_lookup(self):
+        def reference(vocab, text):
+            index = {c: i for i, c in enumerate(vocab.chars)}
+            return np.array([index[c] for c in text], dtype=np.int64)
+
+        corpus = md.load_corpus(ASSETS / "corpus.txt")
+        wide = "caf\u00e9 \U0001f600 \u00e9a"
+        for source, text in ((corpus, corpus), (wide, wide), (corpus, "")):
+            vocab = md.build_vocab(source)
+            ids = vocab.encode(text)
+            assert ids.dtype == np.int64
+            np.testing.assert_array_equal(ids, reference(vocab, text))
+            assert vocab.decode(ids) == text
+
+    @pytest.mark.parametrize("text", ["abzq", "ab\u00e9", "\tab", "a\U0001f600"])
+    def test_vocab_encode_names_first_unknown_character(self, text):
+        vocab = md.build_vocab("abcz")
+        first = next(c for c in text if c not in vocab.chars)
+        with pytest.raises(DomainError, match="not in vocabulary") as info:
+            vocab.encode(text)
+        assert str(info.value) == f"character {first!r} not in vocabulary"
+
+    def test_vocab_must_be_sorted_and_distinct(self):
+        for chars in ("ba", "aab"):
+            with pytest.raises(DomainError, match="sorted"):
+                md.Vocab(chars)
 
     def test_bundled_corpus_loads(self):
         text = md.load_corpus(ASSETS / "corpus.txt")

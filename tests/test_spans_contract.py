@@ -16,6 +16,7 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 CORPUS = "src/drotemp/assets/corpus.txt"
 SMALL = ["train.total_steps=2", "train.eval_every=2", "train.batch_size=8",
          "tempnet.d1=8", "tempnet.d2=4"]
+LM = [f"data.corpus={CORPUS}", "lm.context_len=12", "lm.d_model=16", "lm.d_ff=32"]
 
 
 def load_spans():
@@ -28,11 +29,10 @@ def load_spans():
 def test_traced_runs_record_their_loss_and_uninstall_restores(tmp_path):
     pairs = tmp_path / "pairs.csv"
     md.save_pairs_csv(pairs, md.gen_clustered_pairs(40, 6, 3, 0.2, seed=4))
-    lm = [f"data.corpus={CORPUS}", "lm.context_len=12", "lm.d_model=16", "lm.d_ff=32"]
     cl = [f"data.pairs={pairs}", "cl.hidden=12", "cl.out_dim=8"]
     runs = [
-        ("train-lm", lm, "robust", "models.robust_softmax_loss"),
-        ("train-lm", lm, "ce", "models.baseline_ce_loss"),
+        ("train-lm", LM, "robust", "models.robust_softmax_loss"),
+        ("train-lm", LM, "ce", "models.baseline_ce_loss"),
         ("train-cl", cl, "robust", "models.robust_gcl_loss"),
         ("train-cl", cl, "fixed", "models.baseline_gcl_loss"),
     ]
@@ -57,3 +57,33 @@ def test_traced_runs_record_their_loss_and_uninstall_restores(tmp_path):
     assert len(originals) > 40
     for owner, attr, fn in originals:
         assert getattr(owner, attr) is fn, (owner, attr)
+
+
+def test_traced_train_lm_evaluates_once(tmp_path):
+    """train-lm writes temperatures.csv from the trainer's final evaluation,
+    so outside the training steps every TempNet call lies under the run's
+    one trainer.evaluate span: a second evaluation pass would show here."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        argv = ["train-lm", "--out", str(tmp_path / "run"), *LM, *SMALL, "task.objective=robust"]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.name_id]
+    parent = list(tracer.parent)
+
+    def ancestors(i):
+        while parent[i] >= 0:
+            i = parent[i]
+            yield i
+
+    evals = [i for i, name in enumerate(names) if name == "trainer.evaluate"]
+    assert len(evals) == 1
+    tau_calls = [i for i, name in enumerate(names) if name == "tempnet.llm_tau_batch"]
+    outside_steps = [
+        i for i in tau_calls if not any(names[a] in spans.LOSS_SPANS for a in ancestors(i))
+    ]
+    assert len(outside_steps) < len(tau_calls)
+    assert outside_steps and all(evals[0] in ancestors(i) for i in outside_steps)
