@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import functools
 import itertools
 import json
@@ -21,15 +20,11 @@ import os
 import shutil
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from . import models as md
-from . import tempnet as tn
 from . import trainer as tr
 from . import verify as vf
-from .diff_engine import Tensor
 # newton_solve and robust_loss are not called here; they stay importable from
 # this module because perfbench's tracer wraps cli.newton_solve, cli.LogitSet
 # and cli.robust_loss by name
@@ -184,82 +179,6 @@ def _train_config(values: Dict[str, object]) -> tr.TrainConfig:
         eps=values["train.eps"],
         eval_every=values["train.eval_every"],
     )
-
-
-# ---------------------------------------------------------------------------
-# temperature collection for eval / export-temps (and train-cl's summary)
-
-
-def _rescaled_net(net: tn.TempNetParams, tau_max_eval: Optional[float]) -> tn.TempNetParams:
-    """Same weights with the output map stretched to a new ceiling."""
-    if tau_max_eval is None:
-        return net
-    cfg = dataclasses.replace(net.cfg, tau_max=float(tau_max_eval))
-    return tn.TempNetParams(
-        cfg=cfg, W1=net.W1, b1=net.b1, W2=net.W2, w3=net.w3, phi=net.phi, b=net.b
-    )
-
-
-def _lm_eval_windows(ckpt: tr.Checkpoint, corpus_path) -> md.TokenBatch:
-    """The same validation windows the trainer evaluated on."""
-    snap = ckpt.extra.get("task", {})
-    val_fraction = float(snap.get("val_fraction", 0.1))
-    text = md.load_corpus(corpus_path)
-    vocab = md.build_vocab(text)
-    cfg = ckpt.foundation.cfg
-    if vocab.size != cfg.vocab_size:
-        raise DomainError(
-            f"corpus vocabulary size {vocab.size} != checkpoint vocabulary {cfg.vocab_size}"
-        )
-    _, val_ids = md.split_ids(vocab.encode(text), val_fraction)
-    return md.eval_windows(val_ids, cfg.context_len)
-
-
-def _lm_temperature_source(ckpt: tr.Checkpoint, tau_max_eval: Optional[float]):
-    """The checkpoint's TempNet (at the inference ceiling), or tau = 1 for CE."""
-    return _rescaled_net(ckpt.tempnets[0], tau_max_eval) if ckpt.tempnets else 1.0
-
-
-def _cl_eval_pairs(ckpt: tr.Checkpoint, pairs_path) -> md.PairBatch:
-    """The same eval pairs the trainer held out."""
-    eval_fraction = float(ckpt.extra.get("task", {}).get("eval_fraction", 0.25))
-    return md.split_pairs(md.load_pairs_csv(pairs_path), eval_fraction)[1]
-
-
-def _collect_cl_temps(
-    ckpt: tr.Checkpoint, pairs_path, tau_max_eval: Optional[float] = None
-) -> Tuple[List[str], np.ndarray]:
-    eval_pairs = _cl_eval_pairs(ckpt, pairs_path)
-    sides = ["image"] * eval_pairs.n + ["text"] * eval_pairs.n
-    if not ckpt.tempnets:
-        snap = ckpt.extra.get("task", {})
-        taus = np.concatenate(
-            [
-                np.full(eval_pairs.n, float(snap.get("fixed_tau1", 1.0))),
-                np.full(eval_pairs.n, float(snap.get("fixed_tau2", 1.0))),
-            ]
-        )
-        return sides, taus
-    net_img = _rescaled_net(ckpt.tempnets[0], tau_max_eval)
-    net_txt = _rescaled_net(ckpt.tempnets[1], tau_max_eval)
-    e_img = md.encode_image(ckpt.foundation, Tensor(eval_pairs.x))
-    e_txt = md.encode_text(ckpt.foundation, Tensor(eval_pairs.t))
-    taus = np.concatenate(
-        [tn.cl_tau_batch(net_img, e_img).data, tn.cl_tau_batch(net_txt, e_txt).data]
-    )
-    return sides, taus
-
-
-def _write_lm_temps(path, taus: np.ndarray):
-    lines = ["index,tau"] + [f"{i},{repr(float(t))}" for i, t in enumerate(taus)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_cl_temps(path, sides: List[str], taus: np.ndarray):
-    lines = ["index,side,tau"] + [
-        f"{i},{side},{repr(float(t))}" for i, (side, t) in enumerate(zip(sides, taus))
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -425,15 +344,7 @@ def _run_training(args, schema: Dict[str, tuple], kind: str) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved_config(values, out_dir)
-    ckpt, metrics_path, taus = tr.train(run, task, out_dir)
-
-    if kind == "lm":
-        # the final evaluation's taus: export-temps gives the same from the checkpoint
-        _write_lm_temps(out_dir / "temperatures.csv", taus)
-    else:
-        sides, taus = _collect_cl_temps(ckpt, task.pairs_path)
-        _write_cl_temps(out_dir / "temperatures.csv", sides, taus)
-
+    _, metrics_path = tr.train(run, task, out_dir)
     rows = tr.read_metrics(metrics_path)
     final = rows[-1] if rows else None
     print(f"run directory: {out_dir}")
@@ -453,31 +364,31 @@ def cmd_train_cl(args) -> int:
     return _run_training(args, _CL_SCHEMA, "cl")
 
 
-def cmd_eval(args) -> int:
+def _open_run(args):
+    """The finished run at --checkpoint, opened on the --corpus or --pairs data."""
     ckpt = tr.load_checkpoint(args.checkpoint)
-    rows: List[Tuple[str, float]] = []
-    if ckpt.kind == "lm":
-        if args.corpus is None:
-            raise DomainError("evaluating a language-model checkpoint needs --corpus")
-        batch = _lm_eval_windows(ckpt, args.corpus)
-        source = _lm_temperature_source(ckpt, args.tau_max_eval)
-        ppl = md.perplexity(ckpt.foundation, source, batch)
-        rows.append(("perplexity", ppl))
-        print(f"perplexity: {ppl!r}")
+    family, flag, data = (
+        ("language-model", "--corpus", args.corpus) if ckpt.kind == "lm"
+        else ("contrastive", "--pairs", args.pairs)
+    )
+    if data is None:
+        raise DomainError(f"{args.command} of a {family} checkpoint needs {flag}")
+    return tr.open_run(ckpt, data, args.tau_max_eval)
+
+
+def cmd_eval(args) -> int:
+    runtime = _open_run(args)
+    if runtime.kind == "lm":
+        rows = [("perplexity", runtime.evaluate()[0])]
     else:
-        if args.pairs is None:
-            raise DomainError("evaluating a contrastive checkpoint needs --pairs")
-        eval_pairs = _cl_eval_pairs(ckpt, args.pairs)
-        r_img, r_txt = md.recall_at_k(ckpt.foundation, eval_pairs, args.k)
-        rows.extend(
-            [
-                (f"image_retrieval_recall@{args.k}", r_img),
-                (f"text_retrieval_recall@{args.k}", r_txt),
-                (f"mean_recall@{args.k}", 0.5 * (r_img + r_txt)),
-            ]
-        )
-        for name, value in rows:
-            print(f"{name}: {value!r}")
+        r_img, r_txt = md.recall_at_k(runtime.model, runtime.eval_pairs, args.k)
+        rows = [
+            (f"image_retrieval_recall@{args.k}", r_img),
+            (f"text_retrieval_recall@{args.k}", r_txt),
+            (f"mean_recall@{args.k}", 0.5 * (r_img + r_txt)),
+        ]
+    for name, value in rows:
+        print(f"{name}: {value!r}")
     out_path = Path(args.out) if args.out else Path(args.checkpoint).parent / "eval.csv"
     lines = ["metric,value"] + [f"{name},{repr(float(value))}" for name, value in rows]
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -498,20 +409,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_temps(args) -> int:
-    ckpt = tr.load_checkpoint(args.checkpoint)
-    if ckpt.kind == "lm":
-        if args.corpus is None:
-            raise DomainError("exporting from a language-model checkpoint needs --corpus")
-        batch = _lm_eval_windows(ckpt, args.corpus)
-        source = _lm_temperature_source(ckpt, args.tau_max_eval)
-        taus = md.lm_eval_pass(ckpt.foundation, source, batch)[1]
-        _write_lm_temps(args.output, taus)
-    else:
-        if args.pairs is None:
-            raise DomainError("exporting from a contrastive checkpoint needs --pairs")
-        sides, taus = _collect_cl_temps(ckpt, args.pairs, args.tau_max_eval)
-        _write_cl_temps(args.output, sides, taus)
-    print(f"wrote {taus.size} temperatures -> {args.output}")
+    runtime = _open_run(args)
+    n = runtime.write_temperatures(args.output, runtime.evaluate()[1])
+    print(f"wrote {n} temperatures -> {args.output}")
     return 0
 
 

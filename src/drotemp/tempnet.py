@@ -66,6 +66,8 @@ class TempNetConfig:
         else:
             if self.d2 > self.d1:
                 raise DomainError(f"embedding variant needs d2 <= d1, got d1={self.d1} d2={self.d2}")
+        if not np.isfinite(self.tau_max):
+            raise DomainError(f"tau_max must be finite, got {self.tau_max}")
         if not (0.0 < self.tau0 < self.tau_max):
             raise DomainError(f"need 0 < tau0 < tau_max, got [{self.tau0}, {self.tau_max}]")
         if self.rho <= 0.0 or not np.isfinite(self.rho):

@@ -25,6 +25,7 @@ import binascii
 import bisect
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -583,27 +584,49 @@ def _decode_checkpoint(meta: dict, sections: Dict[str, bytes]) -> Checkpoint:
 
 
 class _Runtime:
-    """The foundation model and temperature networks of one task, with the
-    checkpoint plumbing both tasks share; subclasses sample and evaluate."""
+    """One task's data split and model shape (the constructor), then its
+    foundation model and temperature networks: drawn for a new run
+    (``draw``) or adopted from a checkpoint (``restore``). Subclasses sample,
+    evaluate, and lay out the temperature file."""
 
     kind: str
 
-    def _check_checkpoint(self, ckpt: Optional[Checkpoint], model_cfg) -> None:
-        if ckpt is None:
-            return
-        if ckpt.kind != self.kind:
-            raise DomainError(f"checkpoint holds a {ckpt.kind!r} model, expected {self.kind!r}")
-        if ckpt.foundation.cfg != model_cfg:
-            raise DomainError(
-                f"checkpoint model shape {ckpt.foundation.cfg} != task shape {model_cfg}"
-            )
+    def check_trainable(self) -> None:
+        """Refuse data and batch settings that can evaluate but not train."""
 
-    def restore(self, ckpt: Checkpoint):
+    def draw(self, init: Optional[Checkpoint]) -> None:
+        """Fresh TempNets over a fresh model, or over init's model (a warm start)."""
+        if init is None:
+            self.model = self._fresh_model()
+        else:
+            self._check_checkpoint(init)
+            self.model = init.foundation
+        self.tempnets = self._fresh_tempnets() if self.task.objective == "robust" else ()
+
+    def restore(self, ckpt: Checkpoint) -> None:
+        """Adopt the checkpoint's model and TempNets."""
+        self._check_checkpoint(ckpt)
+        have = [net.cfg for net in ckpt.tempnets]
+        want = list(self._tempnet_cfgs()) if self.task.objective == "robust" else []
+        if have != want:
+            raise IntegrityError(f"checkpoint holds TempNets {have}, its task needs {want}")
         self.model = ckpt.foundation
         self.tempnets = ckpt.tempnets
 
-    def foundation(self):
-        return self.model
+    def _check_checkpoint(self, ckpt: Checkpoint) -> None:
+        if ckpt.kind != self.kind:
+            raise DomainError(f"checkpoint holds a {ckpt.kind!r} model, expected {self.kind!r}")
+        if ckpt.foundation.cfg != self.model_cfg:
+            raise DomainError(
+                f"checkpoint model shape {ckpt.foundation.cfg} != task shape {self.model_cfg}"
+            )
+
+    def _tempnet_cfg(self, variant: tn.Variant, d0: int) -> tn.TempNetConfig:
+        cfg = self.run.cfg
+        return tn.TempNetConfig(
+            variant=variant, d0=d0, d1=self.task.tempnet_d1, d2=self.task.tempnet_d2,
+            tau0=cfg.tau0, tau_max=cfg.tau_max, rho=cfg.rho,
+        )
 
     def model_tensors(self):
         return self.model.tensors()
@@ -614,44 +637,50 @@ class _Runtime:
             out.extend((f"tempnet{i}.{n}", t) for n, t in net.tensors())
         return out
 
+    def write_temperatures(self, path, taus: np.ndarray) -> int:
+        """Write an evaluation's temperatures as CSV, one row per eval
+        instance after a running index; returns the row count."""
+        header, labels, taus = self._temperature_columns(taus)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            fh.writelines(
+                f"{i},{label}{float(t)!r}\n" for i, (label, t) in enumerate(zip(labels, taus))
+            )
+        return len(taus)
+
 
 class _LmRuntime(_Runtime):
     kind = "lm"
 
-    def __init__(self, run: TrainConfig, task: LmTask, ckpt: Optional[Checkpoint]):
+    def __init__(self, run: TrainConfig, task: LmTask):
         self.run = run
         self.task = task
         text = md.load_corpus(task.corpus_path)
         self.vocab = md.build_vocab(text)
         ids = self.vocab.encode(text)
         self.train_ids, val_ids = md.split_ids(ids, task.val_fraction)
-        if len(self.train_ids) < task.context_len:
-            raise DomainError("training split shorter than one context window")
         self.eval_batch = md.eval_windows(val_ids, task.context_len)
-
-        lm_cfg = md.LmConfig(
+        self.model_cfg = md.LmConfig(
             vocab_size=self.vocab.size,
             d_model=task.d_model,
             d_ff=task.d_ff,
             n_blocks=task.n_blocks,
             context_len=task.context_len,
         )
-        self._check_checkpoint(ckpt, lm_cfg)
-        self.model = ckpt.foundation if ckpt is not None else md.init_lm(lm_cfg, seed=run.seed)
 
-        if task.objective == "robust":
-            t_cfg = tn.TempNetConfig(
-                variant=tn.Variant.LLM_LOGITS,
-                d0=self.vocab.size,
-                d1=task.tempnet_d1,
-                d2=task.tempnet_d2,
-                tau0=run.cfg.tau0,
-                tau_max=run.cfg.tau_max,
-                rho=run.cfg.rho,
-            )
-            self.tempnets = (tn.init_llm_tempnet(t_cfg, seed=run.seed + 1),)
-        else:
-            self.tempnets = ()
+    def check_trainable(self) -> None:
+        if len(self.train_ids) < self.task.context_len:
+            raise DomainError("training split shorter than one context window")
+
+    def _fresh_model(self) -> md.LmParams:
+        return md.init_lm(self.model_cfg, seed=self.run.seed)
+
+    def _tempnet_cfgs(self) -> Tuple[tn.TempNetConfig, ...]:
+        return (self._tempnet_cfg(tn.Variant.LLM_LOGITS, self.vocab.size),)
+
+    def _fresh_tempnets(self) -> Tuple[tn.TempNetParams, ...]:
+        (cfg,) = self._tempnet_cfgs()
+        return (tn.init_llm_tempnet(cfg, seed=self.run.seed + 1),)
 
     def sample_batch(self, rng: np.random.Generator):
         return md.sample_windows(
@@ -668,49 +697,45 @@ class _LmRuntime(_Runtime):
         source = self.tempnets[0] if self.tempnets else 1.0
         return md.lm_eval_pass(self.model, source, self.eval_batch)
 
+    def _temperature_columns(self, taus: np.ndarray):
+        return "index,tau", itertools.repeat(""), taus
+
 
 class _ClRuntime(_Runtime):
     kind = "cl"
 
-    def __init__(self, run: TrainConfig, task: ClTask, ckpt: Optional[Checkpoint]):
+    def __init__(self, run: TrainConfig, task: ClTask):
         self.run = run
         self.task = task
         pairs = md.load_pairs_csv(task.pairs_path)
         self.train_pairs, self.eval_pairs = md.split_pairs(pairs, task.eval_fraction)
-        if run.batch_size > self.train_pairs.n:
-            raise DomainError(
-                f"batch_size {run.batch_size} exceeds the {self.train_pairs.n} training pairs"
-            )
-        if run.batch_size < 2:
-            raise DomainError("contrastive batches need batch_size >= 2")
-
-        tower_cfg = md.TwoTowerConfig(
+        self.model_cfg = md.TwoTowerConfig(
             img_dim=pairs.x.shape[1],
             txt_dim=pairs.t.shape[1],
             hidden=task.hidden,
             out_dim=task.out_dim,
         )
-        self._check_checkpoint(ckpt, tower_cfg)
-        self.model = (
-            ckpt.foundation if ckpt is not None else md.init_two_tower(tower_cfg, seed=run.seed)
-        )
 
-        if task.objective == "robust":
-            t_cfg = tn.TempNetConfig(
-                variant=tn.Variant.CL_EMBEDDING,
-                d0=task.out_dim,
-                d1=task.tempnet_d1,
-                d2=task.tempnet_d2,
-                tau0=run.cfg.tau0,
-                tau_max=run.cfg.tau_max,
-                rho=run.cfg.rho,
+    def check_trainable(self) -> None:
+        if self.run.batch_size > self.train_pairs.n:
+            raise DomainError(
+                f"batch_size {self.run.batch_size} exceeds the {self.train_pairs.n} training pairs"
             )
-            self.tempnets = (
-                self._init_side_net(t_cfg, run.seed + 1, md.encode_image, self.train_pairs.x),
-                self._init_side_net(t_cfg, run.seed + 2, md.encode_text, self.train_pairs.t),
-            )
-        else:
-            self.tempnets = ()
+        if self.run.batch_size < 2:
+            raise DomainError("contrastive batches need batch_size >= 2")
+
+    def _fresh_model(self) -> md.TwoTowerParams:
+        return md.init_two_tower(self.model_cfg, seed=self.run.seed)
+
+    def _tempnet_cfgs(self) -> Tuple[tn.TempNetConfig, ...]:
+        return (self._tempnet_cfg(tn.Variant.CL_EMBEDDING, self.task.out_dim),) * 2
+
+    def _fresh_tempnets(self) -> Tuple[tn.TempNetParams, ...]:
+        cfg_img, cfg_txt = self._tempnet_cfgs()
+        return (
+            self._init_side_net(cfg_img, self.run.seed + 1, md.encode_image, self.train_pairs.x),
+            self._init_side_net(cfg_txt, self.run.seed + 2, md.encode_text, self.train_pairs.t),
+        )
 
     def _init_side_net(self, cfg: tn.TempNetConfig, seed: int, encode, feats) -> tn.TempNetParams:
         # prototypes come from real transformation outputs: run a few training
@@ -733,7 +758,8 @@ class _ClRuntime(_Runtime):
         return md.baseline_gcl_loss(self.model, self.task.fixed_tau1, self.task.fixed_tau2, batch)
 
     def evaluate(self) -> Tuple[float, np.ndarray]:
-        """Mean recall@1 over both directions, plus held-out temperatures."""
+        """Mean recall@1 over both directions, plus held-out temperatures:
+        the image side's then the text side's, or the two fixed taus."""
         r_img, r_txt = md.recall_at_k(self.model, self.eval_pairs, 1)
         metric = 0.5 * (r_img + r_txt)
         if self.task.objective != "robust":
@@ -747,6 +773,46 @@ class _ClRuntime(_Runtime):
             ]
         )
         return metric, taus
+
+    def _temperature_columns(self, taus: np.ndarray):
+        n = self.eval_pairs.n
+        # a fixed objective evaluates to one tau per side, not one per pair
+        per_side = np.broadcast_to(taus.reshape(2, -1), (2, n)).reshape(-1)
+        return "index,side,tau", ["image,"] * n + ["text,"] * n, per_side
+
+
+def _runtime(run: TrainConfig, task: Union[LmTask, ClTask]) -> _Runtime:
+    if isinstance(task, LmTask):
+        return _LmRuntime(run, task)
+    if isinstance(task, ClTask):
+        return _ClRuntime(run, task)
+    raise DomainError(f"unknown task type {type(task).__name__}")
+
+
+def open_run(ckpt: Checkpoint, data_path, tau_max: Optional[float] = None) -> _Runtime:
+    """A finished run's runtime: the checkpoint's recorded run and task, with
+    data_path (a corpus or pairs file, not necessarily the training data) in
+    place of the training data, holding the checkpoint's model and TempNets.
+
+    ``tau_max`` stretches each TempNet's output map to a new ceiling at
+    inference; the weights are kept. Nothing is drawn fresh.
+    """
+    task_meta = _field(ckpt.extra, "task", "meta")
+    run_meta = _field(ckpt.extra, "run", "meta")
+    task_type, data_key = (LmTask, "corpus_path") if ckpt.kind == "lm" else (ClTask, "pairs_path")
+    try:
+        run = TrainConfig(**{**run_meta, "cfg": DroConfig(**_field(run_meta, "cfg", "meta"))})
+        task = task_type(**{**task_meta, data_key: str(data_path)})
+    except (TypeError, ValueError) as exc:
+        raise IntegrityError(f"checkpoint does not describe a valid run: {exc}") from None
+    runtime = _runtime(run, task)
+    runtime.restore(ckpt)
+    if tau_max is not None:
+        runtime.tempnets = tuple(
+            dataclasses.replace(net, cfg=dataclasses.replace(net.cfg, tau_max=tau_max))
+            for net in runtime.tempnets
+        )
+    return runtime
 
 
 # ---------------------------------------------------------------------------
@@ -792,37 +858,29 @@ def train(
     out_dir,
     stop_at_step: Optional[int] = None,
     resume_from=None,
-) -> Tuple[Checkpoint, Path, Optional[np.ndarray]]:
-    """Run the loop; returns the final checkpoint, the metrics file path and
-    the temperatures of the evaluation at the final step (None when the run
-    stops at a step that does not evaluate).
+) -> Tuple[Checkpoint, Path]:
+    """Run the loop; returns the final checkpoint and the metrics file path.
 
     ``stop_at_step`` ends the run early (after writing the checkpoint), and
     ``resume_from`` continues a checkpointed run with the identical config;
     the resumed trajectory matches an uninterrupted run bit for bit. Metrics
     rows are written at every ``eval_every`` step and at the final step.
+    When the run stops at a step that evaluates, that evaluation's
+    temperatures go to ``temperatures.csv``; otherwise the file is removed.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run_hash = config_hash(run, task)
 
-    init_ckpt = None
-    if task.mode != "scratch":
-        init_ckpt = load_checkpoint(task.init_from)
-
-    if isinstance(task, LmTask):
-        runtime: _Runtime = _LmRuntime(run, task, init_ckpt)
-    elif isinstance(task, ClTask):
-        runtime = _ClRuntime(run, task, init_ckpt)
-    else:
-        raise DomainError(f"unknown task type {type(task).__name__}")
-
+    runtime = _runtime(run, task)
+    runtime.check_trainable()
     rng = np.random.Generator(np.random.PCG64(run.seed))
-    opt_model = OptimizerState()
-    opt_tempnet = OptimizerState()
-    start_step = 0
 
-    if resume_from is not None:
+    if resume_from is None:
+        runtime.draw(load_checkpoint(task.init_from) if task.mode != "scratch" else None)
+        opt_model, opt_tempnet = OptimizerState(), OptimizerState()
+        start_step = 0
+    else:
         ckpt = load_checkpoint(resume_from)
         if ckpt.config_hash != run_hash:
             raise DomainError(
@@ -839,7 +897,7 @@ def train(
         for _, tensor in runtime.model_tensors():
             tensor.requires_grad = False
     train_tempnet = task.objective == "robust"
-    # built after restore, which swaps in the checkpoint's tensors
+    # built after draw / restore, which bind the model's and TempNets' tensors
     model_group = ParamGroup(runtime.model_tensors(), opt_model) if train_model else None
     tempnet_group = ParamGroup(runtime.tempnet_tensors(), opt_tempnet) if train_tempnet else None
 
@@ -857,7 +915,7 @@ def train(
             kind=runtime.kind,
             step=step,
             config_hash=run_hash,
-            foundation=runtime.foundation(),
+            foundation=runtime.model,
             tempnets=tuple(runtime.tempnets),
             opt_model=opt_model,
             opt_tempnet=opt_tempnet,
@@ -916,4 +974,9 @@ def train(
 
     final = snapshot(end_step)
     save_checkpoint(final, ckpt_path)
-    return final, metrics_path, final_taus
+    temps_path = out_dir / "temperatures.csv"
+    if final_taus is None:
+        temps_path.unlink(missing_ok=True)
+    else:
+        runtime.write_temperatures(temps_path, final_taus)
+    return final, metrics_path

@@ -225,7 +225,7 @@ def _lm_final_ppl(objective: str, seed: int, out_dir) -> float:
         corpus_path=CORPUS, objective=objective, context_len=12,
         d_model=16, d_ff=32, tempnet_d1=8, tempnet_d2=4,
     )
-    _, metrics, _ = tr.train(run, task, out_dir)
+    _, metrics = tr.train(run, task, out_dir)
     return tr.read_metrics(metrics)[-1]["eval_metric"]
 
 
@@ -270,7 +270,7 @@ def test_10_radius_orders_final_temperatures(tmp_path):
         corpus_path=str(corpus), context_len=8, d_model=16, d_ff=32,
         tempnet_d1=8, tempnet_d2=4,
     )
-    ckpt, _, _ = tr.train(seed_run, base_task, tmp_path / "base", stop_at_step=0)
+    ckpt, _ = tr.train(seed_run, base_task, tmp_path / "base", stop_at_step=0)
     for name, tensor in ckpt.foundation.tensors():
         if "out_proj" in name:
             tensor.data = 4.0 * rng.normal(size=tensor.data.shape)
@@ -289,7 +289,7 @@ def test_10_radius_orders_final_temperatures(tmp_path):
             init_from=str(tmp_path / "base" / "checkpoint.bin"),
             context_len=8, d_model=16, d_ff=32, tempnet_d1=8, tempnet_d2=4,
         )
-        _, metrics, _ = tr.train(run, task, tmp_path / f"rho{rho}")
+        _, metrics = tr.train(run, task, tmp_path / f"rho{rho}")
         row = tr.read_metrics(metrics)[-1]
         finals.append((rho, row["tau_mean"], row["tau_min"]))
 
@@ -328,7 +328,7 @@ def _cl_final_recall(objective: str, seed: int, pairs_path, out_dir) -> float:
         pairs_path=str(pairs_path), objective=objective, hidden=32, out_dim=12,
         tempnet_d1=8, tempnet_d2=4, fixed_tau1=0.07, fixed_tau2=0.07,
     )
-    _, metrics, _ = tr.train(run, task, out_dir)
+    _, metrics = tr.train(run, task, out_dir)
     return tr.read_metrics(metrics)[-1]["eval_metric"]
 
 

@@ -5,6 +5,7 @@ observable without subprocesses.
 """
 
 import binascii
+import dataclasses
 import json
 import os
 import resource
@@ -33,6 +34,16 @@ LM_OVERRIDES = [
     "lm.context_len=12",
     "lm.d_model=16",
     "lm.d_ff=32",
+    "tempnet.d1=8",
+    "tempnet.d2=4",
+]
+
+CL_OVERRIDES = [
+    "train.total_steps=15",
+    "train.eval_every=5",
+    "train.batch_size=8",
+    "cl.hidden=16",
+    "cl.out_dim=8",
     "tempnet.d1=8",
     "tempnet.d2=4",
 ]
@@ -67,22 +78,7 @@ def cl_run(tmp_path_factory):
         == 0
     )
     out = root / "run"
-    assert (
-        run_cli(
-            [
-                "train-cl", "--out", str(out),
-                f"data.pairs={pairs}",
-                "train.total_steps=15",
-                "train.eval_every=5",
-                "train.batch_size=8",
-                "cl.hidden=16",
-                "cl.out_dim=8",
-                "tempnet.d1=8",
-                "tempnet.d2=4",
-            ]
-        )
-        == 0
-    )
+    assert run_cli(["train-cl", "--out", str(out), f"data.pairs={pairs}", *CL_OVERRIDES]) == 0
     return out, pairs
 
 
@@ -123,6 +119,25 @@ def fixture_cl_ckpt(tmp_path_factory):
         == 0
     )
     return out / "checkpoint.bin"
+
+
+def with_meta(source, tmp_path, edit):
+    """A copy of the checkpoint at source whose meta JSON edit has changed in
+    place, with a valid checksum; the path of the copy."""
+    raw = source.read_bytes()
+    # the meta section comes first: name length, name, payload length, payload, crc
+    (name_len,) = struct.unpack("<H", raw[6:8])
+    at = 8 + name_len
+    (size,) = struct.unpack("<Q", raw[at : at + 8])
+    meta = json.loads(raw[at + 8 : at + 8 + size])
+    edit(meta)
+    payload = json.dumps(meta).encode()
+    damaged = tmp_path / "damaged.bin"
+    damaged.write_bytes(
+        raw[:at] + struct.pack("<Q", len(payload)) + payload
+        + struct.pack("<I", binascii.crc32(payload)) + raw[at + 8 + size + 4 :]
+    )
+    return damaged
 
 
 def read_taus(path):
@@ -612,7 +627,7 @@ def frozen_sharp_lm(tmp_path_factory):
         corpus_path=str(corpus), context_len=8, d_model=16, d_ff=32,
         tempnet_d1=8, tempnet_d2=4,
     )
-    ckpt, _, _ = tr.train(run, task, root / "base", stop_at_step=0)
+    ckpt, _ = tr.train(run, task, root / "base", stop_at_step=0)
     for name, tensor in ckpt.foundation.tensors():
         if "out_proj" in name:
             tensor.data = 4.0 * rng.normal(size=tensor.data.shape)
@@ -664,6 +679,26 @@ class TestTrainCl:
         # eval split of 60 pairs at 0.25 is 15 per side
         assert sides.count("image") == 15 and sides.count("text") == 15
         assert taus.size == 30
+
+    @pytest.mark.parametrize("objective", ["robust", "fixed"])
+    def test_temperatures_equal_export_from_checkpoint(self, cl_run, tmp_path, objective):
+        # train-cl writes the final evaluation's taus, a fixed objective's two
+        # taus spread over the eval pairs; export-temps must write the same
+        _, pairs = cl_run
+        out = tmp_path / "run"
+        argv = ["train-cl", "--out", str(out), f"data.pairs={pairs}", *CL_OVERRIDES,
+                f"task.objective={objective}"]
+        assert run_cli(argv) == 0
+        exported = tmp_path / "export.csv"
+        rc = run_cli(
+            ["export-temps", "--checkpoint", str(out / "checkpoint.bin"),
+             "--pairs", str(pairs), "--output", str(exported)]
+        )
+        assert rc == 0
+        assert (out / "temperatures.csv").read_bytes() == exported.read_bytes()
+        _, taus = read_taus(exported)
+        assert taus.size == 30
+        assert (taus == 0.05).all() if objective == "fixed" else np.unique(taus).size > 2
 
     def test_missing_pairs_names_key(self, tmp_path, capsys):
         rc = run_cli(["train-cl", "--out", str(tmp_path / "x"), "train.total_steps=5"])
@@ -754,23 +789,21 @@ class TestEval:
         assert rc == 2
 
     def test_checkpoint_meta_missing_a_key_exits_1(self, lm_run, tmp_path, capsys):
-        raw = (lm_run / "checkpoint.bin").read_bytes()
-        # the meta section comes first: name length, name, payload length, payload, crc
-        (name_len,) = struct.unpack("<H", raw[6:8])
-        at = 8 + name_len
-        (size,) = struct.unpack("<Q", raw[at : at + 8])
-        meta = json.loads(raw[at + 8 : at + 8 + size])
-        del meta["step"]
-        payload = json.dumps(meta).encode()
-        damaged = tmp_path / "damaged.bin"
-        damaged.write_bytes(
-            raw[:at] + struct.pack("<Q", len(payload)) + payload
-            + struct.pack("<I", binascii.crc32(payload)) + raw[at + 8 + size + 4 :]
-        )
+        damaged = with_meta(lm_run / "checkpoint.bin", tmp_path, lambda meta: meta.pop("step"))
         rc = run_cli(["eval", "--checkpoint", str(damaged), "--corpus", CORPUS])
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "error: checkpoint section 'meta' is missing 'step'\n"
+
+    def test_checkpoint_without_recorded_task_exits_1(self, lm_run, tmp_path, capsys):
+        # eval rebuilds the run from meta.extra's task; without one it cannot
+        def drop_task(meta):
+            meta["extra"].pop("task")
+
+        damaged = with_meta(lm_run / "checkpoint.bin", tmp_path, drop_task)
+        rc = run_cli(["eval", "--checkpoint", str(damaged), "--corpus", CORPUS])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: checkpoint section 'meta' is missing 'task'\n"
 
     def test_pairs_train_cl_rejects_are_rejected_by_eval(self, fixture_cl_ckpt, tmp_path, capsys):
         # 3 pairs leave 1 for training: train-cl refuses the split, and eval
@@ -786,6 +819,86 @@ class TestEval:
         eval_err = capsys.readouterr().err
         assert eval_err == train_err
         assert eval_err.startswith("error: 3 pairs") and "Traceback" not in eval_err
+
+
+    def test_transfer_pairs_evaluate_where_training_refuses(self, cl_run, tmp_path, capsys):
+        # 4 pairs split 2 / 2: too few for a batch of 16, enough to evaluate
+        _, pairs = cl_run
+        trained = tmp_path / "b16"
+        short = ["train.batch_size=16", "train.total_steps=2", "train.eval_every=2"]
+        argv = ["train-cl", "--out", str(trained), f"data.pairs={pairs}", *CL_OVERRIDES, *short]
+        assert run_cli(argv) == 0
+        full = md.load_pairs_csv(pairs)
+        four = tmp_path / "four.csv"
+        md.save_pairs_csv(four, md.PairBatch(full.x[:4], full.t[:4]))
+        ckpt = str(trained / "checkpoint.bin")
+        rc = run_cli(["eval", "--checkpoint", ckpt, "--pairs", str(four), "--k", "2",
+                      "--out", str(tmp_path / "eval.csv")])
+        assert rc == 0
+        rc = run_cli(["export-temps", "--checkpoint", ckpt, "--pairs", str(four),
+                      "--output", str(tmp_path / "t.csv")])
+        assert rc == 0
+        header, taus = read_taus(tmp_path / "t.csv")
+        assert header == "index,side,tau" and taus.size == 4
+        capsys.readouterr()
+        argv = ["train-cl", "--out", str(tmp_path / "run"), f"data.pairs={four}", *CL_OVERRIDES,
+                *short]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == "error: batch_size 16 exceeds the 2 training pairs\n"
+
+
+class TestOpenRunRefusals:
+    """eval and export-temps refuse, with exit 1 and one stderr line and no
+    output file, what they cannot open a finished run with."""
+
+    def refused(self, capsys, tmp_path, command, ckpt, data):
+        out_path = tmp_path / "out.csv"
+        target = ["--out", str(out_path)] if command == "eval" else ["--output", str(out_path)]
+        capsys.readouterr()
+        rc = run_cli([command, "--checkpoint", str(ckpt), *data, *target])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out_path.exists()
+        return err
+
+    @pytest.fixture(params=["lm", "cl"])
+    def finished(self, request, lm_run, cl_run):
+        """(kind, checkpoint, data arguments) of a trained robust run."""
+        if request.param == "lm":
+            return "lm", lm_run / "checkpoint.bin", ["--corpus", CORPUS]
+        return "cl", cl_run[0] / "checkpoint.bin", ["--pairs", str(cl_run[1])]
+
+    @pytest.mark.parametrize("command", ["eval", "export-temps"])
+    def test_infinite_tau_ceiling(self, finished, tmp_path, capsys, command):
+        _, ckpt, data = finished
+        err = self.refused(capsys, tmp_path, command, ckpt, [*data, "--tau-max-eval", "inf"])
+        assert err == "error: tau_max must be finite, got inf\n"
+
+    @pytest.mark.parametrize("command", ["eval", "export-temps"])
+    def test_checkpoint_short_of_a_tempnet(self, finished, tmp_path, capsys, command):
+        # CRC-valid, but its recorded robust task needs one TempNet more
+        _, source, data = finished
+        ckpt = tr.load_checkpoint(source)
+        bad = tmp_path / "short.bin"
+        tr.save_checkpoint(dataclasses.replace(ckpt, tempnets=ckpt.tempnets[:-1]), bad)
+        err = self.refused(capsys, tmp_path, command, bad, data)
+        assert err.startswith("error: checkpoint holds TempNets ["), err
+
+    @pytest.mark.parametrize("command", ["eval", "export-temps"])
+    def test_data_of_another_shape_names_both(self, finished, tmp_path, capsys, command):
+        kind, ckpt, _ = finished
+        if kind == "lm":
+            corpus = tmp_path / "abc.txt"
+            corpus.write_text("abc " * 200, encoding="utf-8")
+            trained = tr.load_checkpoint(ckpt).foundation.cfg.vocab_size
+            data, sizes = ["--corpus", str(corpus)], ("vocab_size=4,", f"vocab_size={trained},")
+        else:
+            narrow = tmp_path / "narrow.csv"
+            md.save_pairs_csv(narrow, md.gen_clustered_pairs(20, 4, 2, 0.2, seed=1))
+            data, sizes = ["--pairs", str(narrow)], ("img_dim=4,", "img_dim=6,")
+        err = self.refused(capsys, tmp_path, command, ckpt, data)
+        assert all(size in err for size in sizes), err
 
 
 # ---------------------------------------------------------------------------

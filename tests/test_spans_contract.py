@@ -59,15 +59,14 @@ def test_traced_runs_record_their_loss_and_uninstall_restores(tmp_path):
         assert getattr(owner, attr) is fn, (owner, attr)
 
 
-def test_traced_train_lm_evaluates_once(tmp_path):
-    """train-lm writes temperatures.csv from the trainer's final evaluation,
-    so outside the training steps every TempNet call lies under the run's
-    one trainer.evaluate span: a second evaluation pass would show here."""
+def evaluations_and_outside_tau_calls(argv, tau_span):
+    """Trace one training command: the indices of its trainer.evaluate spans,
+    and of its tau_span calls outside the loss spans of the training steps,
+    each with its ancestors."""
     spans = load_spans()
     tracer = spans.Tracer()
     tracer.install()
     try:
-        argv = ["train-lm", "--out", str(tmp_path / "run"), *LM, *SMALL, "task.objective=robust"]
         assert cli.main(argv) == 0
     finally:
         tracer.uninstall()
@@ -80,10 +79,33 @@ def test_traced_train_lm_evaluates_once(tmp_path):
             yield i
 
     evals = [i for i, name in enumerate(names) if name == "trainer.evaluate"]
-    assert len(evals) == 1
-    tau_calls = [i for i, name in enumerate(names) if name == "tempnet.llm_tau_batch"]
-    outside_steps = [
-        i for i in tau_calls if not any(names[a] in spans.LOSS_SPANS for a in ancestors(i))
-    ]
+    tau_calls = [i for i, name in enumerate(names) if name == tau_span]
+    outside_steps = {
+        i: set(ancestors(i)) for i in tau_calls
+        if not any(names[a] in spans.LOSS_SPANS for a in ancestors(i))
+    }
     assert len(outside_steps) < len(tau_calls)
-    assert outside_steps and all(evals[0] in ancestors(i) for i in outside_steps)
+    return evals, outside_steps
+
+
+def test_traced_train_lm_evaluates_once(tmp_path):
+    """train-lm writes temperatures.csv from the trainer's final evaluation,
+    so outside the training steps every TempNet call lies under the run's
+    one trainer.evaluate span: a second evaluation pass would show here."""
+    argv = ["train-lm", "--out", str(tmp_path / "run"), *LM, *SMALL, "task.objective=robust"]
+    evals, outside_steps = evaluations_and_outside_tau_calls(argv, "tempnet.llm_tau_batch")
+    assert len(evals) == 1
+    assert outside_steps and all(evals[0] in up for up in outside_steps.values())
+
+
+def test_traced_train_cl_evaluates_once(tmp_path):
+    """The same for train-cl, whose per-side temperature file comes from the
+    final evaluation too."""
+    pairs = tmp_path / "pairs.csv"
+    md.save_pairs_csv(pairs, md.gen_clustered_pairs(40, 6, 3, 0.2, seed=4))
+    argv = ["train-cl", "--out", str(tmp_path / "run"), f"data.pairs={pairs}", "cl.hidden=12",
+            "cl.out_dim=8", *SMALL, "task.objective=robust"]
+    evals, outside_steps = evaluations_and_outside_tau_calls(argv, "tempnet.cl_tau_batch")
+    assert len(evals) == 1
+    assert len(outside_steps) == 2  # the image side's and the text side's
+    assert all(evals[0] in up for up in outside_steps.values())

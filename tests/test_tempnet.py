@@ -121,6 +121,8 @@ class TestConfigValidation:
     def test_range_and_rho(self):
         with pytest.raises(DomainError):
             llm_cfg(tau0=2.0, tau_max=2.0)
+        with pytest.raises(DomainError, match="^tau_max must be finite, got inf$"):
+            cl_cfg(tau_max=np.inf)
         with pytest.raises(DomainError):
             llm_cfg(rho=0.0)
         with pytest.raises(DomainError):

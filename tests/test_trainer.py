@@ -285,7 +285,7 @@ class TestCheckpoint:
         return run, tr.train(run, small_lm_task(), tmp_path / "run")
 
     def test_round_trip_is_bit_exact(self, tmp_path):
-        _, (ckpt, _, _) = self.trained(tmp_path)
+        _, (ckpt, _) = self.trained(tmp_path)
         loaded = tr.load_checkpoint(tmp_path / "run" / "checkpoint.bin")
         assert loaded.kind == "lm" and loaded.step == 4
         assert loaded.config_hash == ckpt.config_hash
@@ -307,7 +307,7 @@ class TestCheckpoint:
         assert loaded.rng_state == ckpt.rng_state
 
     def test_rng_state_resumes_the_same_stream(self, tmp_path):
-        _, (ckpt, _, _) = self.trained(tmp_path)
+        _, (ckpt, _) = self.trained(tmp_path)
         loaded = tr.load_checkpoint(tmp_path / "run" / "checkpoint.bin")
         a = np.random.Generator(np.random.PCG64())
         a.bit_generator.state = ckpt.rng_state
@@ -466,43 +466,47 @@ class TestCheckpointFuzz:
 class TestLmTraining:
     def test_metrics_file_has_expected_rows(self, tmp_path):
         run = small_run(total_steps=25, eval_every=10)
-        _, metrics_path, _ = tr.train(run, small_lm_task(), tmp_path)
+        _, metrics_path = tr.train(run, small_lm_task(), tmp_path)
         lines = metrics_path.read_text().splitlines()
         assert lines[0] == tr.METRICS_HEADER
         rows = tr.read_metrics(metrics_path)
         assert [r["step"] for r in rows] == [10, 20, 25]
 
-    def test_returns_the_final_evaluation_temperatures(self, tmp_path):
+    def test_writes_the_final_evaluation_temperatures(self, tmp_path):
         run, task = small_run(total_steps=6, eval_every=4), small_lm_task()
-        ckpt, metrics_path, taus = tr.train(run, task, tmp_path / "full")
+        ckpt, metrics_path = tr.train(run, task, tmp_path / "full")
         text = md.load_corpus(CORPUS)
         _, val = md.split_ids(md.build_vocab(text).encode(text), task.val_fraction)
         batch = md.eval_windows(val, task.context_len)
         ppl, expect = md.lm_eval_pass(ckpt.foundation, ckpt.tempnets[0], batch)
-        np.testing.assert_array_equal(taus, expect)
+        written = (tmp_path / "full" / "temperatures.csv").read_text().splitlines()
+        assert written == ["index,tau"] + [f"{i},{t!r}" for i, t in enumerate(expect.tolist())]
         final = tr.read_metrics(metrics_path)[-1]
         assert final["step"] == 6 and final["eval_metric"] == ppl
-        assert final["tau_mean"] == float(taus.mean())
-        # a run stopped at a step that evaluates returns that step's taus;
-        # one stopped between evaluations returns none
-        assert tr.train(run, task, tmp_path / "at4", stop_at_step=4)[2] is not None
-        assert tr.train(run, task, tmp_path / "at5", stop_at_step=5)[2] is None
+        assert final["tau_mean"] == float(expect.mean())
+        # a run stopped at a step that evaluates writes that step's taus; one
+        # stopped between evaluations has none, and removes a stale file
+        part = tmp_path / "part"
+        tr.train(run, task, part, stop_at_step=4)
+        assert (part / "temperatures.csv").exists()
+        tr.train(run, task, part, stop_at_step=5, resume_from=part / "checkpoint.bin")
+        assert not (part / "temperatures.csv").exists()
 
     def test_same_seed_runs_are_bit_identical(self, tmp_path):
         run, task = small_run(), small_lm_task()
-        _, p1, _ = tr.train(run, task, tmp_path / "a")
-        _, p2, _ = tr.train(run, task, tmp_path / "b")
+        _, p1 = tr.train(run, task, tmp_path / "a")
+        _, p2 = tr.train(run, task, tmp_path / "b")
         assert p1.read_text() == p2.read_text()
 
     def test_different_seeds_differ(self, tmp_path):
         task = small_lm_task()
-        _, p1, _ = tr.train(small_run(seed=3), task, tmp_path / "a")
-        _, p2, _ = tr.train(small_run(seed=4), task, tmp_path / "b")
+        _, p1 = tr.train(small_run(seed=3), task, tmp_path / "a")
+        _, p2 = tr.train(small_run(seed=4), task, tmp_path / "b")
         assert p1.read_text() != p2.read_text()
 
     def test_loss_and_temperatures_behave(self, tmp_path):
         run = small_run()
-        _, metrics_path, _ = tr.train(run, small_lm_task(), tmp_path)
+        _, metrics_path = tr.train(run, small_lm_task(), tmp_path)
         rows = tr.read_metrics(metrics_path)
         assert rows[-1]["loss"] < rows[0]["loss"]
         for row in rows:
@@ -510,7 +514,7 @@ class TestLmTraining:
 
     def test_ce_objective_reports_unit_temperature(self, tmp_path):
         run = small_run(total_steps=8, eval_every=4)
-        _, metrics_path, _ = tr.train(run, small_lm_task(objective="ce"), tmp_path)
+        _, metrics_path = tr.train(run, small_lm_task(objective="ce"), tmp_path)
         for row in tr.read_metrics(metrics_path):
             assert row["tau_mean"] == row["tau_min"] == row["tau_max"] == 1.0
             assert row["lr_tempnet"] == 0.0
@@ -519,9 +523,9 @@ class TestLmTraining:
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         run, task = small_run(), small_lm_task()
-        full_ckpt, full_metrics, _ = tr.train(run, task, tmp_path / "full")
+        full_ckpt, full_metrics = tr.train(run, task, tmp_path / "full")
         tr.train(run, task, tmp_path / "part1", stop_at_step=17)
-        resumed_ckpt, resumed_metrics, _ = tr.train(
+        resumed_ckpt, resumed_metrics = tr.train(
             run, task, tmp_path / "part2", resume_from=tmp_path / "part1" / "checkpoint.bin"
         )
         full_rows = full_metrics.read_text().splitlines()[1:]
@@ -537,7 +541,7 @@ class TestLmTraining:
 
     def test_in_place_resume_completes_the_metrics_file(self, tmp_path):
         run, task = small_run(), small_lm_task()
-        _, full_metrics, _ = tr.train(run, task, tmp_path / "full")
+        _, full_metrics = tr.train(run, task, tmp_path / "full")
         tr.train(run, task, tmp_path / "part", stop_at_step=17)
         tr.train(
             run, task, tmp_path / "part", resume_from=tmp_path / "part" / "checkpoint.bin"
@@ -558,9 +562,9 @@ class TestLmTraining:
 
     def test_tempnet_only_freezes_foundation(self, tmp_path):
         run, task = small_run(total_steps=10, eval_every=5), small_lm_task()
-        base_ckpt, _, _ = tr.train(run, task, tmp_path / "base")
+        base_ckpt, _ = tr.train(run, task, tmp_path / "base")
         follow = small_lm_task(mode="tempnet-only", init_from=str(tmp_path / "base" / "checkpoint.bin"))
-        follow_ckpt, metrics_path, _ = tr.train(run, follow, tmp_path / "follow")
+        follow_ckpt, metrics_path = tr.train(run, follow, tmp_path / "follow")
         assert tr.foundation_fingerprint(follow_ckpt.foundation.tensors()) == tr.foundation_fingerprint(
             base_ckpt.foundation.tensors()
         )
@@ -573,9 +577,9 @@ class TestLmTraining:
 
     def test_joint_finetune_updates_foundation(self, tmp_path):
         run, task = small_run(total_steps=10, eval_every=5), small_lm_task()
-        base_ckpt, _, _ = tr.train(run, task, tmp_path / "base")
+        base_ckpt, _ = tr.train(run, task, tmp_path / "base")
         follow = small_lm_task(mode="joint-finetune", init_from=str(tmp_path / "base" / "checkpoint.bin"))
-        follow_ckpt, _, _ = tr.train(run, follow, tmp_path / "follow")
+        follow_ckpt, _ = tr.train(run, follow, tmp_path / "follow")
         assert tr.foundation_fingerprint(follow_ckpt.foundation.tensors()) != tr.foundation_fingerprint(
             base_ckpt.foundation.tensors()
         )
@@ -654,7 +658,7 @@ class TestClTraining:
 
     def test_trains_and_reports_recall(self, tmp_path):
         run = self.run_cfg()
-        _, metrics_path, _ = tr.train(run, small_cl_task(cl_fixture(tmp_path)), tmp_path / "run")
+        _, metrics_path = tr.train(run, small_cl_task(cl_fixture(tmp_path)), tmp_path / "run")
         rows = tr.read_metrics(metrics_path)
         assert [r["step"] for r in rows] == [10, 20]
         for row in rows:
@@ -664,7 +668,7 @@ class TestClTraining:
     def test_fixed_temperature_baseline(self, tmp_path):
         run = self.run_cfg(total_steps=6, eval_every=3)
         task = small_cl_task(cl_fixture(tmp_path), objective="fixed", fixed_tau1=0.07, fixed_tau2=0.2)
-        _, metrics_path, _ = tr.train(run, task, tmp_path / "run")
+        _, metrics_path = tr.train(run, task, tmp_path / "run")
         for row in tr.read_metrics(metrics_path):
             assert row["tau_min"] == 0.07 and row["tau_max"] == 0.2
             assert row["tau_mean"] == pytest.approx(0.135, rel=1e-15)
@@ -673,11 +677,11 @@ class TestClTraining:
     def test_tempnet_only_freezes_towers(self, tmp_path):
         run = self.run_cfg(total_steps=8, eval_every=4)
         pairs = cl_fixture(tmp_path)
-        base_ckpt, _, _ = tr.train(run, small_cl_task(pairs), tmp_path / "base")
+        base_ckpt, _ = tr.train(run, small_cl_task(pairs), tmp_path / "base")
         follow = small_cl_task(
             pairs, mode="tempnet-only", init_from=str(tmp_path / "base" / "checkpoint.bin")
         )
-        follow_ckpt, _, _ = tr.train(run, follow, tmp_path / "follow")
+        follow_ckpt, _ = tr.train(run, follow, tmp_path / "follow")
         assert tr.foundation_fingerprint(follow_ckpt.foundation.tensors()) == tr.foundation_fingerprint(
             base_ckpt.foundation.tensors()
         )
@@ -685,8 +689,8 @@ class TestClTraining:
     def test_same_seed_identical(self, tmp_path):
         run = self.run_cfg(total_steps=8, eval_every=4)
         pairs = cl_fixture(tmp_path)
-        _, p1, _ = tr.train(run, small_cl_task(pairs), tmp_path / "a")
-        _, p2, _ = tr.train(run, small_cl_task(pairs), tmp_path / "b")
+        _, p1 = tr.train(run, small_cl_task(pairs), tmp_path / "a")
+        _, p2 = tr.train(run, small_cl_task(pairs), tmp_path / "b")
         assert p1.read_text() == p2.read_text()
 
     def test_oversized_batch_rejected(self, tmp_path):
@@ -712,7 +716,7 @@ class TestClTraining:
         md.save_pairs_csv(path, md.gen_clustered_pairs(40, 6, 3, 0.5, seed=2))
         run = tr.TrainConfig(total_steps=2, batch_size=8, seed=2, cfg=DroConfig(), eval_every=2)
         task = tr.ClTask(pairs_path=str(path), hidden=16, out_dim=8, tempnet_d1=8, tempnet_d2=8)
-        ckpt, metrics_path, _ = tr.train(run, task, tmp_path / "run")
+        ckpt, metrics_path = tr.train(run, task, tmp_path / "run")
         for net in ckpt.tempnets:
             assert np.abs(net.W2.data).sum(axis=0).min() > 0.0
         assert [r["step"] for r in tr.read_metrics(metrics_path)] == [2]
