@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import itertools
 import json
@@ -20,7 +21,7 @@ import os
 import shutil
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import models as md
 from . import trainer as tr
@@ -41,67 +42,51 @@ from .tau_solver import (
 
 # ---------------------------------------------------------------------------
 # config schema
+#
+# The keys are the fields of DroConfig, TrainConfig and the task class; each
+# takes its default from the field, and its converter from that default's
+# type (the raw string when the default is None). The CLI declares only the
+# defaults the library does not have.
 
 
-def _f(raw: str) -> float:
-    return float(raw)
+class _Key(NamedTuple):
+    convert: Callable[[str], object]
+    default: object
+    owner: type
+    field: dataclasses.Field
 
 
-def _i(raw: str) -> int:
-    return int(raw)
-
-
-def _s(raw: str) -> str:
-    return raw
-
-
-_COMMON_SCHEMA: Dict[str, tuple] = {
-    "task.mode": (_s, "scratch"),
-    "task.objective": (_s, "robust"),
-    "task.init_from": (_s, None),
-    "dro.rho": (_f, 1.0),
-    "dro.tau0": (_f, 1e-3),
-    "dro.tau_max": (_f, 2.0),
-    "tempnet.d1": (_i, 16),
-    "tempnet.d2": (_i, 8),
-    "train.total_steps": (_i, 200),
-    "train.batch_size": (_i, 8),
-    "train.seed": (_i, 0),
-    "train.base_lr": (_f, 1e-3),
-    "train.tempnet_lr": (_f, 1e-4),
-    "train.warmup_fraction": (_f, 0.01),
-    "train.weight_decay": (_f, 0.1),
-    "train.beta1": (_f, 0.9),
-    "train.beta2": (_f, 0.95),
-    "train.eps": (_f, 1e-8),
-    "train.eval_every": (_i, 100),
+# a key is "<section>.<field>" unless renamed here
+_KEY_NAMES = {
+    "mode": "task.mode", "objective": "task.objective", "init_from": "task.init_from",
+    "tempnet_d1": "tempnet.d1", "tempnet_d2": "tempnet.d2",
+    "corpus_path": "data.corpus", "pairs_path": "data.pairs",
 }
 
-_LM_SCHEMA: Dict[str, tuple] = {
-    **_COMMON_SCHEMA,
-    "data.corpus": (_s, None),
-    "lm.d_model": (_i, 32),
-    "lm.d_ff": (_i, 64),
-    "lm.n_blocks": (_i, 1),
-    "lm.context_len": (_i, 32),
-    "lm.val_fraction": (_f, 0.1),
-}
+# the run length, batch size and seed have no library default
+_RUN_DEFAULTS = {"train.total_steps": 200, "train.batch_size": 8, "train.seed": 0}
+
+
+def _schema(task_type: type, section: str, defaults: Dict[str, object]) -> Dict[str, _Key]:
+    schema = {}
+    for owner, prefix in ((DroConfig, "dro"), (tr.TrainConfig, "train"), (task_type, section)):
+        for f in dataclasses.fields(owner):
+            if f.name == "cfg":  # TrainConfig's DroConfig, whose fields are keys of their own
+                continue
+            key = _KEY_NAMES.get(f.name, f"{prefix}.{f.name}")
+            default = defaults.get(key, None if f.default is dataclasses.MISSING else f.default)
+            schema[key] = _Key(str if default is None else type(default), default, owner, f)
+    return schema
+
+
+_LM_SCHEMA = _schema(tr.LmTask, "lm", _RUN_DEFAULTS)
 
 # contrastive defaults follow the usual recipe for that side: smaller lr and
 # weight decay, slower second moment
-_CL_SCHEMA: Dict[str, tuple] = {
-    **_COMMON_SCHEMA,
-    "train.base_lr": (_f, 2e-4),
-    "train.weight_decay": (_f, 0.02),
-    "train.beta2": (_f, 0.999),
-    "train.batch_size": (_i, 16),
-    "data.pairs": (_s, None),
-    "cl.hidden": (_i, 32),
-    "cl.out_dim": (_i, 16),
-    "cl.eval_fraction": (_f, 0.25),
-    "cl.fixed_tau1": (_f, 0.05),
-    "cl.fixed_tau2": (_f, 0.05),
-}
+_CL_SCHEMA = _schema(tr.ClTask, "cl", {
+    **_RUN_DEFAULTS, "train.batch_size": 16,
+    "train.base_lr": 2e-4, "train.weight_decay": 0.02, "train.beta2": 0.999,
+})
 
 
 def _parse_config_file(path) -> Dict[str, str]:
@@ -119,17 +104,16 @@ def _parse_config_file(path) -> Dict[str, str]:
 
 
 def resolve_config(
-    schema: Dict[str, tuple], config_path: Optional[str], overrides: Sequence[str]
+    schema: Dict[str, _Key], config_path: Optional[str], overrides: Sequence[str]
 ) -> Dict[str, object]:
     """Defaults, then config file, then overrides; unknown keys are fatal."""
-    values = {key: default for key, (_, default) in schema.items()}
+    values = {key: spec.default for key, spec in schema.items()}
 
     def apply(key: str, raw: str, source: str):
         if key not in schema:
             raise DomainError(f"unknown config key {key!r} (from {source})")
-        converter = schema[key][0]
         try:
-            values[key] = converter(raw)
+            values[key] = schema[key].convert(raw)
         except ValueError:
             raise DomainError(f"config key {key!r} got unparseable value {raw!r}") from None
 
@@ -144,12 +128,6 @@ def resolve_config(
     return values
 
 
-def _require(values: Dict[str, object], key: str):
-    if values[key] is None:
-        raise DomainError(f"missing required config key {key!r}")
-    return values[key]
-
-
 def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
@@ -162,23 +140,18 @@ def write_resolved_config(values: Dict[str, object], out_dir: Path):
     (out_dir / "config.resolved").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _train_config(values: Dict[str, object]) -> tr.TrainConfig:
-    return tr.TrainConfig(
-        total_steps=values["train.total_steps"],
-        batch_size=values["train.batch_size"],
-        seed=values["train.seed"],
-        cfg=DroConfig(
-            tau0=values["dro.tau0"], tau_max=values["dro.tau_max"], rho=values["dro.rho"]
-        ),
-        base_lr=values["train.base_lr"],
-        tempnet_lr=values["train.tempnet_lr"],
-        warmup_fraction=values["train.warmup_fraction"],
-        weight_decay=values["train.weight_decay"],
-        beta1=values["train.beta1"],
-        beta2=values["train.beta2"],
-        eps=values["train.eps"],
-        eval_every=values["train.eval_every"],
-    )
+def _run_and_task(schema: Dict[str, _Key], values: Dict[str, object]):
+    """The run and the task the resolved values describe, each value in its
+    key's field. A field without a dataclass default must be set."""
+    given: Dict[type, dict] = {}
+    for key, spec in schema.items():
+        given.setdefault(spec.owner, {})[spec.field.name] = values[key]
+    run = tr.TrainConfig(cfg=DroConfig(**given.pop(DroConfig)), **given.pop(tr.TrainConfig))
+    for key, spec in schema.items():
+        if values[key] is None and spec.field.default is dataclasses.MISSING:
+            raise DomainError(f"missing required config key {key!r}")
+    ((task_type, fields),) = given.items()
+    return run, task_type(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -310,37 +283,9 @@ def _flag_overrides(args) -> List[str]:
     return extra
 
 
-def _run_training(args, schema: Dict[str, tuple], kind: str) -> int:
+def _run_training(args, schema: Dict[str, _Key]) -> int:
     values = resolve_config(schema, args.config, list(args.override) + _flag_overrides(args))
-    run = _train_config(values)
-    if kind == "lm":
-        task: object = tr.LmTask(
-            corpus_path=str(_require(values, "data.corpus")),
-            mode=values["task.mode"],
-            init_from=values["task.init_from"],
-            objective=values["task.objective"],
-            d_model=values["lm.d_model"],
-            d_ff=values["lm.d_ff"],
-            n_blocks=values["lm.n_blocks"],
-            context_len=values["lm.context_len"],
-            tempnet_d1=values["tempnet.d1"],
-            tempnet_d2=values["tempnet.d2"],
-            val_fraction=values["lm.val_fraction"],
-        )
-    else:
-        task = tr.ClTask(
-            pairs_path=str(_require(values, "data.pairs")),
-            mode=values["task.mode"],
-            init_from=values["task.init_from"],
-            objective=values["task.objective"],
-            hidden=values["cl.hidden"],
-            out_dim=values["cl.out_dim"],
-            tempnet_d1=values["tempnet.d1"],
-            tempnet_d2=values["tempnet.d2"],
-            eval_fraction=values["cl.eval_fraction"],
-            fixed_tau1=values["cl.fixed_tau1"],
-            fixed_tau2=values["cl.fixed_tau2"],
-        )
+    run, task = _run_and_task(schema, values)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved_config(values, out_dir)
@@ -357,11 +302,11 @@ def _run_training(args, schema: Dict[str, tuple], kind: str) -> int:
 
 
 def cmd_train_lm(args) -> int:
-    return _run_training(args, _LM_SCHEMA, "lm")
+    return _run_training(args, _LM_SCHEMA)
 
 
 def cmd_train_cl(args) -> int:
-    return _run_training(args, _CL_SCHEMA, "cl")
+    return _run_training(args, _CL_SCHEMA)
 
 
 def _open_run(args):

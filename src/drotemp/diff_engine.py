@@ -32,6 +32,7 @@ thread-local); a finished tape is read-only and may be consumed anywhere.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
 
@@ -99,6 +100,24 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+
+
+def named_tensors(params, prefix: str = "") -> tuple:
+    """The Tensor fields of a parameter dataclass as (name, tensor) pairs, in
+    field order. A field holding a dataclass, or a tuple of them, is walked in
+    turn under its dotted path ("image.W1", "blocks.0.Wq"); a config holds no
+    Tensor, and any other field is skipped."""
+    out = []
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, Tensor):
+            out.append((prefix + f.name, value))
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                out.extend(named_tensors(item, f"{prefix}{f.name}.{i}."))
+        elif dataclasses.is_dataclass(value):
+            out.extend(named_tensors(value, f"{prefix}{f.name}."))
+    return tuple(out)
 
 
 class _Node:
@@ -448,22 +467,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
     out = np.concatenate([t.data for t in tensors], axis=0)
     return _emit(out, tuple(tensors), lambda g: tuple(np.split(g, splits, axis=0)))
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous row slice out[i] = x[start + i], backward zero-pads."""
-    if x.data.ndim < 1:
-        raise ShapeError("slice_rows", x.shape, (start, stop))
-    n = x.shape[0]
-    if not (0 <= start < stop <= n):
-        raise DomainError(f"slice_rows: invalid range [{start}, {stop}) for {n} rows")
-
-    def back(g):
-        gx = np.zeros_like(x.data)
-        gx[start:stop] = g
-        return (gx,)
-
-    return _emit(x.data[start:stop].copy(), (x,), back)
 
 
 def add_colvec(x: Tensor, v: Tensor) -> Tensor:

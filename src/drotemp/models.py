@@ -26,7 +26,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -100,12 +100,7 @@ class LmParams:
             raise DomainError(f"out_proj must be {c.vocab_size} x {c.d_model}")
 
     def tensors(self) -> Tuple[Tuple[str, Tensor], ...]:
-        out = [("emb", self.emb), ("pos", self.pos)]
-        for i, blk in enumerate(self.blocks):
-            for name in ("Wq", "Wk", "Wv", "Wo", "Wf1", "bf1", "Wf2", "bf2"):
-                out.append((f"blocks.{i}.{name}", getattr(blk, name)))
-        out.append(("out_proj", self.out_proj))
-        return tuple(out)
+        return de.named_tensors(self)
 
 
 @dataclass(frozen=True)
@@ -257,7 +252,7 @@ def _taus(temps, features: Tensor, variant: tn.Variant, what: str) -> Tensor:
         if temps.cfg.variant is not variant:
             raise DomainError(f"{what} needs a {variant.value} temperature network")
         if variant is tn.Variant.LLM_LOGITS:
-            return tn.llm_tau_batch(temps, de.stop_gradient(features), zero_rows="keep")
+            return tn.llm_tau_batch(temps, de.stop_gradient(features))
         return tn.cl_tau_batch(temps, de.stop_gradient(features))
     n = features.shape[0]
     taus = np.asarray(temps, dtype=np.float64)
@@ -303,7 +298,7 @@ _NLL_GROUP = 8
 def lm_eval_pass(
     params: LmParams,
     temperature_source: Union[float, tn.TempNetParams],
-    corpus: Union[TokenBatch, Iterable[TokenBatch]],
+    batch: TokenBatch,
 ) -> Tuple[float, np.ndarray]:
     """Perplexity and the temperature at every target position, in one pass.
 
@@ -313,9 +308,6 @@ def lm_eval_pass(
     come back sequence-major. The forward runs EVAL_BLOCK sequences at a time.
     A non-finite log-likelihood raises NonFiniteError.
     """
-    batches = [corpus] if isinstance(corpus, TokenBatch) else list(corpus)
-    if not batches:
-        raise DomainError("perplexity needs a nonempty corpus")
     fixed: Optional[float] = None
     if isinstance(temperature_source, tn.TempNetParams):
         if temperature_source.cfg.variant is not tn.Variant.LLM_LOGITS:
@@ -325,13 +317,13 @@ def lm_eval_pass(
         if fixed <= 0.0 or not np.isfinite(fixed):
             raise DomainError(f"fixed temperature must be positive, got {fixed}")
 
-    sequences = [seq for batch in batches for seq in batch.sequences]
+    sequences = batch.sequences
     nll_parts, tau_parts = [], []
     for lo in range(0, len(sequences), EVAL_BLOCK):
         logits, targets = _target_logits(params, sequences[lo : lo + EVAL_BLOCK])
         rows = logits.data
         if fixed is None:
-            taus = tn.llm_tau_batch(temperature_source, logits, zero_rows="keep").data
+            taus = tn.llm_tau_batch(temperature_source, logits).data
         else:
             taus = np.full(rows.shape[0], fixed)
         scaled = rows / taus[:, None]
@@ -355,10 +347,10 @@ def lm_eval_pass(
 def perplexity(
     params: LmParams,
     temperature_source: Union[float, tn.TempNetParams],
-    corpus: Union[TokenBatch, Iterable[TokenBatch]],
+    batch: TokenBatch,
 ) -> float:
     """exp of mean NLL under temperature-scaled probabilities (see lm_eval_pass)."""
-    return lm_eval_pass(params, temperature_source, corpus)[0]
+    return lm_eval_pass(params, temperature_source, batch)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +387,7 @@ class TwoTowerParams:
     text: TowerParams
 
     def tensors(self) -> Tuple[Tuple[str, Tensor], ...]:
-        out = []
-        for side, tower in (("image", self.image), ("text", self.text)):
-            for name in ("W1", "b1", "W2", "b2"):
-                out.append((f"{side}.{name}", getattr(tower, name)))
-        return tuple(out)
+        return de.named_tensors(self)
 
 
 @dataclass(frozen=True)

@@ -113,14 +113,7 @@ class TempNetParams:
 
     def tensors(self) -> Tuple[Tuple[str, Tensor], ...]:
         """Parameters in a fixed order, for optimizers and checkpoints."""
-        return (
-            ("W1", self.W1),
-            ("b1", self.b1),
-            ("W2", self.W2),
-            ("w3", self.w3),
-            ("phi", self.phi),
-            ("b", self.b),
-        )
+        return de.named_tensors(self)
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -209,11 +202,10 @@ def _head(params: TempNetParams, u: Tensor) -> Tuple[Tensor, Tensor]:
     return s, de.add(de.mul(de.logistic(s), cfg.tau_max - cfg.tau0), cfg.tau0)
 
 
-def _llm_parts(
-    params: TempNetParams, logits: Tensor, zero_rows: str = "error"
-) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
-    """v, u, s and tau for a batch of raw logit rows."""
-    normed = de.l2_normalize(logits, axis=-1, zero_policy=zero_rows)
+def _llm_parts(params: TempNetParams, logits: Tensor) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
+    """v, u, s and tau for a batch of raw logit rows; an all-zero row (an
+    untrained model emits them) goes through unnormalized."""
+    normed = de.l2_normalize(logits, axis=-1, zero_policy="keep")
     v = de.relu(de.affine(normed, params.W1, params.b1))
     u = de.matmul(v, de.transpose(params.W2))
     return (v, u, *_head(params, u))
@@ -237,18 +229,17 @@ def _check_finite(data: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"{what} are not all finite")
 
 
-def llm_tau_batch(params: TempNetParams, logits: Tensor, zero_rows: str = "error") -> Tensor:
+def llm_tau_batch(params: TempNetParams, logits: Tensor) -> Tensor:
     """Temperatures for a batch of raw logit rows (n x d0) -> (n,).
 
     Differentiable in every parameter and in the logits; rows are L2
     normalized first, so the result is invariant to positive rescaling.
-    zero_rows="keep" accepts all-zero rows (an untrained model emits them)
-    and feeds them through unnormalized.
+    All-zero rows (an untrained model emits them) go through unnormalized.
     """
     if logits.data.ndim != 2 or logits.shape[1] != params.cfg.d0:
         raise DomainError(f"expected n x {params.cfg.d0} logits, got {logits.shape}")
     _check_finite(logits.data, "llm_tau_batch: logit rows")
-    tau = _llm_parts(params, logits, zero_rows)[3]
+    tau = _llm_parts(params, logits)[3]
     _check_finite(tau.data, "llm_tau_batch: temperatures")
     return tau
 

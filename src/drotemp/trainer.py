@@ -322,15 +322,6 @@ def config_hash(run: TrainConfig, task: Union[LmTask, ClTask]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def foundation_fingerprint(named_tensors: Sequence[Tuple[str, Tensor]]) -> str:
-    """Digest of parameter names and exact bytes; detects any weight change."""
-    h = hashlib.sha256()
-    for name, tensor in named_tensors:
-        h.update(name.encode("utf-8"))
-        h.update(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
-    return h.hexdigest()
-
-
 def _pack_arrays(named: Sequence[Tuple[str, np.ndarray]]) -> bytes:
     parts = [struct.pack("<I", len(named))]
     for name, arr in named:
@@ -407,46 +398,35 @@ def _field(table, key: str, section: str):
     return table[key]
 
 
-def _tensor(data: dict, name: str, section: str) -> Tensor:
-    return Tensor(_field(data, name, section), requires_grad=True, name=name)
+def _params(cls, data: dict, section: str, prefix: str = "", **given):
+    """cls with the given fields, and every other field a Tensor read from
+    data[prefix + field]."""
+    for f in dataclasses.fields(cls):
+        if f.name not in given:
+            name = prefix + f.name
+            given[f.name] = Tensor(_field(data, name, section), requires_grad=True, name=name)
+    return cls(**given)
 
 
-def _tempnet_from_meta(
-    meta: dict, arrays: List[Tuple[str, np.ndarray]], section: str
-) -> tn.TempNetParams:
+def _tempnet_from_meta(meta: dict, data: dict, section: str) -> tn.TempNetParams:
     cfg = tn.TempNetConfig(**{**meta, "variant": tn.Variant(_field(meta, "variant", "meta"))})
-    data = dict(arrays)
-    return tn.TempNetParams(
-        cfg=cfg,
-        **{name: _tensor(data, name, section) for name in ("W1", "b1", "W2", "w3", "phi", "b")},
-    )
+    return _params(tn.TempNetParams, data, section, cfg=cfg)
 
 
-def _lm_from_meta(meta: dict, arrays: List[Tuple[str, np.ndarray]]) -> md.LmParams:
+def _lm_from_meta(meta: dict, data: dict) -> md.LmParams:
     cfg = md.LmConfig(**meta)
-    data = dict(arrays)
-
-    def t(name: str) -> Tensor:
-        return _tensor(data, name, "foundation")
-
     blocks = tuple(
-        md.BlockParams(**{f: t(f"blocks.{i}.{f}") for f in
-                          ("Wq", "Wk", "Wv", "Wo", "Wf1", "bf1", "Wf2", "bf2")})
-        for i in range(cfg.n_blocks)
+        _params(md.BlockParams, data, "foundation", f"blocks.{i}.") for i in range(cfg.n_blocks)
     )
-    return md.LmParams(cfg=cfg, emb=t("emb"), pos=t("pos"), blocks=blocks, out_proj=t("out_proj"))
+    return _params(md.LmParams, data, "foundation", cfg=cfg, blocks=blocks)
 
 
-def _towers_from_meta(meta: dict, arrays: List[Tuple[str, np.ndarray]]) -> md.TwoTowerParams:
-    cfg = md.TwoTowerConfig(**meta)
-    data = dict(arrays)
-
-    def tower(side: str) -> md.TowerParams:
-        return md.TowerParams(
-            **{f: _tensor(data, f"{side}.{f}", "foundation") for f in ("W1", "b1", "W2", "b2")}
-        )
-
-    return md.TwoTowerParams(cfg=cfg, image=tower("image"), text=tower("text"))
+def _towers_from_meta(meta: dict, data: dict) -> md.TwoTowerParams:
+    return md.TwoTowerParams(
+        cfg=md.TwoTowerConfig(**meta),
+        image=_params(md.TowerParams, data, "foundation", "image."),
+        text=_params(md.TowerParams, data, "foundation", "text."),
+    )
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -547,13 +527,13 @@ def _decode_checkpoint(meta: dict, sections: Dict[str, bytes]) -> Checkpoint:
                 "n_tempnets", "foundation_cfg", "tempnet_cfgs", "extra"):
         _field(meta, key, "meta")
     kind = meta["kind"]
-    foundation_arrays = _unpack_arrays(sections["foundation"], "foundation")
+    data = dict(_unpack_arrays(sections["foundation"], "foundation"))
     if kind == "lm":
         foundation: Union[md.LmParams, md.TwoTowerParams] = _lm_from_meta(
-            meta["foundation_cfg"], foundation_arrays
+            meta["foundation_cfg"], data
         )
     elif kind == "cl":
-        foundation = _towers_from_meta(meta["foundation_cfg"], foundation_arrays)
+        foundation = _towers_from_meta(meta["foundation_cfg"], data)
     else:
         raise IntegrityError(f"checkpoint section 'meta' has unknown kind {kind!r}")
 
@@ -562,7 +542,8 @@ def _decode_checkpoint(meta: dict, sections: Dict[str, bytes]) -> Checkpoint:
         name = f"tempnet{i}"
         if name not in sections:
             raise IntegrityError(f"checkpoint section {name!r} is missing")
-        tempnets.append(_tempnet_from_meta(net_meta, _unpack_arrays(sections[name], name), name))
+        data = dict(_unpack_arrays(sections[name], name))
+        tempnets.append(_tempnet_from_meta(net_meta, data, name))
 
     return Checkpoint(
         kind=kind,

@@ -185,8 +185,8 @@ def test_08_temperature_range_and_scale_invariance():
     llm_net = tn.init_llm_tempnet(llm_cfg, seed=81)
     logits = rng.normal(size=(50_000, 24))
     logits *= 10.0 ** rng.uniform(-6, 6, size=(50_000, 1))
-    logits[:100] = 0.0  # all-zero rows are legal inputs under zero_rows="keep"
-    taus = tn.llm_tau_batch(llm_net, Tensor(logits), zero_rows="keep").data
+    logits[:100] = 0.0  # all-zero rows are legal inputs
+    taus = tn.llm_tau_batch(llm_net, Tensor(logits)).data
     assert np.all(taus >= llm_cfg.tau0) and np.all(taus <= llm_cfg.tau_max)
 
     cl_cfg = tn.TempNetConfig(

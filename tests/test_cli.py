@@ -149,6 +149,75 @@ def read_taus(path):
 # config resolution
 
 
+# every config key with its default and type; a change to a dataclass default,
+# or a key that appears or disappears, must show up here
+RUN_KEYS = {
+    "task.mode": ("scratch", str),
+    "task.objective": ("robust", str),
+    "task.init_from": (None, str),
+    "dro.rho": (1.0, float),
+    "dro.tau0": (1e-3, float),
+    "dro.tau_max": (2.0, float),
+    "tempnet.d1": (16, int),
+    "tempnet.d2": (8, int),
+    "train.total_steps": (200, int),
+    "train.batch_size": (8, int),
+    "train.seed": (0, int),
+    "train.base_lr": (1e-3, float),
+    "train.tempnet_lr": (1e-4, float),
+    "train.warmup_fraction": (0.01, float),
+    "train.weight_decay": (0.1, float),
+    "train.beta1": (0.9, float),
+    "train.beta2": (0.95, float),
+    "train.eps": (1e-8, float),
+    "train.eval_every": (100, int),
+}
+
+LM_KEYS = {
+    **RUN_KEYS,
+    "data.corpus": (None, str),
+    "lm.d_model": (32, int),
+    "lm.d_ff": (64, int),
+    "lm.n_blocks": (1, int),
+    "lm.context_len": (32, int),
+    "lm.val_fraction": (0.1, float),
+}
+
+CL_KEYS = {
+    **RUN_KEYS,
+    "train.base_lr": (2e-4, float),
+    "train.weight_decay": (0.02, float),
+    "train.beta2": (0.999, float),
+    "train.batch_size": (16, int),
+    "data.pairs": (None, str),
+    "cl.hidden": (32, int),
+    "cl.out_dim": (16, int),
+    "cl.eval_fraction": (0.25, float),
+    "cl.fixed_tau1": (0.05, float),
+    "cl.fixed_tau2": (0.05, float),
+}
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "schema, table", [(cli._LM_SCHEMA, LM_KEYS), (cli._CL_SCHEMA, CL_KEYS)], ids=["lm", "cl"]
+    )
+    def test_keys_defaults_and_types_are_pinned(self, schema, table):
+        got = {key: (spec.default, spec.convert) for key, spec in schema.items()}
+        assert got == table
+
+    def test_resolved_config_reruns_under_the_same_hash(self, lm_run, cl_run, tmp_path):
+        for command, run_dir in (("train-lm", lm_run), ("train-cl", cl_run[0])):
+            again = tmp_path / command
+            resolved = run_dir / "config.resolved"
+            assert run_cli([command, "--out", str(again), "--config", str(resolved)]) == 0
+            assert (again / "config.resolved").read_bytes() == resolved.read_bytes()
+            assert (
+                tr.load_checkpoint(again / "checkpoint.bin").config_hash
+                == tr.load_checkpoint(run_dir / "checkpoint.bin").config_hash
+            )
+
+
 class TestConfigResolution:
     def test_defaults_fill_unset_keys(self):
         values = cli.resolve_config(cli._LM_SCHEMA, None, [])
@@ -603,9 +672,8 @@ class TestTrainLm:
         assert rc == 0
         before = tr.load_checkpoint(lm_run / "checkpoint.bin")
         after = tr.load_checkpoint(out / "checkpoint.bin")
-        assert tr.foundation_fingerprint(after.foundation.tensors()) == (
-            tr.foundation_fingerprint(before.foundation.tensors())
-        )
+        for (name, kept), (_, trained) in zip(before.foundation.tensors(), after.foundation.tensors()):
+            assert np.array_equal(kept.data, trained.data), name
 
 
 @pytest.fixture(scope="module")

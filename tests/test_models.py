@@ -94,7 +94,7 @@ def sequence_logits(lm, batch):
 def lm_taus(lm, net, batch):
     """The temperatures robust_softmax_loss draws from net, sequence-major."""
     logits, _ = md._target_logits(lm, batch.sequences)
-    return tn.llm_tau_batch(net, logits, zero_rows="keep").data
+    return tn.llm_tau_batch(net, logits).data
 
 
 def cl_taus(towers, net_img, net_txt, batch):
@@ -183,7 +183,7 @@ class TestLmForward:
         def one_position_sum(probe, field):
             trial = dataclasses.replace(lm, **{field: probe})
             full = md._stacked_logits(trial, ids[None, :])
-            return de.sum(de.slice_rows(full, 2, 3))
+            return de.sum(de.embedding_lookup(full, np.array([2])))
 
         for field in ("emb", "pos", "out_proj"):
             err = finite_diff_check(lambda t: one_position_sum(t, field), getattr(lm, field))
@@ -195,7 +195,7 @@ class TestLmForward:
                 trial_blk = dataclasses.replace(blk, **{name: probe})
                 trial = dataclasses.replace(lm, blocks=(trial_blk,))
                 full = md._stacked_logits(trial, ids[None, :])
-                return de.sum(de.slice_rows(full, 2, 3))
+                return de.sum(de.embedding_lookup(full, np.array([2])))
 
             assert finite_diff_check(block_sum, getattr(blk, name)) <= 1e-5
 
@@ -346,7 +346,7 @@ class TestRobustSoftmaxLoss:
         cfg = DroConfig(rho=2.5)
         batch = md.TokenBatch([[0, 1, 2, 3]])
         loss = md.robust_softmax_loss(lm, net, batch, cfg)
-        tau_z = tn.llm_tau_batch(net, Tensor(np.zeros((1, 7))), zero_rows="keep").data[0]
+        tau_z = tn.llm_tau_batch(net, Tensor(np.zeros((1, 7)))).data[0]
         assert loss.item() == pytest.approx(2.5 * tau_z, rel=1e-12)
 
     def test_bridge_to_cross_entropy(self):
@@ -625,7 +625,7 @@ class TestPerplexity:
         lm = small_lm(randomize_out=False)
         batch = md.TokenBatch([[0, 1, 2, 3], [4, 5]])
         assert md.perplexity(lm, 2.7, batch) == pytest.approx(7.0, rel=1e-12)
-        assert md.perplexity(lm, llm_tnet(7), [batch]) == pytest.approx(7.0, rel=1e-12)
+        assert md.perplexity(lm, llm_tnet(7), batch) == pytest.approx(7.0, rel=1e-12)
 
     def test_large_tau_flattens_to_vocab_size(self):
         lm = small_lm(seed=12)
@@ -649,8 +649,6 @@ class TestPerplexity:
 
     def test_domain_errors(self):
         lm = small_lm()
-        with pytest.raises(DomainError):
-            md.perplexity(lm, 1.0, [])
         with pytest.raises(DomainError):
             md.perplexity(lm, -1.0, md.TokenBatch([[0, 1]]))
         with pytest.raises(DomainError):

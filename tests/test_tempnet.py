@@ -326,10 +326,15 @@ class TestForwardLlm:
         assert tau == pytest.approx(want["tau"], rel=1e-12)
         assert llm_tau_batch(p, Tensor(np.asarray([case["input"]]))).data[0] == tau
 
-    def test_zero_vector_rejected(self):
+    def test_zero_row_accepted(self):
+        # an all-zero row goes through unnormalized, so v = relu(b1)
         p = init_llm_tempnet(llm_cfg(), seed=0)
-        with pytest.raises(DomainError):
-            llm_tau_batch(p, Tensor(np.zeros((1, 12))))
+        rows = np.stack([np.zeros(12), np.arange(1.0, 13.0)])
+        taus = llm_tau_batch(p, Tensor(rows)).data
+        v, _, _, tau = one_row(_llm_parts, p, rows[0])
+        np.testing.assert_array_equal(v, np.maximum(p.b1.data, 0.0))
+        assert taus[0] == tau
+        assert taus[1] == one_row(_llm_parts, p, rows[1])[3]
 
     def test_nonfinite_rejected(self):
         p = init_llm_tempnet(llm_cfg(), seed=0)
