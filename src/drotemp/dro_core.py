@@ -19,10 +19,12 @@ tau-derivatives explicit: the gradient is ``rho`` minus the KL divergence of
 the Gibbs weights from uniform, and the Hessian is a Gibbs variance scaled by
 1/tau^3, hence nonnegative, hence f is convex in tau.
 
-Besides the loss and its derivatives this module provides the log-mean-exp
-gap ``b_z`` with its provable [0, max - mean] bounds, the fixed-point form of
-the interior optimal temperature, and a brute-force simplex-enumeration
-oracle for the primal side of the duality used by the verification suite.
+f, df/dtau and d2f/dtau2 are written once, for (n, K) margin blocks with one
+tau per row; robust_loss, grad_tau and hess_tau are one-row calls. Besides
+these, this module provides the log-mean-exp gap ``b_z`` with its provable
+[0, max - mean] bounds, the fixed-point form of the interior optimal
+temperature, and a brute-force simplex-enumeration oracle for the primal side
+of the duality used by the verification suite.
 
 Everything here is a pure float64 function of its inputs; nothing mutates
 shared state, so every operation is safe to call from concurrent workers.
@@ -42,6 +44,8 @@ __all__ = [
     "LogitSet",
     "DroConfig",
     "SimplexDistribution",
+    "block_loss",
+    "block_grad_curvature",
     "robust_loss",
     "grad_tau",
     "hess_tau",
@@ -151,42 +155,47 @@ def _shifted_scaled_margins(h: np.ndarray, tau: float) -> np.ndarray:
     return (h - h.max()) / tau
 
 
+def block_loss(h: np.ndarray, tau: np.ndarray, rho: float) -> np.ndarray:
+    """f(z, tau) of every row of an (n, K) margin block at its own tau."""
+    h_max = h.max(axis=1)
+    log_mean = np.log(np.exp((h - h_max[:, None]) / tau[:, None]).sum(axis=1) / h.shape[1])
+    return h_max + tau * log_mean + tau * rho
+
+
+def block_grad_curvature(d: np.ndarray, tau: np.ndarray, rho: float, curvature: bool = True):
+    """df/dtau = rho - KL(p, uniform) and (if asked) d2f/dtau2 = Var_p(h) / tau^3
+    of every row at its own tau, p the Gibbs weights, from one exp pass; the
+    curvature is a centered second moment, so >= 0, or None when not asked for.
+
+    d holds each row's shifted margins h - max h, so exp never overflows.
+    """
+    z = d / tau[:, None]
+    p = np.exp(z)
+    se = p.sum(axis=1)
+    p /= se[:, None]
+    mu = np.einsum("ij,ij->i", p, z)
+    grad = np.log(se / d.shape[1]) - mu + rho
+    if not curvature:
+        return grad, None
+    z -= mu[:, None]
+    return grad, np.einsum("ij,ij->i", p, np.square(z, out=z)) / tau
+
+
 def robust_loss(ls: LogitSet, tau: float, cfg: DroConfig) -> float:
-    """f(z, tau) = tau * log((1/K) * sum_k exp(h_k/tau)) + tau * rho."""
-    tau = _require_tau(tau)
-    h = ls.margins
-    z = _shifted_scaled_margins(h, tau)
-    log_mean = math.log(float(np.mean(np.exp(z))))
-    return float(h.max()) + tau * log_mean + tau * cfg.rho
+    """f(z, tau) = tau * log((1/K) * sum_k exp(h_k/tau)) + tau * rho, on one row."""
+    return float(block_loss(ls.margins[None, :], np.array([_require_tau(tau)]), cfg.rho)[0])
 
 
 def grad_tau(ls: LogitSet, tau: float, cfg: DroConfig) -> float:
-    """d f / d tau = log((1/K) sum_k e^{h_k/tau}) - sum_k p_k h_k / tau + rho.
-
-    Equivalently rho - KL(p(tau), uniform) with p the Gibbs weights. The max
-    shift cancels between the two non-constant terms, keeping every
-    intermediate bounded.
-    """
-    tau = _require_tau(tau)
-    z = _shifted_scaled_margins(ls.margins, tau)
-    e = np.exp(z)
-    se = float(e.sum())
-    p = e / se
-    return math.log(se / z.size) - float(p @ z) + cfg.rho
+    """d f / d tau: block_grad_curvature on one row."""
+    h, tau = ls.margins[None, :], np.array([_require_tau(tau)])
+    return float(block_grad_curvature(h - h.max(), tau, cfg.rho, curvature=False)[0][0])
 
 
 def hess_tau(ls: LogitSet, tau: float) -> float:
-    """d2 f / d tau2 = Var_p(h) / tau^3 with p the Gibbs weights.
-
-    Written as a centered second moment so the result is nonnegative by
-    construction, which is what makes f convex in tau.
-    """
-    tau = _require_tau(tau)
-    z = _shifted_scaled_margins(ls.margins, tau)
-    e = np.exp(z)
-    p = e / float(e.sum())
-    mu = float(p @ z)
-    return float(p @ (z - mu) ** 2) / tau
+    """d2 f / d tau2: block_grad_curvature on one row."""
+    h, tau = ls.margins[None, :], np.array([_require_tau(tau)])
+    return float(block_grad_curvature(h - h.max(), tau, 0.0)[1][0])
 
 
 def gibbs_distribution(ls: LogitSet, tau: float) -> SimplexDistribution:
@@ -320,15 +329,17 @@ def _zero_sum_offsets(k: int, radius: int):
 
 
 def _compositions(k: int, n: int) -> np.ndarray:
-    """All length-k nonnegative integer vectors summing to n, as rows."""
-    if k == 1:
-        return np.array([[n]], dtype=np.int64)
-    blocks = []
-    for i in range(n + 1):
-        sub = _compositions(k - 1, n - i)
-        first = np.full((sub.shape[0], 1), i, dtype=np.int64)
-        blocks.append(np.concatenate([first, sub], axis=1))
-    return np.concatenate(blocks, axis=0)
+    """All length-k nonnegative integer vectors summing to n, as rows in
+    lexicographic order: each pass expands a remainder r into r + 1 rows."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([n], dtype=np.int64)
+    for _ in range(k - 1):
+        counts = rest + 1
+        parent = np.repeat(np.arange(rest.size), counts)
+        entry = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.concatenate([rows[parent], entry[:, None]], axis=1)
+        rest = rest[parent] - entry
+    return np.concatenate([rows, rest[:, None]], axis=1)
 
 
 @lru_cache(maxsize=8)

@@ -4,10 +4,11 @@ f(z, .) is convex on (0, inf) -- its second derivative is a Gibbs variance --
 so the minimum over [tau0, inf) is either at the boundary, exactly when the
 gradient at tau0 is already nonnegative, or at the unique interior root of
 the gradient. batch_solve finds it for many instances at once by safeguarded
-Newton, vectorized over (rows, K) margin blocks; newton_solve is batch_solve
-on one instance. golden_section_oracle (derivative-free) and
-dro_core.primal_dro_oracle (the primal worst case) are the independent
-references the solver is checked against.
+Newton, vectorized over (rows, K) margin blocks, on dro_core's block forms of
+the gradient and curvature; newton_solve is batch_solve on one instance.
+golden_section_oracle (derivative-free) and dro_core.primal_dro_oracle (the
+primal worst case) are the independent references the solver is checked
+against.
 
 The gradient equals rho - KL(gibbs(tau), uniform) and tends to rho as tau
 grows, so for rho > 0 a finite minimizer always exists; the bracket_hi guard
@@ -23,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dro_core import DroConfig, LogitSet, block_grad_curvature, block_loss, robust_loss
 # grad_tau and hess_tau are not called here; perfbench's tracer wraps them by name
-from .dro_core import DroConfig, LogitSet, grad_tau, hess_tau, robust_loss  # noqa: F401
+from .dro_core import grad_tau, hess_tau  # noqa: F401
 from .errors import DomainError
 
 __all__ = [
@@ -156,24 +158,6 @@ def _k_blocks(instances: list[LogitSet]):
             yield idx, contrast - positive[:, None]
 
 
-def _grad_curvature(d: np.ndarray, tau: np.ndarray, rho: float, curvature: bool = True):
-    """grad_tau and (if asked) hess_tau of every row at its own tau, from one
-    exp pass; the curvature is None when not asked for.
-
-    d holds each row's shifted margins h - max h, so exp never overflows.
-    """
-    z = d / tau[:, None]
-    p = np.exp(z)
-    se = p.sum(axis=1)
-    p /= se[:, None]
-    mu = np.einsum("ij,ij->i", p, z)
-    grad = np.log(se / d.shape[1]) - mu + rho
-    if not curvature:
-        return grad, None
-    z -= mu[:, None]
-    return grad, np.einsum("ij,ij->i", p, np.square(z, out=z)) / tau
-
-
 _CLAMPED, _INTERIOR, _MAX_ITER = range(3)
 _STATUSES = (SolveStatus.CLAMPED_AT_TAU0, SolveStatus.INTERIOR, SolveStatus.MAX_ITER_REACHED)
 
@@ -187,7 +171,7 @@ def _solve_block(h: np.ndarray, cfg: DroConfig, opts: SolverOptions):
     n = h.shape[0]
     d = h - h.max(axis=1, keepdims=True)
     tau = np.full(n, cfg.tau0)
-    grad, _ = _grad_curvature(d, tau, cfg.rho, curvature=False)
+    grad, _ = block_grad_curvature(d, tau, cfg.rho, curvature=False)
     status = np.full(n, _CLAMPED)
     iterations = np.zeros(n, dtype=np.int64)
     failure = None
@@ -199,7 +183,7 @@ def _solve_block(h: np.ndarray, cfg: DroConfig, opts: SolverOptions):
     t_lo, t_hi = cfg.tau0, max(2.0 * cfg.tau0, opts.init_tau)
     while pending.size:
         t = np.full(pending.size, t_hi)
-        g_hi, _ = _grad_curvature(d[pending], t, cfg.rho, curvature=False)
+        g_hi, _ = block_grad_curvature(d[pending], t, cfg.rho, curvature=False)
         lo[pending], hi[pending] = t_lo, t_hi
         still = g_hi < 0.0
         pending, g_hi = pending[still], g_hi[still]
@@ -215,7 +199,7 @@ def _solve_block(h: np.ndarray, cfg: DroConfig, opts: SolverOptions):
 
     lo, hi, d = lo[active], hi[active], d[active]
     x = np.minimum(np.maximum(opts.init_tau, lo), hi)
-    g, curvature = _grad_curvature(d, x, cfg.rho)
+    g, curvature = block_grad_curvature(d, x, cfg.rho)
     grad_tol = opts.tol * max(1.0, cfg.rho)
     # an exact zero gradient is the root itself: that iterate, the start
     # included, is converged (the bracket rule below would bisect away from it)
@@ -242,7 +226,7 @@ def _solve_block(h: np.ndarray, cfg: DroConfig, opts: SolverOptions):
         np.copyto(nxt, 0.5 * (lo + hi), where=~newton)
         done = np.abs(nxt - x) < opts.tol
         x = nxt
-        g, curvature = _grad_curvature(d, x, cfg.rho)
+        g, curvature = block_grad_curvature(d, x, cfg.rho)
         done &= np.abs(g) < grad_tol
         done |= g == 0.0
     tau[active], grad[active], iterations[active] = x, g, opts.max_iter
@@ -289,8 +273,5 @@ def batch_robust_loss(instances: list[LogitSet], taus, cfg: DroConfig) -> np.nda
     taus = np.asarray(taus, dtype=np.float64)
     out = np.empty(len(instances))
     for idx, h in _k_blocks(instances):
-        tau = taus[idx]
-        h_max = h.max(axis=1)
-        log_mean = np.log(np.exp((h - h_max[:, None]) / tau[:, None]).sum(axis=1) / h.shape[1])
-        out[idx] = h_max + tau * log_mean + tau * cfg.rho
+        out[idx] = block_loss(h, taus[idx], cfg.rho)
     return out

@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import diff_engine as de
 from . import models as md
 from . import tempnet as tn
 from .diff_engine import Gradients, Tape, Tensor, backward
@@ -99,6 +98,8 @@ class TrainConfig:
                 raise DomainError(f"{name} must be in (0, 1), got {v}")
         if self.eps <= 0.0:
             raise DomainError(f"eps must be positive, got {self.eps}")
+        if not math.isfinite(self.eps):
+            raise DomainError(f"eps must be finite, got {self.eps}")
         if not isinstance(self.cfg, DroConfig):
             raise DomainError("cfg must be a DroConfig")
 
@@ -123,6 +124,8 @@ class LmTask:
         _check_task_common(self.mode, self.init_from, self.objective, ("robust", "ce"))
         if not (0.0 < self.val_fraction < 1.0):
             raise DomainError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        if int(self.context_len) < 1:
+            raise DomainError(f"context_len must be >= 1, got {self.context_len}")
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,9 @@ class ClTask:
             raise DomainError(f"eval_fraction must be in (0, 1), got {self.eval_fraction}")
         if self.fixed_tau1 <= 0.0 or self.fixed_tau2 <= 0.0:
             raise DomainError("fixed temperatures must be positive")
+        for name in ("fixed_tau1", "fixed_tau2"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def _check_task_common(mode: str, init_from, objective: str, allowed: Tuple[str, ...]):

@@ -10,7 +10,6 @@ to render the reports. All tolerances live in one table.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 

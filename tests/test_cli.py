@@ -774,6 +774,28 @@ class TestTrainCl:
         assert "data.pairs" in capsys.readouterr().err
 
 
+class TestNonFiniteSettings:
+    """Settings the loop would only meet at its first step are refused by
+    name, with exit 1 and one stderr line."""
+
+    @pytest.mark.parametrize(
+        "command, override, message",
+        [
+            ("train-lm", "lm.context_len=0", "context_len must be >= 1, got 0"),
+            ("train-lm", "train.eps=nan", "eps must be finite, got nan"),
+            ("train-lm", "train.eps=inf", "eps must be finite, got inf"),
+            ("train-cl", "cl.fixed_tau1=nan", "fixed_tau1 must be finite, got nan"),
+            ("train-cl", "cl.fixed_tau1=inf", "fixed_tau1 must be finite, got inf"),
+        ],
+    )
+    def test_refused_by_name(self, tmp_path, capsys, command, override, message):
+        data = f"data.corpus={CORPUS}" if command == "train-lm" else f"data.pairs={FIXTURE}"
+        argv = [command, "--out", str(tmp_path / "run"), data, "train.total_steps=2", override]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # eval
 

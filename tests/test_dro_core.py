@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -10,11 +11,14 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 from drotemp import diff_engine as de
+from drotemp import dro_core
 from drotemp.diff_engine import Tensor
 from drotemp.dro_core import (
     DroConfig,
     LogitSet,
     SimplexDistribution,
+    block_grad_curvature,
+    block_loss,
     compute_bz,
     fixed_point_rhs,
     gibbs_distribution,
@@ -215,6 +219,26 @@ class TestDerivatives:
         assert hess_tau(LogitSet(0.1, contrast), tau) >= -1e-14
 
 
+class TestBlockForms:
+    """robust_loss, grad_tau and hess_tau are one-row calls into the block
+    forms the solver runs, so each row of a block reproduces them bit for bit
+    whatever the other rows' temperatures are."""
+
+    def test_rows_of_a_mixed_block_equal_their_one_row_calls(self):
+        rng = np.random.default_rng(12)
+        cfg = DroConfig(rho=0.6)
+        for k in (1, 2, 7, 64, 513):
+            rows = [random_instance(rng, k, float(rng.uniform(0.1, 8.0))) for _ in range(9)]
+            taus = 10.0 ** rng.uniform(-3, 2, size=len(rows))
+            h = np.stack([ls.margins for ls in rows])
+            loss = block_loss(h, taus, cfg.rho)
+            grad, curvature = block_grad_curvature(h - h.max(axis=1, keepdims=True), taus, cfg.rho)
+            for i, (ls, tau) in enumerate(zip(rows, taus)):
+                assert loss[i] == robust_loss(ls, tau, cfg), (k, i)
+                assert grad[i] == grad_tau(ls, tau, cfg), (k, i)
+                assert curvature[i] == hess_tau(ls, tau), (k, i)
+
+
 class TestGibbsDistribution:
     def test_equal_logits_uniform(self):
         p = gibbs_distribution(LogitSet(0.0, [2.0] * 5), 0.7).probs
@@ -329,6 +353,14 @@ class TestPrimalOracle:
     def test_grid_step_domain(self, step):
         with pytest.raises(DomainError):
             primal_dro_oracle(LogitSet(0.0, [0.0, 1.0]), DroConfig(), step)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_grid_counts_match_itertools_enumeration(self, k):
+        for n in range(13):
+            got = dro_core._compositions(k, n)
+            expected = [c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n]
+            assert got.dtype == np.int64
+            assert got.tolist() == [list(c) for c in expected], (k, n)
 
     def test_corner_limit_reaches_max_margin(self):
         # huge ball, negligible penalty: optimum concentrates on the best margin

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,11 @@ from drotemp.tau_solver import (
     batch_solve,
     golden_section_oracle,
     newton_solve,
+)
+
+
+ORACLE = json.loads(
+    (pathlib.Path(__file__).parent / "oracles" / "dro_values.json").read_text()
 )
 
 
@@ -272,6 +280,18 @@ class TestBatchSolve:
         for ls, tau, loss in zip(instances, taus, got):
             ref = robust_loss(ls, float(tau), cfg)
             assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_batch_robust_loss_matches_frozen_values(self):
+        # every frozen case in one mixed-K batch, once under each case's rho
+        cases = list(ORACLE["cases"].items())
+        instances = [LogitSet(case["positive"], case["contrast"]) for _, case in cases]
+        taus = [case["tau"] for _, case in cases]
+        assert len({ls.k for ls in instances}) > 1
+        for i, (name, case) in enumerate(cases):
+            cfg = DroConfig(tau0=case["tau0"], tau_max=1e6, rho=case["rho"])
+            got = batch_robust_loss(instances, taus, cfg)[i]
+            expected = case["expected"]["loss"]
+            assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected)), name
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from drotemp import diff_engine as de
 from drotemp import models as md
-from drotemp import tempnet as tn
 from drotemp import trainer as tr
 from drotemp.diff_engine import Gradients, Tape, Tensor, backward
 from drotemp.dro_core import DroConfig
