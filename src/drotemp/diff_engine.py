@@ -6,8 +6,10 @@ grad-requiring tensor appends one node -- output, inputs, and a closure
 producing input gradients from the output gradient -- so record order is a
 topological order by construction. ``backward`` walks the tape once in
 reverse, accumulating gradients in that fixed order, which makes repeated
-runs bit-identical. Without an active tape the same primitives act as plain
-numpy evaluation.
+runs bit-identical, and returns a plain dict from each grad-requiring leaf
+that received a contribution to its gradient array. An absent leaf has a zero
+gradient, and the arrays are read-only. Without an active tape the same
+primitives act as plain numpy evaluation.
 
 Broadcasting is deliberately restricted to scalar-tensor; the row/column
 patterns the models need (bias rows, per-row temperature scaling) are
@@ -43,7 +45,6 @@ from .errors import DomainError, ShapeError
 __all__ = [
     "Tensor",
     "Tape",
-    "Gradients",
     "backward",
     "stop_gradient",
     "finite_diff_check",
@@ -75,7 +76,8 @@ __all__ = [
 
 
 class Tensor:
-    """Dense float64 array with a differentiation flag."""
+    """Dense float64 array with a differentiation flag. It hashes and compares
+    by identity, which keys ``backward``'s gradient dict."""
 
     __slots__ = ("data", "requires_grad", "name")
 
@@ -156,32 +158,6 @@ class Tape:
 
     def __len__(self):
         return len(self._nodes)
-
-    @property
-    def nodes(self):
-        return tuple(self._nodes)
-
-
-class Gradients:
-    """Read-only mapping from parameter tensor to its gradient tensor."""
-
-    def __init__(self):
-        self._entries: dict[int, tuple[Tensor, Tensor]] = {}
-
-    def _set(self, param: Tensor, grad: np.ndarray):
-        self._entries[id(param)] = (param, Tensor(grad))
-
-    def __getitem__(self, param: Tensor) -> Tensor:
-        try:
-            return self._entries[id(param)][1]
-        except KeyError:
-            raise KeyError(f"no gradient recorded for {param!r}") from None
-
-    def __contains__(self, param: Tensor) -> bool:
-        return id(param) in self._entries
-
-    def __len__(self):
-        return len(self._entries)
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -519,35 +495,35 @@ def stop_gradient(x: Tensor) -> Tensor:
     return Tensor(x.data, requires_grad=False)
 
 
-def backward(root: Tensor, tape: Tape) -> Gradients:
-    """Accumulate gradients of a scalar root over the tape, reverse order.
+def backward(root: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
+    """Gradients of a scalar root, from one reverse pass over the tape.
 
-    Every requires_grad leaf seen on the tape receives a gradient; leaves the
-    root never touches get zeros. Accumulation order is fixed by the record
+    Returns a plain dict from each grad-requiring leaf that received a
+    contribution to its gradient array; a leaf that is absent has a zero
+    gradient. Each node's output gradient is popped once the node has used
+    it, so intermediates are freed as the walk goes and none is returned.
+    Treat the arrays as read-only. Accumulation order is fixed by the record
     order, so results are bit-identical across runs.
     """
     if root.data.size != 1:
         raise DomainError(f"backward root must be scalar, got shape {root.shape}")
 
-    produced = {id(node.output) for node in tape.nodes}
-    acc: dict[int, np.ndarray] = {id(root): np.ones(root.shape)}
-
-    for node in reversed(tape.nodes):
-        g = acc.get(id(node.output))
+    grads: dict[Tensor, np.ndarray] = {root: np.ones(root.shape)}
+    for node in reversed(tape._nodes):
+        g = grads.pop(node.output, None)
         if g is None:
             continue
-        input_grads = node.backward_fn(g)
-        for inp, ig in zip(node.inputs, input_grads):
+        for inp, ig in zip(node.inputs, node.backward_fn(g)):
             if not inp.requires_grad:
                 continue
-            prev = acc.get(id(inp))
-            acc[id(inp)] = ig.copy() if prev is None else prev + ig
-
-    grads = Gradients()
-    for node in tape.nodes:
-        for inp in node.inputs:
-            if inp.requires_grad and id(inp) not in produced and inp not in grads:
-                grads._set(inp, acc.get(id(inp), np.zeros(inp.shape)))
+            prev = grads.get(inp)
+            # The copy makes every stored gradient C-contiguous and its own:
+            # transpose, swapaxes and split hand back views, and the bytes of
+            # later matmuls and sums depend on layout. The sum is out of
+            # place, so no stored array is ever written; an in-place sum is
+            # safe only while every first contribution is copied, because a
+            # backward function may hand back its g itself (add does).
+            grads[inp] = ig.copy() if prev is None else prev + ig
     return grads
 
 
@@ -564,7 +540,7 @@ def finite_diff_check(f, x: Tensor, eps: float = 1e-6) -> float:
         out = f(probe)
     if not isinstance(out, Tensor) or out.data.size != 1:
         raise DomainError("finite_diff_check needs a scalar-valued function")
-    analytic = backward(out, tape)[probe].data
+    analytic = backward(out, tape).get(probe, np.zeros(probe.shape))
 
     flat = probe.data.reshape(-1)
     worst = 0.0

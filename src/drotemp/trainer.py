@@ -38,7 +38,7 @@ import numpy as np
 
 from . import models as md
 from . import tempnet as tn
-from .diff_engine import Gradients, Tape, Tensor, backward
+from .diff_engine import Tape, Tensor, backward
 from .dro_core import DroConfig
 from .errors import DomainError, IntegrityError, NonFiniteError, ShapeError, TrainingDivergedError
 
@@ -86,6 +86,8 @@ class TrainConfig:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         if int(self.eval_every) < 1:
             raise DomainError(f"eval_every must be >= 1, got {self.eval_every}")
+        if int(self.seed) < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not (0.0 < self.warmup_fraction < 1.0):
             raise DomainError(f"warmup_fraction must be in (0, 1), got {self.warmup_fraction}")
         for name in ("base_lr", "tempnet_lr", "weight_decay"):
@@ -148,11 +150,12 @@ class ClTask:
         _check_task_common(self.mode, self.init_from, self.objective, ("robust", "fixed"))
         if not (0.0 < self.eval_fraction < 1.0):
             raise DomainError(f"eval_fraction must be in (0, 1), got {self.eval_fraction}")
-        if self.fixed_tau1 <= 0.0 or self.fixed_tau2 <= 0.0:
-            raise DomainError("fixed temperatures must be positive")
         for name in ("fixed_tau1", "fixed_tau2"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value <= 0.0:
+                raise DomainError(f"{name} must be positive, got {value}")
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
 
 
 def _check_task_common(mode: str, init_from, objective: str, allowed: Tuple[str, ...]):
@@ -215,17 +218,18 @@ class ParamGroup:
             else:
                 self._pending[name] = views
 
-    def gather(self, grads: Gradients) -> np.ndarray:
-        """The flat gradient g; a parameter without a recorded gradient gets zeros."""
+    def gather(self, grads: Dict[Tensor, np.ndarray]) -> np.ndarray:
+        """The flat gradient g from ``backward``'s dict; a parameter absent
+        from it gets zeros."""
         parts = []
         for tensor in self.tensors:
-            if tensor in grads:
-                data = grads[tensor].data
-                if data.shape != tensor.shape:
-                    raise ShapeError("adamw_step", data.shape, tensor.shape)
-                parts.append(data.reshape(-1))
-            else:
+            grad = grads.get(tensor)
+            if grad is None:
                 parts.append(np.zeros(tensor.size))
+            elif grad.shape != tensor.shape:
+                raise ShapeError("adamw_step", grad.shape, tensor.shape)
+            else:
+                parts.append(grad.reshape(-1))
         return np.concatenate(parts, out=self.g)
 
     def commit(self, p: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
@@ -256,12 +260,14 @@ def _schedule_scale(step: int, cfg: TrainConfig) -> float:
     return 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def adamw_step(group: ParamGroup, grads: Gradients, lr: float, cfg: TrainConfig) -> None:
+def adamw_step(
+    group: ParamGroup, grads: Dict[Tensor, np.ndarray], lr: float, cfg: TrainConfig
+) -> None:
     """One decoupled-weight-decay Adam update of a whole group, in place.
 
     Decay multiplies the weight by (1 - lr * weight_decay) before the moment
     update is subtracted, so a zero gradient shrinks a weight by exactly that
-    factor. Parameters without a recorded gradient are treated as zero-grad.
+    factor. A parameter absent from ``grads`` has a zero gradient.
 
     A non-finite gradient, or an update whose new weights or second moments
     would not be finite, raises TrainingDivergedError with the step the
@@ -646,7 +652,7 @@ class _LmRuntime(_Runtime):
         self.vocab = md.build_vocab(text)
         ids = self.vocab.encode(text)
         self.train_ids, val_ids = md.split_ids(ids, task.val_fraction)
-        self.eval_batch = md.eval_windows(val_ids, task.context_len)
+        # built first, so a bad context_len is refused by name
         self.model_cfg = md.LmConfig(
             vocab_size=self.vocab.size,
             d_model=task.d_model,
@@ -654,6 +660,7 @@ class _LmRuntime(_Runtime):
             n_blocks=task.n_blocks,
             context_len=task.context_len,
         )
+        self.eval_batch = md.eval_windows(val_ids, task.context_len)
 
     def check_trainable(self) -> None:
         if len(self.train_ids) < self.task.context_len:

@@ -292,7 +292,7 @@ def _check_tempnet_gradients(rng: np.random.Generator) -> float:
         lambda: de.sum(de.mul(tn.llm_tau_batch(net, Tensor(logits)), Tensor(weights)))
     )
     for _, tensor in net.tensors():
-        worst = max(worst, _rel_err(grads[tensor].data, _fd_tensor(value, tensor)))
+        worst = max(worst, _rel_err(grads[tensor], _fd_tensor(value, tensor)))
     return worst
 
 
@@ -317,9 +317,9 @@ def _check_lm_loss_gradients(rng: np.random.Generator) -> float:
     def full_value() -> float:
         return md.robust_softmax_loss(lm, net, batch, cfg).item()
 
-    worst = _rel_err(grads[lm.emb].data, _fd_tensor(fixed_tau_value, lm.emb))
-    worst = max(worst, _rel_err(grads[net.W1].data, _fd_tensor(full_value, net.W1)))
-    worst = max(worst, _rel_err(grads[net.phi].data, _fd_tensor(full_value, net.phi)))
+    worst = _rel_err(grads[lm.emb], _fd_tensor(fixed_tau_value, lm.emb))
+    worst = max(worst, _rel_err(grads[net.W1], _fd_tensor(full_value, net.W1)))
+    worst = max(worst, _rel_err(grads[net.phi], _fd_tensor(full_value, net.phi)))
     return worst
 
 
@@ -364,10 +364,8 @@ def _check_gcl_loss_gradients(rng: np.random.Generator) -> float:
     def full_value() -> float:
         return md.robust_gcl_loss(towers, net_img, net_txt, batch, cfg).item()
 
-    worst = _rel_err(
-        grads[towers.image.W1].data, _fd_tensor(fixed_tau_value, towers.image.W1)
-    )
-    worst = max(worst, _rel_err(grads[net_txt.W2].data, _fd_tensor(full_value, net_txt.W2)))
+    worst = _rel_err(grads[towers.image.W1], _fd_tensor(fixed_tau_value, towers.image.W1))
+    worst = max(worst, _rel_err(grads[net_txt.W2], _fd_tensor(full_value, net_txt.W2)))
     return worst
 
 

@@ -786,6 +786,12 @@ class TestNonFiniteSettings:
             ("train-lm", "train.eps=inf", "eps must be finite, got inf"),
             ("train-cl", "cl.fixed_tau1=nan", "fixed_tau1 must be finite, got nan"),
             ("train-cl", "cl.fixed_tau1=inf", "fixed_tau1 must be finite, got inf"),
+            ("train-lm", "train.seed=-1", "seed must be >= 0, got -1"),
+            ("train-cl", "train.seed=-1", "seed must be >= 0, got -1"),
+            ("train-lm", "lm.context_len=1", "context_len must be in [2, 64], got 1"),
+            ("train-cl", "cl.fixed_tau1=0", "fixed_tau1 must be positive, got 0.0"),
+            ("train-cl", "cl.fixed_tau1=-1", "fixed_tau1 must be positive, got -1.0"),
+            ("train-cl", "cl.fixed_tau2=0", "fixed_tau2 must be positive, got 0.0"),
         ],
     )
     def test_refused_by_name(self, tmp_path, capsys, command, override, message):

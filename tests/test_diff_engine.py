@@ -4,7 +4,6 @@ import pytest
 import drotemp.diff_engine as de
 import drotemp.tempnet as tn
 from drotemp.diff_engine import (
-    Gradients,
     Tape,
     Tensor,
     backward,
@@ -15,7 +14,7 @@ from drotemp.errors import DomainError, NonFiniteError, ShapeError
 
 
 def grad_of(build, *params):
-    """Record build() on a fresh tape and return the Gradients."""
+    """Record build() on a fresh tape and return its gradient dict."""
     with Tape() as tape:
         out = build()
     return backward(out, tape)
@@ -33,7 +32,7 @@ class TestForwardValues:
             out = de.relu(x)
             total = de.sum(out)
         np.testing.assert_array_equal(out.data, [np.nan, 0.0, 2.0])
-        np.testing.assert_array_equal(backward(total, tape)[x].data, [1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(backward(total, tape)[x], [1.0, 0.0, 1.0])
 
     def test_relu_bits_on_finite_inputs_match_the_greater_than_mask(self):
         rng = np.random.default_rng(31)
@@ -48,7 +47,7 @@ class TestForwardValues:
         old_mask = data > 0.0
         old_out = np.where(old_mask, data, 0.0)
         assert out.data.tobytes() == old_out.tobytes()
-        assert backward(total, tape)[x].data.tobytes() == (g * old_mask).tobytes()
+        assert backward(total, tape)[x].tobytes() == (g * old_mask).tobytes()
 
     def test_l2_normalize(self):
         np.testing.assert_allclose(
@@ -60,7 +59,7 @@ class TestForwardValues:
         out = de.l2_normalize(x, axis=-1, zero_policy="keep")
         np.testing.assert_array_equal(out.data, [[0.6, 0.8], [0.0, 0.0]])
         grads = grad_of(lambda: de.sum(de.mul(de.l2_normalize(x, -1, "keep"), 3.0)))
-        np.testing.assert_array_equal(grads[x].data[1], [0.0, 0.0])
+        np.testing.assert_array_equal(grads[x][1], [0.0, 0.0])
         with pytest.raises(DomainError):
             de.l2_normalize(x, axis=-1, zero_policy="clip")
 
@@ -84,7 +83,7 @@ class TestForwardValues:
             out = de.reciprocal(x)
             total = de.sum(out)
         assert out.data[1] == np.inf
-        assert backward(total, tape)[x].data[1] == -np.inf
+        assert backward(total, tape)[x][1] == -np.inf
         assert issubclass(NonFiniteError, DomainError)
 
     def test_logistic_extremes_stay_finite(self):
@@ -142,14 +141,14 @@ class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = Tensor(np.arange(5.0), requires_grad=True)
         grads = grad_of(lambda: de.sum(x))
-        np.testing.assert_array_equal(grads[x].data, np.ones(5))
+        np.testing.assert_array_equal(grads[x], np.ones(5))
 
     def test_logsumexp_gradient_is_softmax(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=8), requires_grad=True)
         grads = grad_of(lambda: de.logsumexp(x))
         z = np.exp(x.data - x.data.max())
-        np.testing.assert_allclose(grads[x].data, z / z.sum(), rtol=1e-13)
+        np.testing.assert_allclose(grads[x], z / z.sum(), rtol=1e-13)
 
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -159,18 +158,21 @@ class TestBackward:
             backward(y, tape)
 
     def test_untouched_leaf_gets_zeros(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        z = Tensor(np.ones(3), requires_grad=True)
+        # a zero contribution is stored; a leaf on a branch that never reaches
+        # the root is absent (a zero gradient), and so is every intermediate
+        x, z, dead = (Tensor(np.ones(3), requires_grad=True) for _ in range(3))
         with Tape() as tape:
-            branch = de.sum(de.mul(z, 0.0))  # z on tape, contributes nothing
+            branch = de.sum(de.mul(z, 0.0))
+            de.sum(dead)
             out = de.add(de.sum(x), branch)
         grads = backward(out, tape)
-        np.testing.assert_array_equal(grads[z].data, np.zeros(3))
+        np.testing.assert_array_equal(grads[z], np.zeros(3))
+        assert set(grads) == {x, z}
 
     def test_reused_leaf_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         grads = grad_of(lambda: de.sum(de.add(de.mul(x, x), x)))
-        np.testing.assert_allclose(grads[x].data, [2.0 * 3.0 + 1.0])
+        np.testing.assert_allclose(grads[x], [2.0 * 3.0 + 1.0])
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -180,7 +182,7 @@ class TestBackward:
         def run():
             with Tape() as tape:
                 out = de.mean(de.relu(de.matmul(x, de.transpose(w))))
-            return backward(out, tape)[w].data
+            return backward(out, tape)[w]
 
         a, b = run(), run()
         assert (a == b).all()
@@ -188,10 +190,18 @@ class TestBackward:
     def test_gradients_mapping_api(self):
         x = Tensor(np.ones(2), requires_grad=True)
         grads = grad_of(lambda: de.sum(x))
-        assert isinstance(grads, Gradients)
+        assert type(grads) is dict
         assert x in grads and len(grads) == 1
         with pytest.raises(KeyError):
             grads[Tensor(np.ones(2), requires_grad=True)]
+        # a first contribution is stored as a copy: transpose hands back a
+        # strided view (of the root's own seed, for a 1x1 root), and the
+        # stored gradient is C-contiguous and owns its memory
+        w = Tensor(np.ones((2, 3)), requires_grad=True)
+        gw = grad_of(lambda: de.sum(de.transpose(w)))[w]
+        assert gw.flags.c_contiguous and gw.flags.owndata
+        u = Tensor(np.ones((1, 1)), requires_grad=True)
+        assert grad_of(lambda: de.transpose(u))[u].flags.owndata
 
 
 class TestStopGradient:
@@ -203,7 +213,7 @@ class TestStopGradient:
         # d/dx [ sg(x) . x ] = x, not 2x
         x = Tensor([1.5, -0.5, 2.0], requires_grad=True)
         grads = grad_of(lambda: de.sum(de.mul(stop_gradient(x), x)))
-        np.testing.assert_allclose(grads[x].data, x.data)
+        np.testing.assert_allclose(grads[x], x.data)
 
     def test_loss_only_through_stop_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -212,7 +222,7 @@ class TestStopGradient:
             out = de.add(de.sum(de.mul(stop_gradient(x), stop_gradient(x))), de.sum(y))
         grads = backward(out, tape)
         assert x not in grads  # no gradient path at all
-        np.testing.assert_array_equal(grads[y].data, np.ones(2))
+        np.testing.assert_array_equal(grads[y], np.ones(2))
 
 
 class TestFiniteDiffCheck:
@@ -299,14 +309,14 @@ class TestFiniteDiffCheck:
     def test_duplicate_embedding_ids_accumulate(self):
         table = Tensor(np.zeros((3, 2)), requires_grad=True)
         grads = grad_of(lambda: de.sum(de.embedding_lookup(table, [0, 0, 2])))
-        np.testing.assert_array_equal(grads[table].data, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(grads[table], [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
     def test_concat_backward(self):
         a = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.ones(2), requires_grad=True)
         grads = grad_of(lambda: de.sum(de.mul(de.concat([a, b]), Tensor(np.arange(5.0)))))
-        np.testing.assert_array_equal(grads[a].data, [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(grads[b].data, [3.0, 4.0])
+        np.testing.assert_array_equal(grads[a], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(grads[b], [3.0, 4.0])
 
     def test_composite_mlp_chain(self):
         rng = np.random.default_rng(6)
@@ -393,5 +403,5 @@ class TestStackedPrimitives:
         stacked = grad_of(
             lambda: de.sum(de.mul(de.reshape(de.matmul(de.reshape(x, (2, 3, 4)), w), (6, 3)), coef))
         )
-        np.testing.assert_allclose(stacked[w].data, flat[w].data, rtol=1e-13, atol=1e-14)
-        np.testing.assert_allclose(stacked[x].data, flat[x].data, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(stacked[w], flat[w], rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(stacked[x], flat[x], rtol=1e-13, atol=1e-14)

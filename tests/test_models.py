@@ -390,8 +390,8 @@ class TestRobustSoftmaxLoss:
             assert finite_diff_check(lambda t: frozen(field, t), getattr(lm, field)) <= 1e-5
             frozen_grads = grads_of(lambda: frozen(field, getattr(lm, field)))
             np.testing.assert_allclose(
-                grads[getattr(lm, field)].data,
-                frozen_grads[getattr(lm, field)].data,
+                grads[getattr(lm, field)],
+                frozen_grads[getattr(lm, field)],
                 rtol=1e-10,
                 atol=1e-12,
             )
@@ -558,8 +558,8 @@ class TestRobustGcl:
                 assert finite_diff_check(frozen, getattr(side, field)) <= 1e-5
                 frozen_grads = grads_of(lambda: frozen(getattr(side, field)))
                 np.testing.assert_allclose(
-                    grads[getattr(side, field)].data,
-                    frozen_grads[getattr(side, field)].data,
+                    grads[getattr(side, field)],
+                    frozen_grads[getattr(side, field)],
                     rtol=1e-10,
                     atol=1e-12,
                 )

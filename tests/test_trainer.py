@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from drotemp import diff_engine as de
 from drotemp import models as md
 from drotemp import trainer as tr
-from drotemp.diff_engine import Gradients, Tape, Tensor, backward
+from drotemp.diff_engine import Tape, Tensor, backward
 from drotemp.dro_core import DroConfig
 from drotemp.errors import (
     DomainError,
@@ -153,7 +153,7 @@ class TestAdamW:
         w0 = np.linspace(-1.0, 2.0, 6).reshape(2, 3)
         w = Tensor(w0.copy(), requires_grad=True)
         state = tr.OptimizerState()
-        tr.adamw_step(tr.ParamGroup([("w", w)], state), Gradients(), lr=0.01, cfg=run)
+        tr.adamw_step(tr.ParamGroup([("w", w)], state), {}, lr=0.01, cfg=run)
         assert np.array_equal(w.data, w0 * (1.0 - 0.01 * 0.1))
         assert state.step == 1
 
@@ -233,7 +233,7 @@ class TestAdamW:
         state = tr.OptimizerState()
         group = tr.ParamGroup([("w", w)], state)
         assert state.moments == {}
-        tr.adamw_step(group, Gradients(), lr=0.01, cfg=small_run())
+        tr.adamw_step(group, {}, lr=0.01, cfg=small_run())
         assert list(state.moments) == ["w"]
         assert all(np.shares_memory(a, b) for a, b in zip(state.moments["w"], (group.m, group.v)))
 
