@@ -13,14 +13,21 @@ primitives act as plain numpy evaluation.
 
 Broadcasting is deliberately restricted to scalar-tensor; the row/column
 patterns the models need (bias rows, per-row temperature scaling) are
-explicit named primitives with hand-written backward rules rather than
-implicit numpy broadcasting, so every gradient path stays visible. The one
-stacked pattern is matmul with a 3-D left operand: (n, m, k) @ (n, k, p)
-multiplies n matrix pairs slice by slice, and (n, m, k) @ (k, p) applies one
-matrix to every slice, its gradient summed over the stack. transpose swaps the
-last two axes of a 3-D tensor and reshape moves between the flat (n*m, d) and
-stacked (n, m, d) views, so a model can batch equal-length sequences through
-per-sequence attention without a block-diagonal mask.
+explicit named primitives with hand-written backward rules, so every gradient
+path stays visible. Each op takes only the shapes the models give it:
+
+- add, sub, mul (equal shapes or a scalar), neg, reciprocal, relu, logistic;
+- matmul (m, k) @ (k, p), and a stacked (n, m, k) @ (n, k, p) or @ (k, p);
+- transpose of a matrix or of a 3-D tensor's last two axes, and reshape
+  between the flat (n*m, d) and stacked (n, m, d) views, so equal-length
+  sequences batch through per-sequence attention without a block mask;
+- affine, add_rowvec, mul_rowvec, add_colvec, scale_rows and gather_rows on
+  (n, d) matrices, and embedding_lookup of a matrix's rows;
+- softmax, logsumexp and l2_normalize along one axis; sum of every entry or
+  along one axis; mean of every entry; concat along the first axis.
+
+finite_diff_check compares a reverse-mode gradient with the numeric one from
+central_difference, which verify also calls.
 
 Ops do not check their outputs for NaN or infinity: a non-finite value flows
 on, and the callers check where it matters. The trainer checks the loss value
@@ -48,13 +55,12 @@ __all__ = [
     "backward",
     "stop_gradient",
     "finite_diff_check",
+    "central_difference",
     "add",
     "sub",
     "mul",
     "neg",
     "reciprocal",
-    "exp",
-    "log",
     "relu",
     "logistic",
     "matmul",
@@ -62,6 +68,7 @@ __all__ = [
     "reshape",
     "affine",
     "add_rowvec",
+    "add_colvec",
     "mul_rowvec",
     "scale_rows",
     "softmax",
@@ -79,12 +86,11 @@ class Tensor:
     """Dense float64 array with a differentiation flag. It hashes and compares
     by identity, which keys ``backward``'s gradient dict."""
 
-    __slots__ = ("data", "requires_grad", "name")
+    __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.name = name
 
     @property
     def shape(self):
@@ -100,8 +106,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def named_tensors(params, prefix: str = "") -> tuple:
@@ -240,18 +245,6 @@ def reciprocal(x: Tensor) -> Tensor:
     return _emit(out, (x,), lambda g: (-g * out * out,))
 
 
-def exp(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(x.data)
-    return _emit(out, (x,), lambda g: (g * out,))
-
-
-def log(x: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x.data)
-    return _emit(out, (x,), lambda g: (g / x.data,))
-
-
 def relu(x: Tensor) -> Tensor:
     # a NaN input passes through, so the checks downstream still see it
     mask = ~(x.data <= 0.0)
@@ -266,38 +259,17 @@ def logistic(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(m, k) @ (k, p); a stacked (n, m, k) takes (n, k, p) slice by slice, or
+    one (k, p) for every slice, whose gradient is summed over the stack."""
     ad, bd = a.data, b.data
-    if ad.ndim == 3:
-        return _stacked_matmul(a, b)
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise ShapeError("matmul", a.shape, b.shape)
-    if ad.shape[-1] != (bd.shape[0] if bd.ndim else 0):
+    if (ad.ndim not in (2, 3) or bd.ndim not in (2, ad.ndim) or ad.shape[-1] != bd.shape[-2]
+            or (bd.ndim == 3 and bd.shape[0] != ad.shape[0])):
         raise ShapeError("matmul", a.shape, b.shape)
 
     def back(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, np.outer(ad, g)
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        return g * bd, g * ad  # 1-d dot product, g is scalar
-
-    return _emit(ad @ bd, (a, b), back)
-
-
-def _stacked_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(n, m, k) @ (n, k, p) slice by slice, or (n, m, k) @ (k, p) shared."""
-    ad, bd = a.data, b.data
-    if bd.ndim not in (2, 3) or ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError("matmul", a.shape, b.shape)
-    if bd.ndim == 3 and bd.shape[0] != ad.shape[0]:
-        raise ShapeError("matmul", a.shape, b.shape)
-
-    def back(g):
-        ga = g @ np.swapaxes(bd, -1, -2)
-        if bd.ndim == 3:
-            return ga, np.swapaxes(ad, 1, 2) @ g
+        ga = g @ bd.swapaxes(-1, -2)
+        if bd.ndim == ad.ndim:
+            return ga, ad.swapaxes(-1, -2) @ g
         k, p = bd.shape
         return ga, ad.reshape(-1, k).T @ g.reshape(-1, p)
 
@@ -306,13 +278,9 @@ def _stacked_matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(x: Tensor) -> Tensor:
     """Matrix transpose; a 3-D tensor swaps its last two axes per slice."""
-    if x.data.ndim == 3:
-        return _emit(
-            np.swapaxes(x.data, 1, 2).copy(), (x,), lambda g: (np.swapaxes(g, 1, 2),)
-        )
-    if x.data.ndim != 2:
+    if x.data.ndim not in (2, 3):
         raise ShapeError("transpose", x.shape, x.shape)
-    return _emit(x.data.T.copy(), (x,), lambda g: (g.T,))
+    return _emit(x.data.swapaxes(-1, -2).copy(), (x,), lambda g: (g.swapaxes(-1, -2),))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -324,9 +292,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """w @ x + b for a vector x; x @ w.T + b (bias per row) for a matrix x."""
-    if x.data.ndim == 1:
-        return add(matmul(w, x), b)
+    """x @ w.T + b for a matrix x, the bias added to every row."""
     return add_rowvec(matmul(x, transpose(w)), b)
 
 
@@ -370,19 +336,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _emit(out, (x,), back)
 
 
-def logsumexp(x: Tensor, axis: int | None = None) -> Tensor:
+def logsumexp(x: Tensor, axis: int) -> Tensor:
     m = x.data.max(axis=axis, keepdims=True)
     e = np.exp(x.data - m)
     se = e.sum(axis=axis, keepdims=True)
-    out = (m + np.log(se)).reshape(()) if axis is None else np.squeeze(m + np.log(se), axis=axis)
-    soft = e / se
-
-    def back(g):
-        if axis is None:
-            return (g * soft,)
-        return (np.expand_dims(g, axis) * soft,)
-
-    return _emit(out, (x,), back)
+    out, soft = np.squeeze(m + np.log(se), axis=axis), e / se
+    return _emit(out, (x,), lambda g: (np.expand_dims(g, axis) * soft,))
 
 
 def l2_normalize(x: Tensor, axis: int = -1, zero_policy: str = "error") -> Tensor:
@@ -410,15 +369,11 @@ def l2_normalize(x: Tensor, axis: int = -1, zero_policy: str = "error") -> Tenso
     return _emit(out, (x,), back)
 
 
-def mean(x: Tensor, axis: int | None = None) -> Tensor:
-    out = x.data.mean(axis=axis)
-    if axis is None:
-        count = x.data.size
-        back = lambda g: (np.full(x.shape, float(g) / count),)
-    else:
-        count = x.shape[axis]
-        back = lambda g: (np.repeat(np.expand_dims(g / count, axis), count, axis=axis),)
-    return _emit(np.asarray(out), (x,), back)
+def mean(x: Tensor) -> Tensor:
+    count = x.data.size
+    return _emit(
+        np.asarray(x.data.mean()), (x,), lambda g: (np.full(x.shape, float(g) / count),)
+    )
 
 
 def sum(x: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - op name
@@ -430,11 +385,9 @@ def sum(x: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - op name
     return _emit(np.asarray(out), (x,), back)
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: list[Tensor]) -> Tensor:
     if not tensors:
         raise DomainError("concat needs at least one tensor")
-    if axis != 0:
-        raise DomainError("concat supports axis=0 only")
     nd = tensors[0].data.ndim
     for t in tensors[1:]:
         if t.data.ndim != nd or t.shape[1:] != tensors[0].shape[1:]:
@@ -530,28 +483,35 @@ def backward(root: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
 def finite_diff_check(f, x: Tensor, eps: float = 1e-6) -> float:
     """Max relative error between reverse-mode and central-difference grads.
 
-    The denominator is max(1, |analytic coordinate|). f must be a pure
-    scalar-valued function of x; it is re-evaluated 2*size(x) times.
+    The denominator is max(1, |analytic coordinate|), and a NaN in either
+    gradient makes the result NaN. f must be a pure scalar-valued function of
+    x; it is re-evaluated 2*size(x) times.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"eps must be > 0, got {eps}")
-    probe = Tensor(x.data.copy(), requires_grad=True, name=x.name)
+    probe = Tensor(x.data.copy(), requires_grad=True)
     with Tape() as tape:
         out = f(probe)
     if not isinstance(out, Tensor) or out.data.size != 1:
         raise DomainError("finite_diff_check needs a scalar-valued function")
     analytic = backward(out, tape).get(probe, np.zeros(probe.shape))
+    numeric = central_difference(lambda t: f(t).item(), Tensor(probe.data), eps)
+    return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))))
 
-    flat = probe.data.reshape(-1)
-    worst = 0.0
+
+def central_difference(f, x: Tensor, eps: float = 1e-6) -> np.ndarray:
+    """The gradient of the float-valued f at x by central differences: each
+    entry of x.data in turn moves by +eps and -eps in place, f(x) is called at
+    both, and the entry is restored. f may read x.data through another tensor
+    that shares it, such as a model's parameter."""
+    grad = np.zeros(x.shape)
+    flat, out = x.data.reshape(-1), grad.reshape(-1)
     for i in range(flat.size):
         keep = flat[i]
         flat[i] = keep + eps
-        hi = f(Tensor(probe.data)).item()
+        hi = f(x)
         flat[i] = keep - eps
-        lo = f(Tensor(probe.data)).item()
+        lo = f(x)
         flat[i] = keep
-        fd = (hi - lo) / (2.0 * eps)
-        a = analytic.reshape(-1)[i]
-        worst = max(worst, abs(a - fd) / max(1.0, abs(a)))
-    return worst
+        out[i] = (hi - lo) / (2.0 * eps)
+    return grad

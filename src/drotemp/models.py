@@ -98,6 +98,8 @@ class LmParams:
             raise DomainError(f"expected {c.n_blocks} blocks, got {len(self.blocks)}")
         if self.out_proj.shape != (c.vocab_size, c.d_model):
             raise DomainError(f"out_proj must be {c.vocab_size} x {c.d_model}")
+        for i, blk in enumerate(self.blocks):
+            _check_shapes(blk, f"blocks.{i}.", _block_shapes(c))
 
     def tensors(self) -> Tuple[Tuple[str, Tensor], ...]:
         return de.named_tensors(self)
@@ -131,8 +133,29 @@ class TokenBatch:
         return sum(len(s) - 1 for s in self.sequences)
 
 
-def _param(name: str, data: np.ndarray) -> Tensor:
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)
+def _param(data: np.ndarray) -> Tensor:
+    return Tensor(data, requires_grad=True)
+
+
+def _kaiming(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform weights within sqrt(6 / fan_in), the fan-in being shape[1]."""
+    bound = math.sqrt(6.0 / shape[1])
+    return rng.uniform(-bound, bound, size=shape)
+
+
+def _check_shapes(params, prefix: str, shapes: dict) -> None:
+    """Refuse a field of params whose shape is not shapes[field], by its path."""
+    for name, shape in shapes.items():
+        got = getattr(params, name).shape
+        if got != shape:
+            raise DomainError(f"{prefix}{name} must have shape {shape}, got {got}")
+
+
+def _block_shapes(cfg: LmConfig) -> dict:
+    """The shape of each BlockParams field under cfg, in field order."""
+    d, ff = cfg.d_model, cfg.d_ff
+    return {"Wq": (d, d), "Wk": (d, d), "Wv": (d, d), "Wo": (d, d),
+            "Wf1": (ff, d), "bf1": (ff,), "Wf2": (d, ff), "bf2": (d,)}
 
 
 def init_lm(cfg: LmConfig, seed: int) -> LmParams:
@@ -142,32 +165,20 @@ def init_lm(cfg: LmConfig, seed: int) -> LmParams:
     keeps early robust-loss temperatures well defined and equal across seeds.
     """
     rng = np.random.default_rng(seed)
-    d, ff = cfg.d_model, cfg.d_ff
-
-    def kaiming(shape, fan_in):
-        bound = math.sqrt(6.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    blocks = []
-    for i in range(cfg.n_blocks):
-        blocks.append(
-            BlockParams(
-                Wq=_param(f"blocks.{i}.Wq", kaiming((d, d), d)),
-                Wk=_param(f"blocks.{i}.Wk", kaiming((d, d), d)),
-                Wv=_param(f"blocks.{i}.Wv", kaiming((d, d), d)),
-                Wo=_param(f"blocks.{i}.Wo", kaiming((d, d), d)),
-                Wf1=_param(f"blocks.{i}.Wf1", kaiming((ff, d), d)),
-                bf1=_param(f"blocks.{i}.bf1", np.zeros(ff)),
-                Wf2=_param(f"blocks.{i}.Wf2", kaiming((d, ff), ff)),
-                bf2=_param(f"blocks.{i}.bf2", np.zeros(d)),
-            )
-        )
+    blocks = tuple(
+        BlockParams(**{
+            name: _param(np.zeros(shape) if len(shape) == 1 else _kaiming(rng, shape))
+            for name, shape in _block_shapes(cfg).items()
+        })
+        for _ in range(cfg.n_blocks)
+    )
+    d = cfg.d_model
     return LmParams(
         cfg=cfg,
-        emb=_param("emb", rng.normal(size=(cfg.vocab_size, d)) * 0.05),
-        pos=_param("pos", rng.normal(size=(cfg.context_len, d)) * 0.05),
-        blocks=tuple(blocks),
-        out_proj=_param("out_proj", np.zeros((cfg.vocab_size, d))),
+        emb=_param(rng.normal(size=(cfg.vocab_size, d)) * 0.05),
+        pos=_param(rng.normal(size=(cfg.context_len, d)) * 0.05),
+        blocks=blocks,
+        out_proj=_param(np.zeros((cfg.vocab_size, d))),
     )
 
 
@@ -386,6 +397,13 @@ class TwoTowerParams:
     image: TowerParams
     text: TowerParams
 
+    def __post_init__(self):
+        c = self.cfg
+        for side, in_dim in (("image", c.img_dim), ("text", c.txt_dim)):
+            shapes = {"W1": (c.hidden, in_dim), "b1": (c.hidden,),
+                      "W2": (c.out_dim, c.hidden), "b2": (c.out_dim,)}
+            _check_shapes(getattr(self, side), side + ".", shapes)
+
     def tensors(self) -> Tuple[Tuple[str, Tensor], ...]:
         return de.named_tensors(self)
 
@@ -421,21 +439,17 @@ class PairBatch:
 def init_two_tower(cfg: TwoTowerConfig, seed: int) -> TwoTowerParams:
     rng = np.random.default_rng(seed)
 
-    def tower(prefix: str, in_dim: int) -> TowerParams:
-        def kaiming(shape, fan_in):
-            bound = math.sqrt(6.0 / fan_in)
-            return rng.uniform(-bound, bound, size=shape)
-
+    def tower(in_dim: int) -> TowerParams:
         return TowerParams(
-            W1=_param(f"{prefix}.W1", kaiming((cfg.hidden, in_dim), in_dim)),
-            b1=_param(f"{prefix}.b1", np.zeros(cfg.hidden)),
-            W2=_param(f"{prefix}.W2", kaiming((cfg.out_dim, cfg.hidden), cfg.hidden)),
+            W1=_param(_kaiming(rng, (cfg.hidden, in_dim))),
+            b1=_param(np.zeros(cfg.hidden)),
+            W2=_param(_kaiming(rng, (cfg.out_dim, cfg.hidden))),
             # nonzero output bias: an input that silences every hidden unit
             # still lands away from the origin, where normalization is defined
-            b2=_param(f"{prefix}.b2", np.full(cfg.out_dim, 0.01)),
+            b2=_param(np.full(cfg.out_dim, 0.01)),
         )
 
-    return TwoTowerParams(cfg=cfg, image=tower("image", cfg.img_dim), text=tower("text", cfg.txt_dim))
+    return TwoTowerParams(cfg=cfg, image=tower(cfg.img_dim), text=tower(cfg.txt_dim))
 
 
 def _encode(tower: TowerParams, feats: Tensor) -> Tensor:

@@ -121,8 +121,8 @@ def _kaiming_uniform(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: i
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _param(name: str, data: np.ndarray) -> Tensor:
-    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)
+def _param(data: np.ndarray) -> Tensor:
+    return Tensor(data, requires_grad=True)
 
 
 def init_llm_tempnet(cfg: TempNetConfig, seed: int) -> TempNetParams:
@@ -132,12 +132,12 @@ def init_llm_tempnet(cfg: TempNetConfig, seed: int) -> TempNetParams:
     rng = np.random.default_rng(seed)
     return TempNetParams(
         cfg=cfg,
-        W1=_param("W1", _kaiming_uniform(rng, (cfg.d1, cfg.d0), fan_in=cfg.d0)),
-        b1=_param("b1", np.zeros(cfg.d1)),
-        W2=_param("W2", _kaiming_uniform(rng, (cfg.d2, cfg.d1), fan_in=cfg.d1)),
-        w3=_param("w3", np.ones(cfg.d2)),
-        phi=_param("phi", np.asarray(1.0)),
-        b=_param("b", np.asarray(0.0)),
+        W1=_param(_kaiming_uniform(rng, (cfg.d1, cfg.d0), fan_in=cfg.d0)),
+        b1=_param(np.zeros(cfg.d1)),
+        W2=_param(_kaiming_uniform(rng, (cfg.d2, cfg.d1), fan_in=cfg.d1)),
+        w3=_param(np.ones(cfg.d2)),
+        phi=_param(np.asarray(1.0)),
+        b=_param(np.asarray(0.0)),
     )
 
 
@@ -174,12 +174,12 @@ def init_cl_tempnet(
         w2 = samples[idx].T.copy()
     return TempNetParams(
         cfg=cfg,
-        W1=_param("W1", w1),
-        b1=_param("b1", np.zeros(cfg.d1)),
-        W2=_param("W2", w2),
-        w3=_param("w3", np.ones(cfg.d2)),
-        phi=_param("phi", np.asarray(0.01)),
-        b=_param("b", np.asarray(0.0)),
+        W1=_param(w1),
+        b1=_param(np.zeros(cfg.d1)),
+        W2=_param(w2),
+        w3=_param(np.ones(cfg.d2)),
+        phi=_param(np.asarray(0.01)),
+        b=_param(np.asarray(0.0)),
     )
 
 

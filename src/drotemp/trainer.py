@@ -415,8 +415,7 @@ def _params(cls, data: dict, section: str, prefix: str = "", **given):
     data[prefix + field]."""
     for f in dataclasses.fields(cls):
         if f.name not in given:
-            name = prefix + f.name
-            given[f.name] = Tensor(_field(data, name, section), requires_grad=True, name=name)
+            given[f.name] = Tensor(_field(data, prefix + f.name, section), requires_grad=True)
     return cls(**given)
 
 

@@ -10,6 +10,7 @@ to render the reports. All tolerances live in one table.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -81,6 +82,11 @@ class CheckReport:
         )
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual, or NaN if any is NaN (Python's max may drop it)."""
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 def _report(name: str, instances: int, residual: float, seed: int) -> CheckReport:
     return CheckReport(
         name=name,
@@ -123,7 +129,7 @@ def check_duality(n_instances: int = 200, seed: int = 0) -> CheckReport:
             rho = 0.0 if i % 10 == 9 else float(rng.uniform(0.05, 1.5))
             cfg = DroConfig(tau0=float(rng.uniform(0.01, 0.2)), tau_max=50.0, rho=rho)
             gap = abs(_dual_value(ls, cfg) - primal_dro_oracle(ls, cfg, 0.005))
-            worst = max(worst, gap)
+            worst = _worst(worst, gap)
             count += 1
     return _report("duality", count, worst, seed)
 
@@ -150,7 +156,7 @@ def check_fixed_point(n_instances: int = 1000, seed: int = 0) -> CheckReport:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for ls, cfg, sol in _interior_instances(n_instances, rng):
-        worst = max(worst, abs(fixed_point_rhs(ls, sol.tau, cfg) - sol.tau))
+        worst = _worst(worst, abs(fixed_point_rhs(ls, sol.tau, cfg) - sol.tau))
     return _report("fixed_point", n_instances, worst, seed)
 
 
@@ -173,8 +179,8 @@ def check_bz_bounds(n_instances: int = 10_000, seed: int = 0) -> CheckReport:
         tau = 10.0 ** rng.uniform(-3, 3)
         b = compute_bz(ls, tau)
         hi = float(ls.contrast.max() - ls.contrast.mean())
-        worst = max(worst, -b, b - hi)
-    return _report("bz_bounds", n_instances, max(worst, 0.0), seed)
+        worst = _worst(worst, -b, b - hi)
+    return _report("bz_bounds", n_instances, worst, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +223,8 @@ def check_upper_bound(n_draws: int = 100, seed: int = 0) -> CheckReport:
     worst = 0.0
     for _ in range(n_draws):
         solved, predicted = _upper_bound_draw(rng)
-        worst = max(worst, solved - predicted)
-    return _report("upper_bound", n_draws, max(worst, 0.0), seed)
+        worst = _worst(worst, solved - predicted)
+    return _report("upper_bound", n_draws, worst, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +236,9 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def _fd_scalar(f: Callable[[float], float], x: float, eps: float = 1e-6) -> float:
-    return (f(x + eps) - f(x - eps)) / (2.0 * eps)
-
-
-def _fd_tensor(f: Callable[[], float], tensor: Tensor, eps: float = 1e-6) -> np.ndarray:
-    grad = np.zeros(tensor.shape)
-    flat = tensor.data.reshape(-1)
-    out = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f()
-        flat[i] = orig - eps
-        lo = f()
-        flat[i] = orig
-        out[i] = (hi - lo) / (2.0 * eps)
-    return grad
+def _fd_error(grads, tensor: Tensor, value: Callable[[], float]) -> float:
+    """grads[tensor] against central differences of value() in tensor's entries."""
+    return _rel_err(grads[tensor], de.central_difference(lambda _: value(), tensor))
 
 
 def _grads_of(build: Callable[[], Tensor]):
@@ -265,12 +257,10 @@ def _check_core_derivatives(rng: np.random.Generator, fault: bool) -> float:
         analytic_g = grad_tau(ls, tau, cfg)
         if fault:
             analytic_g = -analytic_g  # deliberate sign flip to prove detection
-        numeric_g = _fd_scalar(lambda t: robust_loss(ls, t, cfg), tau)
-        numeric_h = _fd_scalar(lambda t: grad_tau(ls, t, cfg), tau)
-        worst = max(
-            worst,
-            _rel_err(np.asarray(analytic_g), np.asarray(numeric_g)),
-            _rel_err(np.asarray(hess_tau(ls, tau)), np.asarray(numeric_h)),
+        numeric_g = de.central_difference(lambda t: robust_loss(ls, t.item(), cfg), Tensor(tau))
+        numeric_h = de.central_difference(lambda t: grad_tau(ls, t.item(), cfg), Tensor(tau))
+        worst = _worst(
+            worst, _rel_err(analytic_g, numeric_g), _rel_err(hess_tau(ls, tau), numeric_h)
         )
     return worst
 
@@ -287,13 +277,10 @@ def _check_tempnet_gradients(rng: np.random.Generator) -> float:
         taus = tn.llm_tau_batch(net, Tensor(logits))
         return float(taus.data @ weights)
 
-    worst = 0.0
     grads = _grads_of(
         lambda: de.sum(de.mul(tn.llm_tau_batch(net, Tensor(logits)), Tensor(weights)))
     )
-    for _, tensor in net.tensors():
-        worst = max(worst, _rel_err(grads[tensor], _fd_tensor(value, tensor)))
-    return worst
+    return _worst(*(_fd_error(grads, tensor, value) for _, tensor in net.tensors()))
 
 
 def _check_lm_loss_gradients(rng: np.random.Generator) -> float:
@@ -317,10 +304,11 @@ def _check_lm_loss_gradients(rng: np.random.Generator) -> float:
     def full_value() -> float:
         return md.robust_softmax_loss(lm, net, batch, cfg).item()
 
-    worst = _rel_err(grads[lm.emb], _fd_tensor(fixed_tau_value, lm.emb))
-    worst = max(worst, _rel_err(grads[net.W1], _fd_tensor(full_value, net.W1)))
-    worst = max(worst, _rel_err(grads[net.phi], _fd_tensor(full_value, net.phi)))
-    return worst
+    return _worst(
+        _fd_error(grads, lm.emb, fixed_tau_value),
+        _fd_error(grads, net.W1, full_value),
+        _fd_error(grads, net.phi, full_value),
+    )
 
 
 def _check_stacked_primitives(rng: np.random.Generator) -> float:
@@ -334,7 +322,7 @@ def _check_stacked_primitives(rng: np.random.Generator) -> float:
         weights = Tensor(rng.normal(size=f(x).shape))
         return de.finite_diff_check(lambda t: de.sum(de.mul(f(t), weights)), x)
 
-    return max(
+    return _worst(
         probe(lambda t: de.matmul(t, b), a),
         probe(lambda t: de.matmul(a, t), b),
         probe(lambda t: de.matmul(a, t), w),
@@ -364,9 +352,10 @@ def _check_gcl_loss_gradients(rng: np.random.Generator) -> float:
     def full_value() -> float:
         return md.robust_gcl_loss(towers, net_img, net_txt, batch, cfg).item()
 
-    worst = _rel_err(grads[towers.image.W1], _fd_tensor(fixed_tau_value, towers.image.W1))
-    worst = max(worst, _rel_err(grads[net_txt.W2], _fd_tensor(full_value, net_txt.W2)))
-    return worst
+    return _worst(
+        _fd_error(grads, towers.image.W1, fixed_tau_value),
+        _fd_error(grads, net_txt.W2, full_value),
+    )
 
 
 def check_gradients(seed: int = 0, fault: bool = False) -> CheckReport:
@@ -380,7 +369,7 @@ def check_gradients(seed: int = 0, fault: bool = False) -> CheckReport:
     loud, not silent.
     """
     rng = np.random.default_rng(seed)
-    worst = max(
+    worst = _worst(
         _check_core_derivatives(rng, fault),
         _check_tempnet_gradients(rng),
         _check_lm_loss_gradients(rng),

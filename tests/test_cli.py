@@ -802,6 +802,61 @@ class TestNonFiniteSettings:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# every key of both schemas, but the data paths and init_from, with each of
+# these values, at 2 steps on the smallest shapes each family accepts
+SWEEP_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", ""]
+SWEEP_BASE = {
+    "train-lm": [f"data.corpus={CORPUS}", "train.batch_size=1", "lm.context_len=2",
+                 "lm.d_model=1", "lm.d_ff=1"],
+    "train-cl": [f"data.pairs={FIXTURE}", "train.batch_size=2", "cl.hidden=1", "cl.out_dim=1"],
+}
+SWEEP_KEYS = [
+    (command, key)
+    for command, schema in (("train-lm", cli._LM_SCHEMA), ("train-cl", cli._CL_SCHEMA))
+    for key in schema
+    if not key.startswith("data.") and key != "task.init_from"
+]
+# 1e308 for a scale, rate or decay that the config does not bound yet: the
+# run ends as a divergence that does not name the key ...
+SWEEP_DIVERGES = {
+    ("train-lm", "dro.tau_max"), ("train-lm", "dro.rho"), ("train-lm", "train.tempnet_lr"),
+    ("train-cl", "dro.tau_max"), ("train-cl", "dro.rho"), ("train-cl", "train.base_lr"),
+    ("train-cl", "train.weight_decay"),
+}
+# ... or the forward pass of step 2 overflows, and numpy's warning escapes
+SWEEP_OVERFLOWS = {
+    ("train-lm", "train.base_lr"), ("train-lm", "train.weight_decay"),
+    ("train-cl", "train.tempnet_lr"),
+}
+
+
+class TestConfigSweep:
+    """Each bad value of each key exits 0 with nothing on stderr, or exits 1
+    with one error line that names the key's field; none ends in a traceback."""
+
+    @pytest.mark.parametrize("command, key", SWEEP_KEYS, ids=[" ".join(c) for c in SWEEP_KEYS])
+    def test_bad_values(self, tmp_path, capsys, command, key):
+        field = key.rsplit(".", 1)[1]
+        for n, value in enumerate(SWEEP_VALUES):
+            argv = [command, "--out", str(tmp_path / str(n)), *SWEEP_BASE[command],
+                    "train.total_steps=2", "train.eval_every=2", "tempnet.d1=1", "tempnet.d2=1",
+                    f"{key}={value}"]
+            capsys.readouterr()
+            if value == "1e308" and (command, key) in SWEEP_OVERFLOWS:
+                with pytest.warns(RuntimeWarning, match="overflow"):
+                    run_cli(argv)
+                continue
+            rc = run_cli(argv)
+            err = capsys.readouterr().err
+            diverges = value == "1e308" and (command, key) in SWEEP_DIVERGES
+            if rc == 0:
+                assert err == "" and not diverges, (value, err)
+                continue
+            assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, (value, err)
+            assert err.startswith("error: training diverged at step ") == diverges, err
+            assert diverges or field in err, (value, err)
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -1002,21 +1057,30 @@ class TestOpenRunRefusals:
 
 
 class TestNonFiniteCheckpoint:
-    """A checkpoint holding one NaN weight, written with valid checksums:
-    eval and export-temps exit 1 with one stderr line and write nothing."""
+    """A checkpoint holding one NaN weight, or one array short by a column,
+    written with valid checksums: eval, export-temps and a warm start from it
+    exit 1 with one stderr line and write nothing."""
 
-    @pytest.mark.parametrize("command", ["eval", "export-temps"])
-    @pytest.mark.parametrize("kind", ["lm", "cl"])
-    def test_exits_1_with_one_line(self, lm_run, cl_run, tmp_path, capsys, kind, command):
+    @staticmethod
+    def damaged(lm_run, cl_run, tmp_path, kind, damage):
+        """(checkpoint path, data arguments, damaged array's name)."""
         if kind == "lm":
             source, data, weight = lm_run / "checkpoint.bin", ["--corpus", CORPUS], "blocks.0.Wq"
         else:
             run_dir, pairs = cl_run
             source, data, weight = run_dir / "checkpoint.bin", ["--pairs", str(pairs)], "image.W2"
         ckpt = tr.load_checkpoint(source)
-        dict(ckpt.foundation.tensors())[weight].data.reshape(-1)[0] = np.nan
+        tensor = dict(ckpt.foundation.tensors())[weight]
+        if damage == "nan":
+            tensor.data.reshape(-1)[0] = np.nan
+        else:
+            tensor.data = tensor.data[:, :-1].copy()
         bad = tmp_path / "checkpoint.bin"
         tr.save_checkpoint(ckpt, bad)
+        return bad, data, weight
+
+    @staticmethod
+    def refused(capsys, tmp_path, command, bad, data):
         out_path = tmp_path / "out.csv"
         target = ["--out", str(out_path)] if command == "eval" else ["--output", str(out_path)]
         capsys.readouterr()
@@ -1026,6 +1090,39 @@ class TestNonFiniteCheckpoint:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "nan" not in out.lower()
         assert not out_path.exists()
+        return err
+
+    @pytest.mark.parametrize("command", ["eval", "export-temps"])
+    @pytest.mark.parametrize("kind", ["lm", "cl"])
+    def test_exits_1_with_one_line(self, lm_run, cl_run, tmp_path, capsys, kind, command):
+        bad, data, _ = self.damaged(lm_run, cl_run, tmp_path, kind, "nan")
+        self.refused(capsys, tmp_path, command, bad, data)
+
+    @pytest.mark.parametrize("command", ["eval", "export-temps"])
+    @pytest.mark.parametrize("kind", ["lm", "cl"])
+    def test_wrong_shape_names_the_array(self, lm_run, cl_run, tmp_path, capsys, kind, command):
+        bad, data, weight = self.damaged(lm_run, cl_run, tmp_path, kind, "short")
+        err = self.refused(capsys, tmp_path, command, bad, data)
+        assert f"{weight} must have shape" in err, err
+
+    @pytest.mark.parametrize("kind", ["lm", "cl"])
+    def test_warm_start_from_wrong_shape_names_the_array(
+        self, lm_run, cl_run, tmp_path, capsys, kind
+    ):
+        bad, data, weight = self.damaged(lm_run, cl_run, tmp_path, kind, "short")
+        if kind == "lm":
+            command, overrides = "train-lm", LM_OVERRIDES
+        else:
+            command, overrides = "train-cl", [f"data.pairs={data[1]}", *CL_OVERRIDES]
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = run_cli([command, "--out", str(out), "--mode", "joint-finetune", *overrides,
+                      f"task.init_from={bad}"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{weight} must have shape" in err, err
+        assert not (out / "checkpoint.bin").exists()
 
 
 class TestVerifyCommand:

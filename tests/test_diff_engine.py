@@ -104,20 +104,14 @@ class TestForwardValues:
         np.testing.assert_allclose(got, ref, rtol=1e-14)
 
     def test_exp_overflow_is_a_domain_error(self):
-        # the op passes the overflow on as inf; the check of whoever consumes
-        # it raises NonFiniteError, a DomainError (here a temperature network)
-        out = de.exp(Tensor([[1000.0, 0.0]]))
+        # an op passes an overflow on as inf (here 1 / 0); the check of
+        # whoever consumes it raises NonFiniteError, a DomainError (here a
+        # temperature network)
+        out = de.reciprocal(Tensor([[0.0, 1.0]]))
         assert out.data[0, 0] == np.inf
         cfg = tn.TempNetConfig(variant=tn.Variant.CL_EMBEDDING, d0=2, d1=4, d2=2)
         with pytest.raises(DomainError, match="embedding rows are not all finite"):
             tn.cl_tau_batch(tn.init_cl_tempnet(cfg, seed=0), out)
-
-    def test_matmul_vector_cases(self):
-        a = Tensor([1.0, 2.0])
-        m = Tensor([[1.0, 0.0, 2.0], [0.0, 3.0, 1.0]])
-        np.testing.assert_allclose(de.matmul(a, m).data, [1.0, 6.0, 4.0])
-        np.testing.assert_allclose(de.matmul(m, Tensor([1.0, 1.0, 1.0])).data, [3.0, 4.0])
-        assert de.matmul(a, a).item() == 5.0
 
     def test_shape_errors_name_both_shapes(self):
         with pytest.raises(ShapeError) as err:
@@ -145,8 +139,8 @@ class TestBackward:
 
     def test_logsumexp_gradient_is_softmax(self):
         rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=8), requires_grad=True)
-        grads = grad_of(lambda: de.logsumexp(x))
+        x = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
+        grads = grad_of(lambda: de.logsumexp(x, axis=1))
         z = np.exp(x.data - x.data.max())
         np.testing.assert_allclose(grads[x], z / z.sum(), rtol=1e-13)
 
@@ -237,6 +231,18 @@ class TestFiniteDiffCheck:
         with pytest.raises(DomainError):
             finite_diff_check(lambda t: de.mul(t, 2.0), Tensor(np.ones(3)))
 
+    def test_nan_gradient_fails(self):
+        # a NaN coordinate must not be dropped by the maximum over coordinates
+        err = finite_diff_check(lambda t: de.sum(de.mul(t, float("nan"))), Tensor(np.ones(3)))
+        assert np.isnan(err) and not err <= 1e-5
+
+    def test_central_difference_is_the_numeric_gradient_and_restores_x(self):
+        x = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]))
+        before = x.data.copy()
+        grad = de.central_difference(lambda t: float((t.data**3).sum()), x, eps=1e-5)
+        np.testing.assert_allclose(grad, 3.0 * before**2, rtol=1e-9)
+        assert x.data.tobytes() == before.tobytes()
+
     def test_eps_domain(self):
         with pytest.raises(DomainError):
             finite_diff_check(lambda t: de.sum(t), Tensor(np.ones(2)), eps=0.0)
@@ -247,11 +253,11 @@ class TestFiniteDiffCheck:
             ("relu", lambda t: de.sum(de.relu(t)), (33,)),
             ("relu_long", lambda t: de.sum(de.relu(t)), (4096,)),
             ("logistic", lambda t: de.sum(de.logistic(t)), (17,)),
-            ("exp", lambda t: de.sum(de.exp(t)), (9,)),
-            ("log", lambda t: de.sum(de.log(de.add(de.mul(t, t), 1.0))), (9,)),
+            ("neg", lambda t: de.sum(de.mul(de.neg(t), t)), (9,)),
+            ("sum_rows", lambda t: de.sum(de.mul(de.sum(t, axis=1), 3.0)), (3, 4)),
             ("reciprocal", lambda t: de.sum(de.reciprocal(de.add(de.mul(t, t), 1.0))), (7,)),
             ("softmax", lambda t: de.sum(de.mul(de.softmax(t), de.softmax(t))), (8,)),
-            ("logsumexp_all", lambda t: de.logsumexp(t), (4096,)),
+            ("logsumexp_all", lambda t: de.sum(de.logsumexp(t, axis=1)), (1, 4096)),
             ("l2_normalize", lambda t: de.sum(de.mul(de.l2_normalize(t), Tensor(np.arange(6.0)))), (6,)),
             ("mean", lambda t: de.mean(de.mul(t, t)), (12,)),
         ],

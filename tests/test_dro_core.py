@@ -101,7 +101,8 @@ class TestStableLogsumexp:
 
     @staticmethod
     def lse(values) -> float:
-        return de.logsumexp(Tensor(np.asarray(values, dtype=np.float64))).item()
+        # one row, along axis 1: the form the robust losses call
+        return de.logsumexp(Tensor(np.asarray(values, dtype=np.float64)[None, :]), axis=1).item()
 
     def test_two_equal_terms(self):
         assert self.lse([0.0, 0.0]) == pytest.approx(math.log(2), abs=1e-15)

@@ -96,6 +96,17 @@ class TestBzBounds:
         assert report.passed
         assert report.max_residual <= 1e-12
 
+    def test_nan_residual_fails(self, monkeypatch):
+        # one NaN b_z among 50 instances; Python's max(worst, nan) would keep
+        # worst and report a pass
+        real, calls = vf.compute_bz, iter(range(50))
+        monkeypatch.setattr(
+            vf, "compute_bz", lambda ls, tau: np.nan if next(calls) == 20 else real(ls, tau)
+        )
+        report = vf.check_bz_bounds(n_instances=50, seed=0)
+        assert np.isnan(report.max_residual) and not report.passed
+        assert report.describe().startswith("bz_bounds: FAIL (max residual nan")
+
     def test_single_logit_is_tight_at_zero(self):
         from drotemp.dro_core import compute_bz
 
