@@ -383,8 +383,24 @@ def _add_train_arguments(sub: argparse.ArgumentParser):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but key=value overrides may sit anywhere after the command:
+    argparse collects one run of them, and the later ones it leaves over join
+    it in command-line order. Any other leftover is still a usage error."""
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, rest = self.parse_known_args(args, namespace)
+        takes_overrides = hasattr(parsed, "override")
+        extra = [a for a in rest if not takes_overrides or "=" not in a or a.startswith("-")]
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        if rest:
+            parsed.override += rest
+        return parsed
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drotemp",
         description="Robust-loss training with per-instance learned temperatures.",
     )

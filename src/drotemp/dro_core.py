@@ -33,12 +33,12 @@ shared state, so every operation is safe to call from concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedSizeError
+from .errors import DomainError, UnsupportedSizeError, bounds, check_fields
 
 __all__ = [
     "LogitSet",
@@ -109,24 +109,19 @@ class DroConfig:
     identities between the robust and plain losses live exactly there.
     """
 
-    tau0: float = 1e-3
+    tau0: float = field(default=1e-3, metadata=bounds(0, open_lo=True))
     tau_max: float = 2.0
-    rho: float = 1.0
+    rho: float = field(default=1.0, metadata=bounds(0))
 
     def __post_init__(self):
+        # stored as floats, so equal configs hash equal (trainer.config_hash)
         for name in ("tau0", "tau_max", "rho"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
-        if self.tau0 <= 0.0:
-            raise DomainError(f"tau0 must be > 0, got {self.tau0}")
+            object.__setattr__(self, name, float(getattr(self, name)))
+        check_fields(self)
         if self.tau_max <= self.tau0:
             raise DomainError(
                 f"tau_max must exceed tau0, got tau_max={self.tau_max} tau0={self.tau0}"
             )
-        if self.rho < 0.0:
-            raise DomainError(f"rho must be >= 0, got {self.rho}")
 
 
 @dataclass(frozen=True)

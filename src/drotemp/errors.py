@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check of the
+settings classes: each field declares its range once, as ``bounds`` metadata,
+and ``check_fields`` enforces every declaration of a class."""
+
+import dataclasses
+import math
 
 
 class DomainError(ValueError):
@@ -37,3 +42,26 @@ class ShapeError(ValueError):
         self.lhs = tuple(lhs)
         self.rhs = tuple(rhs)
         super().__init__(f"{op}: incompatible shapes {self.lhs} and {self.rhs}")
+
+
+def bounds(lo, hi=math.inf, *, open_lo: bool = False, open_hi: bool = False) -> dict:
+    """Field metadata: the value lies in [lo, hi], without an end that is open."""
+    return {"bounds": (lo, hi, open_lo, open_hi)}
+
+
+def check_fields(obj) -> None:
+    """DomainError naming the first field of the dataclass obj that is a
+    non-finite float or lies outside its declared bounds."""
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if f.type in ("float", float) and not math.isfinite(v):
+            raise DomainError(f"{f.name} must be finite, got {v}")
+        lo, hi, open_lo, open_hi = f.metadata.get("bounds", (None, None, False, False))
+        # the positive form, so that a NaN is refused
+        if lo is None or ((lo < v if open_lo else lo <= v) and (v < hi if open_hi else v <= hi)):
+            continue
+        if hi < math.inf:
+            span = f"in {'(' if open_lo else '['}{lo:g}, {hi:g}{')' if open_hi else ']'}"
+        else:
+            span = "positive" if open_lo and lo == 0 else f"{'>' if open_lo else '>='} {lo:g}"
+        raise DomainError(f"{f.name} must be {span}, got {v}")

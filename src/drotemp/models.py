@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -34,9 +34,14 @@ from . import diff_engine as de
 from . import tempnet as tn
 from .diff_engine import Tensor
 from .dro_core import DroConfig
-from .errors import DegenerateBatchError, DomainError, NonFiniteError
+from .errors import DegenerateBatchError, DomainError, NonFiniteError, bounds, check_fields
 
 _NEG_MASK = -1e9  # additive score mask; exp underflows to exactly zero
+
+
+def quiet_floats() -> np.errstate:
+    """numpy's float warnings off, for code that checks its own result."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 # ---------------------------------------------------------------------------
@@ -47,23 +52,14 @@ _NEG_MASK = -1e9  # additive score mask; exp underflows to exactly zero
 class LmConfig:
     """Shape of the toy causal LM."""
 
-    vocab_size: int
-    d_model: int = 32
-    d_ff: int = 64
-    n_blocks: int = 1
-    context_len: int = 32
+    vocab_size: int = field(metadata=bounds(2))
+    d_model: int = field(default=32, metadata=bounds(1, 128))
+    d_ff: int = field(default=64, metadata=bounds(1, 512))
+    n_blocks: int = field(default=1, metadata=bounds(1, 2))
+    context_len: int = field(default=32, metadata=bounds(2, 64))
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise DomainError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if not (1 <= self.d_model <= 128):
-            raise DomainError(f"d_model must be in [1, 128], got {self.d_model}")
-        if not (1 <= self.d_ff <= 512):
-            raise DomainError(f"d_ff must be in [1, 512], got {self.d_ff}")
-        if self.n_blocks not in (1, 2):
-            raise DomainError(f"n_blocks must be 1 or 2, got {self.n_blocks}")
-        if not (2 <= self.context_len <= 64):
-            raise DomainError(f"context_len must be in [2, 64], got {self.context_len}")
+        check_fields(self)
 
 
 @dataclass
@@ -90,14 +86,10 @@ class LmParams:
 
     def __post_init__(self):
         c = self.cfg
-        if self.emb.shape != (c.vocab_size, c.d_model):
-            raise DomainError(f"emb must be {c.vocab_size} x {c.d_model}, got {self.emb.shape}")
-        if self.pos.shape != (c.context_len, c.d_model):
-            raise DomainError(f"pos must be {c.context_len} x {c.d_model}, got {self.pos.shape}")
+        d, v = c.d_model, c.vocab_size
+        _check_shapes(self, "", {"emb": (v, d), "pos": (c.context_len, d), "out_proj": (v, d)})
         if len(self.blocks) != c.n_blocks:
             raise DomainError(f"expected {c.n_blocks} blocks, got {len(self.blocks)}")
-        if self.out_proj.shape != (c.vocab_size, c.d_model):
-            raise DomainError(f"out_proj must be {c.vocab_size} x {c.d_model}")
         for i, blk in enumerate(self.blocks):
             _check_shapes(blk, f"blocks.{i}.", _block_shapes(c))
 
@@ -306,6 +298,7 @@ EVAL_BLOCK = 16
 _NLL_GROUP = 8
 
 
+@quiet_floats()
 def lm_eval_pass(
     params: LmParams,
     temperature_source: Union[float, tn.TempNetParams],
@@ -372,15 +365,13 @@ def perplexity(
 class TwoTowerConfig:
     """Shape of the paired encoders; both emit unit-norm out_dim vectors."""
 
-    img_dim: int
-    txt_dim: int
-    hidden: int = 32
-    out_dim: int = 16
+    img_dim: int = field(metadata=bounds(1))
+    txt_dim: int = field(metadata=bounds(1))
+    hidden: int = field(default=32, metadata=bounds(1))
+    out_dim: int = field(default=16, metadata=bounds(1))
 
     def __post_init__(self):
-        for name in ("img_dim", "txt_dim", "hidden", "out_dim"):
-            if int(getattr(self, name)) < 1:
-                raise DomainError(f"{name} must be positive")
+        check_fields(self)
 
 
 @dataclass
@@ -534,6 +525,7 @@ def baseline_gcl_loss(
     return de.mean(de.add(direction(masked, tau1), direction(de.transpose(masked), tau2)))
 
 
+@quiet_floats()
 def recall_at_k(towers: TwoTowerParams, eval_pairs: PairBatch, k: int) -> Tuple[float, float]:
     """(image_retrieval, text_retrieval) recall@k over the evaluation pairs.
 

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dro_core import DroConfig, LogitSet, block_grad_curvature, block_loss, robust_loss
 # grad_tau and hess_tau are not called here; perfbench's tracer wraps them by name
 from .dro_core import grad_tau, hess_tau  # noqa: F401
-from .errors import DomainError
+from .errors import DomainError, bounds, check_fields
 
 __all__ = [
     "SolveStatus",
@@ -69,22 +69,16 @@ class BatchSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    init_tau: float = 1.0
-    tol: float = 1e-8
-    max_iter: int = 50
+    init_tau: float = field(default=1.0, metadata=bounds(0, open_lo=True))
+    tol: float = field(default=1e-8, metadata=bounds(0, open_lo=True))
+    max_iter: int = field(default=50, metadata=bounds(1))
     bracket_hi: float = 1e3
 
     def __post_init__(self):
-        if not (math.isfinite(self.init_tau) and self.init_tau > 0):
-            raise DomainError(f"init_tau must be > 0, got {self.init_tau}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise DomainError(f"tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (math.isfinite(self.bracket_hi) and self.bracket_hi > self.init_tau):
+        check_fields(self)
+        if self.bracket_hi <= self.init_tau:
             raise DomainError(
-                f"bracket_hi must be finite and exceed init_tau={self.init_tau},"
-                f" got {self.bracket_hi}"
+                f"bracket_hi must exceed init_tau={self.init_tau}, got {self.bracket_hi}"
             )
 
 

@@ -17,7 +17,7 @@ trains jointly with the model that feeds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import diff_engine as de
 from .diff_engine import Tensor
-from .errors import DomainError, NonFiniteError
+from .errors import DomainError, NonFiniteError, bounds, check_fields
 
 
 class Variant(Enum):
@@ -44,19 +44,17 @@ class TempNetConfig:
     """
 
     variant: Variant
-    d0: int
-    d1: int
-    d2: int
-    tau0: float = 1e-3
+    d0: int = field(metadata=bounds(1))
+    d1: int = field(metadata=bounds(1))
+    d2: int = field(metadata=bounds(1))
+    tau0: float = field(default=1e-3, metadata=bounds(0, open_lo=True))
     tau_max: float = 2.0
-    rho: float = 1.0
+    rho: float = field(default=1.0, metadata=bounds(0, open_lo=True))
 
     def __post_init__(self):
         if not isinstance(self.variant, Variant):
             raise DomainError(f"variant must be a Variant member, got {self.variant!r}")
-        for name in ("d0", "d1", "d2"):
-            if int(getattr(self, name)) < 1:
-                raise DomainError(f"{name} must be a positive integer")
+        check_fields(self)
         if self.variant is Variant.LLM_LOGITS:
             # widths must narrow toward the pooled scalar
             if not (self.d0 >= self.d1 >= self.d2):
@@ -66,12 +64,8 @@ class TempNetConfig:
         else:
             if self.d2 > self.d1:
                 raise DomainError(f"embedding variant needs d2 <= d1, got d1={self.d1} d2={self.d2}")
-        if not np.isfinite(self.tau_max):
-            raise DomainError(f"tau_max must be finite, got {self.tau_max}")
-        if not (0.0 < self.tau0 < self.tau_max):
-            raise DomainError(f"need 0 < tau0 < tau_max, got [{self.tau0}, {self.tau_max}]")
-        if self.rho <= 0.0 or not np.isfinite(self.rho):
-            raise DomainError(f"rho must be positive and finite, got {self.rho}")
+        if self.tau_max <= self.tau0:
+            raise DomainError(f"need tau0 < tau_max, got [{self.tau0}, {self.tau_max}]")
 
 
 @dataclass

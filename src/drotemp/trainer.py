@@ -41,6 +41,7 @@ from . import tempnet as tn
 from .diff_engine import Tape, Tensor, backward
 from .dro_core import DroConfig
 from .errors import DomainError, IntegrityError, NonFiniteError, ShapeError, TrainingDivergedError
+from .errors import bounds, check_fields
 
 MODES = ("scratch", "joint-finetune", "tempnet-only")
 METRICS_HEADER = "step,loss,eval_metric,tau_mean,tau_min,tau_max,lr_model,lr_tempnet"
@@ -56,6 +57,8 @@ _VERSION = 1
 # ---------------------------------------------------------------------------
 # configuration
 
+_UNIT_OPEN = bounds(0, 1, open_lo=True, open_hi=True)  # a fraction or a moment decay
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -66,42 +69,21 @@ class TrainConfig:
     typically override lr, weight_decay, and beta2.
     """
 
-    total_steps: int
-    batch_size: int
-    seed: int
+    total_steps: int = field(metadata=bounds(1))
+    batch_size: int = field(metadata=bounds(1))
+    seed: int = field(metadata=bounds(0))
     cfg: DroConfig
-    base_lr: float = 1e-3
-    tempnet_lr: float = 1e-4
-    warmup_fraction: float = 0.01
-    weight_decay: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
-    eval_every: int = 100
+    base_lr: float = field(default=1e-3, metadata=bounds(0))
+    tempnet_lr: float = field(default=1e-4, metadata=bounds(0))
+    warmup_fraction: float = field(default=0.01, metadata=_UNIT_OPEN)
+    weight_decay: float = field(default=0.1, metadata=bounds(0))
+    beta1: float = field(default=0.9, metadata=_UNIT_OPEN)
+    beta2: float = field(default=0.95, metadata=_UNIT_OPEN)
+    eps: float = field(default=1e-8, metadata=bounds(0, open_lo=True))
+    eval_every: int = field(default=100, metadata=bounds(1))
 
     def __post_init__(self):
-        if int(self.total_steps) < 1:
-            raise DomainError(f"total_steps must be >= 1, got {self.total_steps}")
-        if int(self.batch_size) < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if int(self.eval_every) < 1:
-            raise DomainError(f"eval_every must be >= 1, got {self.eval_every}")
-        if int(self.seed) < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if not (0.0 < self.warmup_fraction < 1.0):
-            raise DomainError(f"warmup_fraction must be in (0, 1), got {self.warmup_fraction}")
-        for name in ("base_lr", "tempnet_lr", "weight_decay"):
-            v = float(getattr(self, name))
-            if v < 0.0 or not math.isfinite(v):
-                raise DomainError(f"{name} must be finite and >= 0, got {v}")
-        for name in ("beta1", "beta2"):
-            v = float(getattr(self, name))
-            if not (0.0 < v < 1.0):
-                raise DomainError(f"{name} must be in (0, 1), got {v}")
-        if self.eps <= 0.0:
-            raise DomainError(f"eps must be positive, got {self.eps}")
-        if not math.isfinite(self.eps):
-            raise DomainError(f"eps must be finite, got {self.eps}")
+        check_fields(self)
         if not isinstance(self.cfg, DroConfig):
             raise DomainError("cfg must be a DroConfig")
 
@@ -117,17 +99,15 @@ class LmTask:
     d_model: int = 32
     d_ff: int = 64
     n_blocks: int = 1
-    context_len: int = 32
+    # LmConfig holds the model's range; this refuses an empty window early
+    context_len: int = field(default=32, metadata=bounds(1))
     tempnet_d1: int = 16
     tempnet_d2: int = 8
-    val_fraction: float = 0.1
+    val_fraction: float = field(default=0.1, metadata=_UNIT_OPEN)
 
     def __post_init__(self):
-        _check_task_common(self.mode, self.init_from, self.objective, ("robust", "ce"))
-        if not (0.0 < self.val_fraction < 1.0):
-            raise DomainError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        if int(self.context_len) < 1:
-            raise DomainError(f"context_len must be >= 1, got {self.context_len}")
+        check_fields(self)
+        _check_task_common(self, ("robust", "ce"))
 
 
 @dataclass(frozen=True)
@@ -142,32 +122,25 @@ class ClTask:
     out_dim: int = 16
     tempnet_d1: int = 16
     tempnet_d2: int = 8
-    eval_fraction: float = 0.25
-    fixed_tau1: float = 0.05
-    fixed_tau2: float = 0.05
+    eval_fraction: float = field(default=0.25, metadata=_UNIT_OPEN)
+    fixed_tau1: float = field(default=0.05, metadata=bounds(0, open_lo=True))
+    fixed_tau2: float = field(default=0.05, metadata=bounds(0, open_lo=True))
 
     def __post_init__(self):
-        _check_task_common(self.mode, self.init_from, self.objective, ("robust", "fixed"))
-        if not (0.0 < self.eval_fraction < 1.0):
-            raise DomainError(f"eval_fraction must be in (0, 1), got {self.eval_fraction}")
-        for name in ("fixed_tau1", "fixed_tau2"):
-            value = getattr(self, name)
-            if value <= 0.0:
-                raise DomainError(f"{name} must be positive, got {value}")
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
+        check_fields(self)
+        _check_task_common(self, ("robust", "fixed"))
 
 
-def _check_task_common(mode: str, init_from, objective: str, allowed: Tuple[str, ...]):
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
-    if objective not in allowed:
-        raise DomainError(f"objective must be one of {allowed}, got {objective!r}")
-    if mode == "scratch" and init_from is not None:
+def _check_task_common(task: Union[LmTask, ClTask], allowed: Tuple[str, ...]):
+    if task.mode not in MODES:
+        raise DomainError(f"mode must be one of {MODES}, got {task.mode!r}")
+    if task.objective not in allowed:
+        raise DomainError(f"objective must be one of {allowed}, got {task.objective!r}")
+    if task.mode == "scratch" and task.init_from is not None:
         raise DomainError("scratch mode does not take an init checkpoint")
-    if mode != "scratch" and init_from is None:
-        raise DomainError(f"{mode} mode needs init_from")
-    if mode == "tempnet-only" and objective != "robust":
+    if task.mode != "scratch" and task.init_from is None:
+        raise DomainError(f"{task.mode} mode needs init_from")
+    if task.mode == "tempnet-only" and task.objective != "robust":
         raise DomainError("tempnet-only mode requires the robust objective")
 
 
@@ -750,6 +723,7 @@ class _ClRuntime(_Runtime):
             )
         return md.baseline_gcl_loss(self.model, self.task.fixed_tau1, self.task.fixed_tau2, batch)
 
+    @md.quiet_floats()
     def evaluate(self) -> Tuple[float, np.ndarray]:
         """Mean recall@1 over both directions, plus held-out temperatures:
         the image side's then the text side's, or the two fixed taus."""
@@ -935,7 +909,7 @@ def train(
             # warnings; the temperatures, the loss value and each group's
             # update are checked instead
             try:
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                with md.quiet_floats():
                     with Tape() as tape:
                         loss = runtime.loss(batch)
                     loss_value = loss.item()

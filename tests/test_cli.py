@@ -653,6 +653,27 @@ class TestTrainLm:
             run_cli(["train-lm", "--out", str(tmp_path / "x"), "--mode", "warmstart"])
         assert exc.value.code == 2
 
+    def test_overrides_after_an_option_are_applied(self, lm_run, tmp_path):
+        split = ["train-lm", "--out", str(tmp_path / "a"), LM_OVERRIDES[0],
+                 "--mode", "tempnet-only", "train.total_steps=2", *LM_OVERRIDES[4:],
+                 f"task.init_from={lm_run / 'checkpoint.bin'}"]
+        # total_steps=3 before the option and =2 after it: the later one must win
+        leading = ["train-lm", LM_OVERRIDES[0], "train.total_steps=3", "--out",
+                   str(tmp_path / "b"), "train.total_steps=2"]
+        for out, argv in ((tmp_path / "a", split), (tmp_path / "b", leading)):
+            assert run_cli(argv) == 0
+            assert "train.total_steps = 2\n" in (out / "config.resolved").read_text()
+            assert tr.read_metrics(out / "metrics.csv")[-1]["step"] == 2
+        assert "task.mode = tempnet-only\n" in (tmp_path / "a" / "config.resolved").read_text()
+
+    def test_unknown_option_among_overrides_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["train-lm", "--out", str(tmp_path / "x"), f"data.corpus={CORPUS}",
+                     "--bogus", "train.total_steps=2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus\n" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_invalid_mode_override_rejected(self, tmp_path, capsys):
         rc = run_cli(
             ["train-lm", "--out", str(tmp_path / "x"), "task.mode=warmstart"]
@@ -817,16 +838,11 @@ SWEEP_KEYS = [
     if not key.startswith("data.") and key != "task.init_from"
 ]
 # 1e308 for a scale, rate or decay that the config does not bound yet: the
-# run ends as a divergence that does not name the key ...
+# run ends as a divergence that does not name the key
 SWEEP_DIVERGES = {
     ("train-lm", "dro.tau_max"), ("train-lm", "dro.rho"), ("train-lm", "train.tempnet_lr"),
     ("train-cl", "dro.tau_max"), ("train-cl", "dro.rho"), ("train-cl", "train.base_lr"),
     ("train-cl", "train.weight_decay"),
-}
-# ... or the forward pass of step 2 overflows, and numpy's warning escapes
-SWEEP_OVERFLOWS = {
-    ("train-lm", "train.base_lr"), ("train-lm", "train.weight_decay"),
-    ("train-cl", "train.tempnet_lr"),
 }
 
 
@@ -842,10 +858,6 @@ class TestConfigSweep:
                     "train.total_steps=2", "train.eval_every=2", "tempnet.d1=1", "tempnet.d2=1",
                     f"{key}={value}"]
             capsys.readouterr()
-            if value == "1e308" and (command, key) in SWEEP_OVERFLOWS:
-                with pytest.warns(RuntimeWarning, match="overflow"):
-                    run_cli(argv)
-                continue
             rc = run_cli(argv)
             err = capsys.readouterr().err
             diverges = value == "1e308" and (command, key) in SWEEP_DIVERGES
@@ -855,6 +867,25 @@ class TestConfigSweep:
             assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, (value, err)
             assert err.startswith("error: training diverged at step ") == diverges, err
             assert diverges or field in err, (value, err)
+
+    @pytest.mark.parametrize("command, key", [
+        ("train-lm", "train.base_lr"), ("train-lm", "train.weight_decay"),
+        ("train-cl", "train.tempnet_lr"),
+    ])
+    def test_overflowing_weights_evaluate_quietly(self, tmp_path, capsys, command, key):
+        # step 1 leaves weights near the float limit; each evaluation of them
+        # overflows inside numpy, checks its own result and warns nothing
+        run_dir = tmp_path / "run"
+        argv = [command, "--out", str(run_dir), *SWEEP_BASE[command], "train.total_steps=2",
+                "train.eval_every=2", "tempnet.d1=1", "tempnet.d2=1", f"{key}=1e308"]
+        assert run_cli(argv) == 0
+        data = ["--corpus", CORPUS] if command == "train-lm" else ["--pairs", FIXTURE]
+        ckpt = str(run_dir / "checkpoint.bin")
+        capsys.readouterr()
+        assert run_cli(["eval", "--checkpoint", ckpt, *data, "--out", str(tmp_path / "e")]) == 0
+        assert run_cli(["export-temps", "--checkpoint", ckpt, *data,
+                        "--output", str(tmp_path / "t")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -1062,13 +1093,15 @@ class TestNonFiniteCheckpoint:
     exit 1 with one stderr line and write nothing."""
 
     @staticmethod
-    def damaged(lm_run, cl_run, tmp_path, kind, damage):
+    def damaged(lm_run, cl_run, tmp_path, kind, damage, weight=None):
         """(checkpoint path, data arguments, damaged array's name)."""
         if kind == "lm":
-            source, data, weight = lm_run / "checkpoint.bin", ["--corpus", CORPUS], "blocks.0.Wq"
+            source, data = lm_run / "checkpoint.bin", ["--corpus", CORPUS]
+            weight = weight or "blocks.0.Wq"
         else:
             run_dir, pairs = cl_run
-            source, data, weight = run_dir / "checkpoint.bin", ["--pairs", str(pairs)], "image.W2"
+            source, data = run_dir / "checkpoint.bin", ["--pairs", str(pairs)]
+            weight = weight or "image.W2"
         ckpt = tr.load_checkpoint(source)
         tensor = dict(ckpt.foundation.tensors())[weight]
         if damage == "nan":
@@ -1104,6 +1137,12 @@ class TestNonFiniteCheckpoint:
         bad, data, weight = self.damaged(lm_run, cl_run, tmp_path, kind, "short")
         err = self.refused(capsys, tmp_path, command, bad, data)
         assert f"{weight} must have shape" in err, err
+
+    @pytest.mark.parametrize("command", ["eval", "export-temps"])
+    def test_wrong_embedding_shape_names_it(self, lm_run, cl_run, tmp_path, capsys, command):
+        bad, data, _ = self.damaged(lm_run, cl_run, tmp_path, "lm", "short", weight="emb")
+        err = self.refused(capsys, tmp_path, command, bad, data)
+        assert "emb must have shape" in err, err
 
     @pytest.mark.parametrize("kind", ["lm", "cl"])
     def test_warm_start_from_wrong_shape_names_the_array(

@@ -1,5 +1,6 @@
-"""The package's source inventory, read with ast: every import is used, and
-the tape exports exactly the ops that record, each with a caller.
+"""The package's source inventory, read with ast: every import is used, the
+tape exports exactly the ops that record, each with a caller, and every
+settings class checks its fields through the one declared-range check.
 
 perfbench's tracer wraps every name in diff_engine.__all__ and the imports
 marked ``# noqa: F401``, so a missing export goes untraced and an unused one
@@ -73,3 +74,22 @@ def test_every_export_has_a_caller():
             elif isinstance(node, ast.Name) and (stem == "diff_engine" or node.id in imported):
                 read.add(node.id)
     assert set(de.__all__) - read == set()
+
+
+def test_every_settings_class_checks_its_declared_ranges():
+    settings, unchecked = [], []
+    for stem, tree in TREES.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef)
+                    and cls.name.endswith(("Config", "Task", "Options"))
+                    and "dataclass(frozen=True)" in map(ast.unparse, cls.decorator_list)):
+                continue
+            settings.append(cls.name)
+            post_init = [fn for fn in cls.body
+                         if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"]
+            called = {getattr(c.func, "id", None) for fn in post_init for c in ast.walk(fn)
+                      if isinstance(c, ast.Call)}
+            if "check_fields" not in called:
+                unchecked.append(f"{stem}.{cls.name}")
+    assert len(settings) >= 8, settings
+    assert unchecked == []
