@@ -8,8 +8,9 @@ topological order by construction. ``backward`` walks the tape once in
 reverse, accumulating gradients in that fixed order, which makes repeated
 runs bit-identical, and returns a plain dict from each grad-requiring leaf
 that received a contribution to its gradient array. An absent leaf has a zero
-gradient, and the arrays are read-only. Without an active tape the same
-primitives act as plain numpy evaluation.
+gradient, and the arrays are read-only; ``into`` has it write chosen leaves'
+gradients into the caller's arrays (the optimizer's flat buffer). Without an
+active tape the same primitives act as plain numpy evaluation.
 
 Broadcasting is deliberately restricted to scalar-tensor; the row/column
 patterns the models need (bias rows, per-row temperature scaling) are
@@ -21,8 +22,8 @@ path stays visible. Each op takes only the shapes the models give it:
 - transpose of a matrix or of a 3-D tensor's last two axes, and reshape
   between the flat (n*m, d) and stacked (n, m, d) views, so equal-length
   sequences batch through per-sequence attention without a block mask;
-- affine, add_rowvec, mul_rowvec, add_colvec, scale_rows and gather_rows on
-  (n, d) matrices, and embedding_lookup of a matrix's rows;
+- affine (x @ w.T + b, one node), mul_rowvec, add_colvec, scale_rows and
+  gather_rows on (n, d) matrices, and embedding_lookup of a matrix's rows;
 - softmax, logsumexp and l2_normalize along one axis; sum of every entry or
   along one axis; mean of every entry; concat along the first axis.
 
@@ -67,7 +68,6 @@ __all__ = [
     "transpose",
     "reshape",
     "affine",
-    "add_rowvec",
     "add_colvec",
     "mul_rowvec",
     "scale_rows",
@@ -127,28 +127,14 @@ def named_tensors(params, prefix: str = "") -> tuple:
     return tuple(out)
 
 
-class _Node:
-    __slots__ = ("output", "inputs", "backward_fn")
-
-    def __init__(self, output, inputs, backward_fn):
-        self.output = output
-        self.inputs = inputs
-        self.backward_fn = backward_fn
-
-
 _tape_stack = threading.local()
 
 
-def _current_tape():
-    stack = getattr(_tape_stack, "stack", None)
-    return stack[-1] if stack else None
-
-
 class Tape:
-    """Ordered operation record; record order is the topological order."""
+    """Ordered (output, inputs, backward_fn) records; record order is topological."""
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple] = []
 
     def __enter__(self):
         stack = getattr(_tape_stack, "stack", None)
@@ -166,12 +152,18 @@ class Tape:
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    out = Tensor(out_data)
-    needs = any(t.requires_grad for t in inputs)
-    out.requires_grad = needs
-    tape = _current_tape()
-    if tape is not None and needs:
-        tape._nodes.append(_Node(out, inputs, backward_fn))
+    # every op hands over a float64 array of its own, wrapped as is; only a
+    # 0-d ufunc result (1 / phi) is a numpy scalar
+    out = object.__new__(Tensor)
+    out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
+    out.requires_grad = False
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            stack = getattr(_tape_stack, "stack", None)
+            if stack:
+                stack[-1]._nodes.append((out, inputs, backward_fn))
+            break
     return out
 
 
@@ -292,14 +284,16 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w.T + b for a matrix x, the bias added to every row."""
-    return add_rowvec(matmul(x, transpose(w)), b)
-
-
-def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    if x.data.ndim != 2 or v.data.ndim != 1 or x.shape[1] != v.shape[0]:
-        raise ShapeError("add_rowvec", x.shape, v.shape)
-    return _emit(x.data + v.data, (x, v), lambda g: (g, g.sum(axis=0)))
+    """x @ w.T + b for a matrix x, the bias added to every row: one node with
+    the numpy operations, and so the bits, of matmul(x, transpose(w)) + b."""
+    xd = x.data
+    if xd.ndim != 2 or w.data.ndim != 2 or xd.shape[1] != w.shape[1]:
+        raise ShapeError("affine", x.shape, w.shape)
+    if b.data.ndim != 1 or b.shape[0] != w.shape[0]:
+        raise ShapeError("affine", w.shape, b.shape)
+    wt = w.data.T.copy()
+    back = lambda g: (g @ wt.T, (xd.T @ g).T, g.sum(axis=0))
+    return _emit(xd @ wt + b.data, (x, w, b), back)
 
 
 def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
@@ -448,35 +442,49 @@ def stop_gradient(x: Tensor) -> Tensor:
     return Tensor(x.data, requires_grad=False)
 
 
-def backward(root: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
+def backward(root: Tensor, tape: Tape, into: dict | None = None) -> dict[Tensor, np.ndarray]:
     """Gradients of a scalar root, from one reverse pass over the tape.
 
     Returns a plain dict from each grad-requiring leaf that received a
     contribution to its gradient array; a leaf that is absent has a zero
-    gradient. Each node's output gradient is popped once the node has used
-    it, so intermediates are freed as the walk goes and none is returned.
-    Treat the arrays as read-only. Accumulation order is fixed by the record
-    order, so results are bit-identical across runs.
+    gradient. A leaf in ``into`` has its gradient written into the array it
+    maps to (zeros if it gets none; another shape raises ShapeError). Each
+    node's output gradient is popped once the node has used it, so
+    intermediates are freed as the walk goes and none is returned. Treat the
+    arrays as read-only. Accumulation order is fixed by the record order, so
+    results are bit-identical across runs.
     """
     if root.data.size != 1:
         raise DomainError(f"backward root must be scalar, got shape {root.shape}")
+    into = {} if into is None else into
 
     grads: dict[Tensor, np.ndarray] = {root: np.ones(root.shape)}
-    for node in reversed(tape._nodes):
-        g = grads.pop(node.output, None)
+    for output, inputs, backward_fn in reversed(tape._nodes):
+        g = grads.pop(output, None)
         if g is None:
             continue
-        for inp, ig in zip(node.inputs, node.backward_fn(g)):
+        for inp, ig in zip(inputs, backward_fn(g)):
             if not inp.requires_grad:
                 continue
             prev = grads.get(inp)
-            # The copy makes every stored gradient C-contiguous and its own:
-            # transpose, swapaxes and split hand back views, and the bytes of
-            # later matmuls and sums depend on layout. The sum is out of
-            # place, so no stored array is ever written; an in-place sum is
-            # safe only while every first contribution is copied, because a
-            # backward function may hand back its g itself (add does).
-            grads[inp] = ig.copy() if prev is None else prev + ig
+            if prev is not None:
+                prev += ig  # no op holds a stored array, so the sum is in place
+            elif inp in into:
+                dest = into[inp]
+                if ig.shape != dest.shape:
+                    raise ShapeError("backward", ig.shape, dest.shape)
+                dest[...] = ig  # written, not added to zeros: keeps a -0.0
+                grads[inp] = dest
+            elif (type(ig) is np.ndarray and ig.base is None and ig is not g
+                  and ig.flags.c_contiguous):
+                grads[inp] = ig  # a fresh array that only this dict holds
+            else:
+                # g itself, a view or a numpy scalar: later matmuls and sums
+                # need a C-contiguous array of its own (bytes follow layout)
+                grads[inp] = np.array(ig, order="C")
+    for leaf, dest in into.items():
+        if leaf not in grads:
+            dest[...] = 0.0
     return grads
 
 

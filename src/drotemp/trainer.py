@@ -162,6 +162,8 @@ class ParamGroup:
 
     Building the group copies each tensor into p and rebinds its ``.data`` to
     a view of its slice, so an in-place update of p updates every tensor.
+    ``grad_views`` maps each tensor to its slice of g in the same way, for
+    ``backward``'s ``into``: the gradient lands where ``adamw_step`` reads it.
     Moments already in ``state`` (a resumed run) are copied into m / v and
     their entries rebound to views the same way; moments not yet there start
     at zero and enter ``state.moments`` at the group's first update. The
@@ -170,17 +172,19 @@ class ParamGroup:
 
     def __init__(self, named_tensors: Sequence[Tuple[str, Tensor]], state: OptimizerState):
         self.names = [name for name, _ in named_tensors]
-        self.tensors = [tensor for _, tensor in named_tensors]
+        tensors = [tensor for _, tensor in named_tensors]
         self.offsets = [0]
-        for tensor in self.tensors:
+        for tensor in tensors:
             self.offsets.append(self.offsets[-1] + tensor.size)
         self.p, self.g, self.m, self.v = (np.zeros(self.offsets[-1]) for _ in range(4))
         self.state = state
         self._pending = {}
-        for name, tensor, lo, hi in zip(self.names, self.tensors, self.offsets, self.offsets[1:]):
+        self.grad_views = {}
+        for name, tensor, lo, hi in zip(self.names, tensors, self.offsets, self.offsets[1:]):
             shape = tensor.shape
             self.p[lo:hi] = tensor.data.reshape(-1)
             tensor.data = self.p[lo:hi].reshape(shape)
+            self.grad_views[tensor] = self.g[lo:hi].reshape(shape)
             views = (self.m[lo:hi].reshape(shape), self.v[lo:hi].reshape(shape))
             if name in state.moments:
                 for saved, flat in zip(state.moments[name], (self.m, self.v)):
@@ -190,20 +194,6 @@ class ParamGroup:
                 state.moments[name] = views
             else:
                 self._pending[name] = views
-
-    def gather(self, grads: Dict[Tensor, np.ndarray]) -> np.ndarray:
-        """The flat gradient g from ``backward``'s dict; a parameter absent
-        from it gets zeros."""
-        parts = []
-        for tensor in self.tensors:
-            grad = grads.get(tensor)
-            if grad is None:
-                parts.append(np.zeros(tensor.size))
-            elif grad.shape != tensor.shape:
-                raise ShapeError("adamw_step", grad.shape, tensor.shape)
-            else:
-                parts.append(grad.reshape(-1))
-        return np.concatenate(parts, out=self.g)
 
     def commit(self, p: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
         """Write an accepted update into the buffers and count the step."""
@@ -233,14 +223,13 @@ def _schedule_scale(step: int, cfg: TrainConfig) -> float:
     return 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def adamw_step(
-    group: ParamGroup, grads: Dict[Tensor, np.ndarray], lr: float, cfg: TrainConfig
-) -> None:
-    """One decoupled-weight-decay Adam update of a whole group, in place.
+def adamw_step(group: ParamGroup, lr: float, cfg: TrainConfig) -> None:
+    """One decoupled-weight-decay Adam update of a whole group, in place, from
+    the gradient in its flat ``g``.
 
     Decay multiplies the weight by (1 - lr * weight_decay) before the moment
     update is subtracted, so a zero gradient shrinks a weight by exactly that
-    factor. A parameter absent from ``grads`` has a zero gradient.
+    factor.
 
     A non-finite gradient, or an update whose new weights or second moments
     would not be finite, raises TrainingDivergedError with the step the
@@ -248,7 +237,7 @@ def adamw_step(
     the first parameter concerned; p, m, v and the step are then unchanged.
     """
     t = group.state.step + 1
-    g = group.gather(grads)
+    g = group.g
     c1 = 1.0 - cfg.beta1**t
     c2 = 1.0 - cfg.beta2**t
     # the same elementwise operations, in the same order, as the per-tensor
@@ -867,6 +856,8 @@ def train(
     # built after draw / restore, which bind the model's and TempNets' tensors
     model_group = ParamGroup(runtime.model_tensors(), opt_model) if train_model else None
     tempnet_group = ParamGroup(runtime.tempnet_tensors(), opt_tempnet) if train_tempnet else None
+    groups = [group for group in (model_group, tempnet_group) if group is not None]
+    grad_views = {t: view for group in groups for t, view in group.grad_views.items()}
 
     end_step = int(run.total_steps) if stop_at_step is None else int(stop_at_step)
     if not (start_step <= end_step <= run.total_steps):
@@ -913,7 +904,7 @@ def train(
                     with Tape() as tape:
                         loss = runtime.loss(batch)
                     loss_value = loss.item()
-                    grads = backward(loss, tape)
+                    backward(loss, tape, grad_views)
             except NonFiniteError as exc:
                 raise TrainingDivergedError(step, str(exc)) from exc
             if not math.isfinite(loss_value):
@@ -923,9 +914,9 @@ def train(
             lr_model = run.base_lr * scale if train_model else 0.0
             lr_tempnet = run.tempnet_lr * scale if train_tempnet else 0.0
             if train_model:
-                adamw_step(model_group, grads, lr_model, run)
+                adamw_step(model_group, lr_model, run)
             if train_tempnet:
-                adamw_step(tempnet_group, grads, lr_tempnet, run)
+                adamw_step(tempnet_group, lr_tempnet, run)
                 for net in runtime.tempnets:
                     if float(net.phi.data) < PHI_FLOOR:
                         net.phi.data[...] = PHI_FLOOR

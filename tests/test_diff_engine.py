@@ -120,7 +120,7 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             de.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
         with pytest.raises(ShapeError):
-            de.add_rowvec(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+            de.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
         with pytest.raises(ShapeError):
             de.scale_rows(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
 
@@ -168,6 +168,13 @@ class TestBackward:
         grads = grad_of(lambda: de.sum(de.add(de.mul(x, x), x)))
         np.testing.assert_allclose(grads[x], [2.0 * 3.0 + 1.0])
 
+    def test_reused_scalar_leaf_accumulates(self):
+        # the first contribution the walk meets is x * 1.0's; for a 0-d x that
+        # product is a numpy scalar, which cannot be summed into in place
+        x = Tensor(np.asarray(3.0), requires_grad=True)
+        grads = grad_of(lambda: de.sum(de.add(de.mul(x, x), de.mul(x, 1.0))))
+        assert grads[x].shape == () and float(grads[x]) == 2.0 * 3.0 + 1.0
+
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(3)
         w = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
@@ -196,6 +203,186 @@ class TestBackward:
         assert gw.flags.c_contiguous and gw.flags.owndata
         u = Tensor(np.ones((1, 1)), requires_grad=True)
         assert grad_of(lambda: de.transpose(u))[u].flags.owndata
+        # a fresh gradient is stored as is only when C-contiguous: the
+        # embedding backward's zeros_like follows a Fortran-ordered table
+        table = Tensor(np.asfortranarray(np.ones((3, 2))), requires_grad=True)
+        gt = grad_of(lambda: de.sum(de.embedding_lookup(table, [0, 2])))[table]
+        assert gt.flags.c_contiguous and gt.flags.owndata
+
+    @pytest.mark.parametrize("into", [False, True])
+    def test_gradient_handed_to_two_inputs_is_not_summed_into(self, into):
+        # add hands its g to both inputs; p takes a second contribution (from
+        # z) before q's node reads its gradient, so sharing one array would
+        # give dx = 30 instead of 2 * (1 + 5) + 3 * 1 = 15
+        x = Tensor(np.ones(2), requires_grad=True)
+        with Tape() as tape:
+            p, q = de.mul(x, 2.0), de.mul(x, 3.0)
+            z = de.mul(p, 5.0)
+            out = de.sum(de.add(de.add(p, q), z))
+        dest = {x: np.empty(2)} if into else None
+        np.testing.assert_array_equal(backward(out, tape, into=dest)[x], [15.0, 15.0])
+
+
+class TestBackwardInto:
+    """backward(root, tape, into): leaf gradients written into given arrays."""
+
+    def test_untouched_leaf_reads_exact_zeros(self):
+        x, dead = (Tensor(np.ones(3), requires_grad=True) for _ in range(2))
+        dest = {x: np.full(3, np.nan), dead: np.full(3, np.nan)}
+        with Tape() as tape:
+            de.sum(dead)
+            out = de.sum(x)
+        grads = backward(out, tape, into=dest)
+        assert dest[dead].tobytes() == np.zeros(3).tobytes()
+        assert dest[x].tobytes() == np.ones(3).tobytes()
+        assert grads[x] is dest[x] and dead not in grads
+
+    def test_lone_negative_zero_keeps_its_sign(self):
+        # written, not added to a zeroed buffer: 0.0 + -0.0 would be +0.0
+        x = Tensor(np.ones(2), requires_grad=True)
+        dest = {x: np.full(2, np.nan)}
+        with Tape() as tape:
+            out = de.sum(de.mul(x, Tensor([-0.0, 2.0])))
+        backward(out, tape, into=dest)
+        assert np.signbit(dest[x][0]) and dest[x][0] == 0.0
+        assert dest[x][1] == 2.0
+
+    def test_contributions_sum_in_record_order(self):
+        # three uses of x; the reverse walk adds the last-recorded first, so
+        # the sum is (c + b) + a, which here differs from (a + b) + c
+        a, b, c = 1.0, 1e16, -1e16
+        x = Tensor(np.ones(1), requires_grad=True)
+        with Tape() as tape:
+            terms = [de.sum(de.mul(x, coef)) for coef in (a, b, c)]
+            out = de.add(de.add(terms[0], terms[1]), terms[2])
+        dest = {x: np.full(1, np.nan)}
+        grads = backward(out, tape, into=dest)
+        assert dest[x][0] == (c + b) + a == 1.0 and (a + b) + c == 0.0
+        assert backward(out, tape)[x].tobytes() == dest[x].tobytes() == grads[x].tobytes()
+
+    def test_wrong_shape_destination_is_a_shape_error(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            out = de.sum(x)
+        with pytest.raises(ShapeError) as err:
+            backward(out, tape, into={x: np.zeros(6)})
+        assert err.value.op == "backward"
+        assert err.value.lhs == (2, 3) and err.value.rhs == (6,)
+
+    def test_second_pass_is_identical_and_leaves_forward_arrays_alone(self):
+        # a gradient stored without a copy is never an op's saved array: two
+        # passes over one tape give the same bytes, and no forward value moves
+        rng = np.random.default_rng(41)
+        w = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        with Tape() as tape:
+            h = de.relu(de.affine(x, w, b))
+            y = de.add(h, de.reshape(de.transpose(de.reshape(h, (5, 6))), (6, 5)))
+            z = de.concat([de.mul(y, y), de.reciprocal(de.add(de.mul(y, y), 1.0))])
+            out = de.add(de.mean(de.logistic(z)), de.sum(de.softmax(y, axis=1), axis=None))
+        forward = [(output.data, output.data.tobytes()) for output, _, _ in tape._nodes]
+        leaves = [t.data.tobytes() for t in (w, b, x)]
+        runs = []
+        for into in (None, {w: np.empty((5, 4)), b: np.empty(5)}, None):
+            grads = backward(out, tape, into=into)
+            runs.append([grads[t].tobytes() for t in (w, b, x)])
+        assert runs[0] == runs[1] == runs[2]
+        assert all(data.tobytes() == before for data, before in forward)
+        assert [t.data.tobytes() for t in (w, b, x)] == leaves
+
+
+class TestAffine:
+    """affine is one node with the composed matmul / transpose / bias bits."""
+
+    def operands(self, requires_grad=True):
+        rng = np.random.default_rng(42)
+        return tuple(
+            Tensor(rng.normal(size=shape), requires_grad=requires_grad)
+            for shape in ((16, 32), (24, 32), (24,))
+        )
+
+    def test_records_one_node(self):
+        x, w, b = self.operands()
+        with Tape() as tape:
+            de.affine(x, w, b)
+        assert len(tape) == 1
+
+    def test_bits_match_the_composed_numpy_reference(self):
+        x, w, b = self.operands()
+        coef = np.random.default_rng(43).normal(size=(16, 24))
+        with Tape() as tape:
+            y = de.affine(x, w, b)
+            out = de.sum(de.mul(y, Tensor(coef)))
+        grads = backward(out, tape)
+        wt = w.data.T.copy()  # transpose's C-contiguous output
+        assert y.data.tobytes() == (x.data @ wt + b.data).tobytes()
+        assert grads[x].tobytes() == (coef @ wt.swapaxes(-1, -2)).tobytes()
+        gwt = x.data.swapaxes(-1, -2) @ coef  # matmul's gradient of w.T
+        assert grads[w].tobytes() == gwt.swapaxes(-1, -2).copy().tobytes()
+        assert grads[b].tobytes() == coef.sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((16, 31), (24, 32), (24,)), ((16, 32), (24, 32), (23,)),
+         ((2, 16, 32), (24, 32), (24,)), ((16, 32), (24, 32), (1, 24))],
+    )
+    def test_shape_error_names_affine(self, shapes):
+        with pytest.raises(ShapeError) as err:
+            de.affine(*(Tensor(np.zeros(shape)) for shape in shapes))
+        assert err.value.op == "affine" and str(err.value).startswith("affine:")
+
+    def test_bias_gradient_matches_finite_differences(self):
+        x, w, b = self.operands(requires_grad=False)
+        coef = Tensor(np.random.default_rng(44).normal(size=(16, 24)))
+        assert finite_diff_check(lambda t: de.sum(de.mul(de.affine(x, w, t), coef)), b) <= 1e-6
+
+
+# one call per recording op, on the shapes the models give it: cl-train's
+# batch of 16 through 32-wide towers, an (n, m, d) attention stack, and the
+# TempNet's scalar phi
+_RNG = np.random.default_rng(45)
+_M, _V, _S = (Tensor(_RNG.normal(size=shape)) for shape in ((16, 32), (32,), (16,)))
+_PHI = Tensor(np.asarray(0.7))
+_STACK = Tensor(_RNG.normal(size=(2, 8, 4)))
+RECORDING_OPS = {
+    "add": lambda: de.add(_M, _M),
+    "sub": lambda: de.sub(_M, 1.0),
+    "mul": lambda: de.mul(_M, _M),
+    "neg": lambda: de.neg(_M),
+    "reciprocal": lambda: de.reciprocal(_PHI),
+    "relu": lambda: de.relu(_M),
+    "logistic": lambda: de.logistic(_S),
+    "matmul": lambda: de.matmul(_STACK, de.transpose(_STACK)),
+    "transpose": lambda: de.transpose(_M),
+    "reshape": lambda: de.reshape(_M, (2, 8, 32)),
+    "affine": lambda: de.affine(_M, Tensor(_RNG.normal(size=(24, 32))), Tensor(np.zeros(24))),
+    "add_colvec": lambda: de.add_colvec(_M, _S),
+    "mul_rowvec": lambda: de.mul_rowvec(_M, _V),
+    "scale_rows": lambda: de.scale_rows(_M, _S),
+    "softmax": lambda: de.softmax(_M, axis=-1),
+    "logsumexp": lambda: de.logsumexp(_M, axis=1),
+    "l2_normalize": lambda: de.l2_normalize(_M, axis=-1),
+    "mean": lambda: de.mean(_M),
+    "sum": lambda: de.sum(_M, axis=1),
+    "concat": lambda: de.concat([_M, _M]),
+    "gather_rows": lambda: de.gather_rows(_M, np.arange(16) % 32),
+    "embedding_lookup": lambda: de.embedding_lookup(_M, [0, 3, 3]),
+}
+
+
+def test_every_recording_op_is_listed():
+    not_ops = {"Tensor", "Tape", "backward", "stop_gradient", "finite_diff_check",
+               "central_difference"}
+    assert set(RECORDING_OPS) == set(de.__all__) - not_ops
+
+
+@pytest.mark.parametrize("name", sorted(RECORDING_OPS))
+def test_op_output_is_a_float64_ndarray(name):
+    # the tape wraps each op's result without coercing it
+    out = RECORDING_OPS[name]()
+    assert type(out.data) is np.ndarray and out.data.dtype == np.float64
+    assert out.requires_grad is False
 
 
 class TestStopGradient:
@@ -280,7 +467,7 @@ class TestFiniteDiffCheck:
         base = lambda m: de.matmul(x, de.transpose(m))
         assert finite_diff_check(lambda t: de.sum(base(t)), w) <= 1e-6
         assert finite_diff_check(lambda t: de.sum(de.matmul(t, de.transpose(w))), x) <= 1e-6
-        assert finite_diff_check(lambda t: de.sum(de.add_rowvec(base(w), t)), v) <= 1e-6
+        assert finite_diff_check(lambda t: de.sum(de.affine(x, w, t)), v) <= 1e-6
         assert finite_diff_check(lambda t: de.sum(de.mul_rowvec(base(w), t)), v) <= 1e-6
         assert finite_diff_check(lambda t: de.sum(de.scale_rows(base(w), t)), s) <= 1e-6
         assert (

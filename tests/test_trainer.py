@@ -66,15 +66,16 @@ def small_cl_task(pairs_path, **overrides) -> tr.ClTask:
     return tr.ClTask(**base)
 
 
-def grads_for(pairs):
-    """Exact gradients: d/dw sum(w * c) = c for each (tensor, coefficient)."""
+def grads_for(group, pairs):
+    """Exact gradients written into group.g: d/dw sum(w * c) = c for each
+    (tensor, coefficient)."""
     with Tape() as tape:
         total = None
         for tensor, coef in pairs:
             term = de.sum(de.mul(tensor, Tensor(coef)))
             total = term if total is None else de.add(total, term)
         loss = total
-    return backward(loss, tape)
+    backward(loss, tape, into=group.grad_views)
 
 
 class TestTrainConfig:
@@ -153,15 +154,18 @@ class TestAdamW:
         w0 = np.linspace(-1.0, 2.0, 6).reshape(2, 3)
         w = Tensor(w0.copy(), requires_grad=True)
         state = tr.OptimizerState()
-        tr.adamw_step(tr.ParamGroup([("w", w)], state), {}, lr=0.01, cfg=run)
+        group = tr.ParamGroup([("w", w)], state)
+        group.g[...] = 0.0
+        tr.adamw_step(group, lr=0.01, cfg=run)
         assert np.array_equal(w.data, w0 * (1.0 - 0.01 * 0.1))
         assert state.step == 1
 
     def test_single_step_matches_hand_computation(self):
         run = small_run(weight_decay=0.0)
         w = Tensor(np.asarray(1.5), requires_grad=True)
-        grads = grads_for([(w, np.asarray(0.5))])
-        tr.adamw_step(tr.ParamGroup([("w", w)], tr.OptimizerState()), grads, lr=0.1, cfg=run)
+        group = tr.ParamGroup([("w", w)], tr.OptimizerState())
+        grads_for(group, [(w, np.asarray(0.5))])
+        tr.adamw_step(group, lr=0.1, cfg=run)
         m_hat = (0.1 * 0.5) / (1.0 - 0.9)
         v_hat = (0.05 * 0.25) / (1.0 - 0.95)
         expected = 1.5 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
@@ -180,7 +184,8 @@ class TestAdamW:
         state = tr.OptimizerState()
         group = tr.ParamGroup(named, state)
         for lr, gs in zip(lrs, grad_steps):
-            tr.adamw_step(group, grads_for(list(zip(tensors, gs))), lr=lr, cfg=run)
+            grads_for(group, list(zip(tensors, gs)))
+            tr.adamw_step(group, lr=lr, cfg=run)
 
         ref = [a.copy() for a in starts]
         m = [np.zeros_like(a) for a in starts]
@@ -215,7 +220,8 @@ class TestAdamW:
         v = [np.zeros_like(a) for a in starts]
         for t, lr in enumerate([0.05, 0.02, 0.01], start=1):
             gs = [rng.normal(size=s) for s in shapes]
-            tr.adamw_step(group, grads_for(list(zip(tensors, gs))), lr=lr, cfg=run)
+            grads_for(group, list(zip(tensors, gs)))
+            tr.adamw_step(group, lr=lr, cfg=run)
             c1, c2 = 1.0 - run.beta1**t, 1.0 - run.beta2**t
             for i, g in enumerate(gs):
                 m[i] = run.beta1 * m[i] + (1.0 - run.beta1) * g
@@ -233,7 +239,8 @@ class TestAdamW:
         state = tr.OptimizerState()
         group = tr.ParamGroup([("w", w)], state)
         assert state.moments == {}
-        tr.adamw_step(group, {}, lr=0.01, cfg=small_run())
+        group.g[...] = 0.0
+        tr.adamw_step(group, lr=0.01, cfg=small_run())
         assert list(state.moments) == ["w"]
         assert all(np.shares_memory(a, b) for a, b in zip(state.moments["w"], (group.m, group.v)))
 
@@ -244,7 +251,8 @@ class TestAdamW:
         state = tr.OptimizerState(step=3, moments={"w": saved})
         group = tr.ParamGroup([("w", w)], state)
         assert np.array_equal(group.m, np.full(4, 0.5)) and np.array_equal(group.v, np.full(4, 0.25))
-        tr.adamw_step(group, grads_for([(w, np.ones((2, 2)))]), lr=0.01, cfg=run)
+        grads_for(group, [(w, np.ones((2, 2)))])
+        tr.adamw_step(group, lr=0.01, cfg=run)
         m, v = state.moments["w"]
         assert np.array_equal(m.reshape(-1), group.m) and np.shares_memory(m, group.m)
         assert np.array_equal(v.reshape(-1), group.v) and np.shares_memory(v, group.v)
@@ -263,13 +271,15 @@ class TestAdamW:
         b = Tensor(np.array([[0.5, 0.25], [3.0, -1.0]]), requires_grad=True)
         group = tr.ParamGroup([("a", a), ("b", b)], tr.OptimizerState())
         for _ in range(2):
-            tr.adamw_step(group, grads_for([(a, np.ones(2)), (b, np.ones((2, 2)))]), lr=1e-3, cfg=run)
+            grads_for(group, [(a, np.ones(2)), (b, np.ones((2, 2)))])
+            tr.adamw_step(group, lr=1e-3, cfg=run)
         before = [arr.copy() for arr in (group.p, group.m, group.v)]
         bad = np.ones((2, 2))
         bad[1, 0] = {"nan_gradient": np.nan, "overflowing_moment": 1e200}.get(case, 1.0)
         lr = 1e155 if case == "overflowing_weights" else 1e-3
+        grads_for(group, [(a, np.ones(2)), (b, bad)])
         with pytest.raises(TrainingDivergedError, match=self.REFUSALS[case]) as excinfo:
-            tr.adamw_step(group, grads_for([(a, np.ones(2)), (b, bad)]), lr=lr, cfg=run)
+            tr.adamw_step(group, lr=lr, cfg=run)
         assert excinfo.value.step == 3
         for was, now in zip(before, (group.p, group.m, group.v)):
             assert was.tobytes() == now.tobytes()
