@@ -20,8 +20,11 @@ import json
 import os
 import shutil
 import sys
+from array import array
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from . import models as md
 from . import trainer as tr
@@ -32,12 +35,13 @@ from . import verify as vf
 from .dro_core import DroConfig, LogitSet, robust_loss  # noqa: F401
 from .errors import DomainError, IntegrityError, TrainingDivergedError
 from .tau_solver import (
+    STATUSES,
     BatchSolveError,
     SolveStatus,
     SolverOptions,
-    batch_robust_loss,
-    batch_solve,
+    margins_loss,
     newton_solve,  # noqa: F401
+    solve_margins,
 )
 
 # ---------------------------------------------------------------------------
@@ -163,58 +167,127 @@ def _run_and_task(schema: Dict[str, _Key], values: Dict[str, object]):
 SOLVE_CHUNK = 1024
 
 
-def _parse_instance(line: str) -> LogitSet:
+def _unique_keys(pairs):
+    """A JSON object's (key, value) pairs as a dict; a repeated key is refused."""
+    record = {}
+    for key, value in pairs:
+        if key in record:
+            raise DomainError(f"duplicate key {key!r}")
+        record[key] = value
+    return record
+
+
+# every JSON number arrives as a float: float(text) rounds an integer as
+# float(int(text)) does, and gives inf where that overflows
+_RECORD_DECODER = json.JSONDecoder(parse_int=float, object_pairs_hook=_unique_keys)
+
+
+def _parse_instance(line: str):
+    """(positive, contrast) of one stripped line: a JSON object with exactly
+    the keys positive and contrast, whose logits are JSON numbers."""
     try:
-        record = json.loads(line)
+        record, end = _RECORD_DECODER.raw_decode(line)
     except json.JSONDecodeError as exc:
         raise DomainError(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise DomainError("invalid JSON: nested too deeply") from None
+    if end < len(line):
+        raise DomainError("invalid JSON: Extra data")
     if not isinstance(record, dict) or set(record) != {"positive", "contrast"}:
         raise DomainError("record must have exactly the keys 'positive' and 'contrast'")
-    try:
-        return LogitSet(record["positive"], record["contrast"])
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"logits must be numbers: {exc}") from None
+    positive, contrast = record["positive"], record["contrast"]
+    if type(contrast) is not list:
+        raise DomainError("contrast must be a JSON array of logits")
+    if not contrast:
+        raise DomainError("contrast set must hold at least one logit")
+    # every JSON number parses to a float, so any other type is a bool,
+    # string, null, array or object
+    if type(positive) is not float or list(map(type, contrast)).count(float) < len(contrast):
+        raise DomainError("logits must be numbers")
+    return positive, contrast
 
 
-def _solve_lines(instances, linenos, path, cfg, opts, counts) -> str:
-    """Solve one chunk of parsed lines; its output, one line per instance."""
-    try:
-        solutions = batch_solve(instances, cfg, opts)
-    except BatchSolveError as exc:
-        raise DomainError(f"{path}:{linenos[exc.index]}: {exc.cause}") from None
-    losses = batch_robust_loss(instances, [sol.tau for sol in solutions], cfg)
-    lines = []
-    for sol, loss in zip(solutions, losses.tolist()):
-        counts[sol.status] += 1
-        lines.append(
-            json.dumps(
-                {"tau": sol.tau, "status": sol.status.value, "loss": loss, "grad": sol.final_grad}
-            )
-        )
+_OUTPUT_LINE = '{"tau": %r, "status": "%s", "loss": %r, "grad": %r}'
+_STATUS_NAMES = [status.value for status in STATUSES]
+
+
+def _refusal(logits_finite: bool, spread_finite: bool) -> str:
+    """Why a row whose margin spread, loss or gradient is not finite is refused."""
+    if not logits_finite:
+        return "logits must be finite"
+    if not spread_finite:
+        return "margins overflow: (max - min) of contrast - positive, over tau0, is not finite"
+    return "loss or gradient at the solution is not finite"
+
+
+def _solve_lines(groups, linenos, path, cfg, opts, counts) -> str:
+    """Solve one chunk of parsed lines, one margin block per K; its output,
+    one line per line of the chunk. The chunk's first refused or unsolvable
+    line raises.
+
+    groups maps each K to its lines' (rows in the chunk, positives, contrast
+    logits packed row after row).
+    """
+    n = len(linenos)
+    tau, loss, grad = np.empty(n), np.empty(n), np.empty(n)
+    code = np.empty(n, dtype=np.int64)
+    first_bad = (n, "")
+    # a refused row is named below, so its overflow or NaN must not warn
+    with np.errstate(all="ignore"):
+        for k, (rows, positives, logits) in groups.items():
+            h = np.frombuffer(logits).reshape(-1, k)
+            positive = np.array(positives)
+            logits_finite = np.isfinite(h).all(axis=1) & np.isfinite(positive)
+            h -= positive[:, None]
+            spread_finite = np.isfinite((h.max(axis=1) - h.min(axis=1)) / cfg.tau0)
+            (group_tau, group_code, _, group_grad), failure = solve_margins(h, cfg, opts)
+            group_loss = margins_loss(h, group_tau, cfg)
+            tau[rows], code[rows], grad[rows] = group_tau, group_code, group_grad
+            loss[rows] = group_loss
+            ok = spread_finite & np.isfinite(group_loss) & np.isfinite(group_grad)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                first_bad = min(first_bad, (rows[i], _refusal(logits_finite[i], spread_finite[i])))
+            if failure is not None:
+                first_bad = min(first_bad, (rows[failure[0]], failure[1]))
+    row, reason = first_bad
+    if reason:
+        raise DomainError(f"{path}:{linenos[row]}: {reason}")
+    for status, count in zip(STATUSES, np.bincount(code, minlength=len(STATUSES)).tolist()):
+        counts[status] += count
+    names = map(_STATUS_NAMES.__getitem__, code.tolist())
+    lines = map(_OUTPUT_LINE.__mod__, zip(tau.tolist(), names, loss.tolist(), grad.tolist()))
     return "\n".join(lines) + "\n"
 
 
 def _solve_stream(src, path, cfg, opts, counts):
     """Yield the output of every nonblank line of src, SOLVE_CHUNK lines at a
     time. The first failing line in file order is reported, whether it fails
-    to parse or to solve."""
-    instances, linenos = [], []
+    to parse, is refused, or fails to solve."""
+    groups, linenos = {}, []
     for lineno, raw in enumerate(src, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            instances.append(_parse_instance(line))
+            positive, contrast = _parse_instance(line)
         except DomainError as exc:
-            if instances:  # an earlier line of the chunk may fail to solve
-                _solve_lines(instances, linenos, path, cfg, opts, counts)
+            if linenos:  # an earlier line of the chunk may be refused or fail to solve
+                _solve_lines(groups, linenos, path, cfg, opts, counts)
             raise DomainError(f"{path}:{lineno}: {exc}") from None
+        group = groups.get(len(contrast))
+        if group is None:
+            group = groups[len(contrast)] = ([], [], array("d"))
+        rows, positives, logits = group
+        rows.append(len(linenos))
+        positives.append(positive)
+        logits.fromlist(contrast)
         linenos.append(lineno)
-        if len(instances) == SOLVE_CHUNK:
-            yield _solve_lines(instances, linenos, path, cfg, opts, counts)
-            instances, linenos = [], []
-    if instances:
-        yield _solve_lines(instances, linenos, path, cfg, opts, counts)
+        if len(linenos) == SOLVE_CHUNK:
+            yield _solve_lines(groups, linenos, path, cfg, opts, counts)
+            groups, linenos = {}, []
+    if linenos:
+        yield _solve_lines(groups, linenos, path, cfg, opts, counts)
 
 
 def _write_whole(path: str, chunks) -> None:

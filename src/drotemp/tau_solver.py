@@ -3,9 +3,11 @@
 f(z, .) is convex on (0, inf) -- its second derivative is a Gibbs variance --
 so the minimum over [tau0, inf) is either at the boundary, exactly when the
 gradient at tau0 is already nonnegative, or at the unique interior root of
-the gradient. batch_solve finds it for many instances at once by safeguarded
-Newton, vectorized over (rows, K) margin blocks, on dro_core's block forms of
-the gradient and curvature; newton_solve is batch_solve on one instance.
+the gradient. solve_margins finds it for every row of an (n, K) margin block
+by safeguarded Newton, vectorized over the rows, on dro_core's block forms of
+the gradient and curvature; margins_loss evaluates f there. batch_solve and
+batch_robust_loss stack LogitSets of one K into such blocks, and newton_solve
+is batch_solve on one instance.
 golden_section_oracle (derivative-free) and dro_core.primal_dro_oracle (the
 primal worst case) are the independent references the solver is checked
 against.
@@ -39,10 +41,13 @@ __all__ = [
     "golden_section_oracle",
     "batch_solve",
     "batch_robust_loss",
+    "STATUSES",
+    "solve_margins",
+    "margins_loss",
 ]
 
 _MIN_CURVATURE = 1e-14
-# margins per batch_solve block: large enough to amortize numpy call overhead,
+# margins per solve_margins slice: large enough to amortize numpy call overhead,
 # small enough that a block's temporaries stay in cache (one 400 x 512 block
 # ran slower than solving its rows one at a time)
 _BLOCK_ELEMENTS = 16_384
@@ -137,30 +142,35 @@ def golden_section_oracle(
     return min(candidates)[1]
 
 
+def _row_slices(n: int, k: int) -> list[slice]:
+    """Row slices of an (n, K) margin block, each holding at most
+    _BLOCK_ELEMENTS margins."""
+    step = max(1, _BLOCK_ELEMENTS // k)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
 def _k_blocks(instances: list[LogitSet]):
-    """(row indices, margins h = L_k - L_+) pairs: rows of one K, at most
-    _BLOCK_ELEMENTS margins per block, indices ascending."""
+    """(row indices, margins h = L_k - L_+) of each K, in order of first
+    appearance, indices ascending."""
     rows_by_k: dict[int, list[int]] = {}
     for index, ls in enumerate(instances):
         rows_by_k.setdefault(ls.k, []).append(index)
-    for k, rows in rows_by_k.items():
-        step = max(1, _BLOCK_ELEMENTS // k)
-        for start in range(0, len(rows), step):
-            idx = rows[start : start + step]
-            contrast = np.stack([instances[i].contrast for i in idx])
-            positive = np.array([instances[i].positive for i in idx])
-            yield idx, contrast - positive[:, None]
+    for idx in rows_by_k.values():
+        h = np.stack([instances[i].contrast for i in idx])
+        h -= np.array([instances[i].positive for i in idx])[:, None]
+        yield idx, h
 
 
-_CLAMPED, _INTERIOR, _MAX_ITER = range(3)
-_STATUSES = (SolveStatus.CLAMPED_AT_TAU0, SolveStatus.INTERIOR, SolveStatus.MAX_ITER_REACHED)
+# a row's status code indexes STATUSES
+STATUSES = tuple(SolveStatus)
+_INTERIOR, _CLAMPED, _MAX_ITER = range(len(STATUSES))
 
 
 def _solve_block(h: np.ndarray, cfg: DroConfig, opts: SolverOptions):
     """The safeguarded Newton method on every row of an (n, K) margin block.
 
-    Returns the rows' TauSolutions and (row, message) of the first row
-    without a bounded minimizer, or None.
+    Returns the rows' (tau, code, iterations, grad) columns and (row, message)
+    of the first row without a bounded minimizer, or None.
     """
     n = h.shape[0]
     d = h - h.max(axis=1, keepdims=True)
@@ -225,9 +235,37 @@ def _solve_block(h: np.ndarray, cfg: DroConfig, opts: SolverOptions):
         done |= g == 0.0
     tau[active], grad[active], iterations[active] = x, g, opts.max_iter
     status[active] = _MAX_ITER
-    columns = (tau.tolist(), status.tolist(), iterations.tolist(), grad.tolist())
-    solutions = [TauSolution(t, _STATUSES[code], its, fg) for t, code, its, fg in zip(*columns)]
-    return solutions, failure
+    return (tau, status, iterations, grad), failure
+
+
+def solve_margins(h: np.ndarray, cfg: DroConfig, opts: SolverOptions = SolverOptions()):
+    """batch_solve's method on every row of an (n, K) margin block h = L_k - L_+,
+    _BLOCK_ELEMENTS margins at a time (a block's temporaries then stay in cache).
+
+    Returns the rows' (tau, code, iterations, grad) columns, code indexing
+    STATUSES, and (row, message) of the first row with no bounded minimizer,
+    or None; such a row keeps code CLAMPED_AT_TAU0. Rows are independent of
+    each other and of the slicing.
+    """
+    columns = (np.empty(len(h)), np.empty(len(h), dtype=np.int64),
+               np.empty(len(h), dtype=np.int64), np.empty(len(h)))
+    failure = None
+    for rows in _row_slices(*h.shape):
+        block, block_failure = _solve_block(h[rows], cfg, opts)
+        for column, values in zip(columns, block):
+            column[rows] = values
+        if failure is None and block_failure is not None:
+            failure = (rows.start + block_failure[0], block_failure[1])
+    return columns, failure
+
+
+def margins_loss(h: np.ndarray, taus: np.ndarray, cfg: DroConfig) -> np.ndarray:
+    """robust_loss of every row of an (n, K) margin block at its own tau,
+    _BLOCK_ELEMENTS margins at a time."""
+    out = np.empty(len(h))
+    for rows in _row_slices(*h.shape):
+        out[rows] = block_loss(h[rows], taus[rows], cfg.rho)
+    return out
 
 
 def batch_solve(
@@ -251,9 +289,9 @@ def batch_solve(
     solutions: list[TauSolution] = [None] * len(instances)
     first_failure = None
     for idx, h in _k_blocks(instances):
-        block, failure = _solve_block(h, cfg, opts)
-        for index, solution in zip(idx, block):
-            solutions[index] = solution
+        columns, failure = solve_margins(h, cfg, opts)
+        for index, t, c, its, g in zip(idx, *(column.tolist() for column in columns)):
+            solutions[index] = TauSolution(t, STATUSES[c], its, g)
         if failure is not None and (first_failure is None or idx[failure[0]] < first_failure[0]):
             first_failure = (idx[failure[0]], failure[1])
     if first_failure is not None:
@@ -267,5 +305,5 @@ def batch_robust_loss(instances: list[LogitSet], taus, cfg: DroConfig) -> np.nda
     taus = np.asarray(taus, dtype=np.float64)
     out = np.empty(len(instances))
     for idx, h in _k_blocks(instances):
-        out[idx] = block_loss(h, taus[idx], cfg.rho)
+        out[idx] = margins_loss(h, taus[idx], cfg)
     return out

@@ -5,22 +5,34 @@ observable without subprocesses.
 """
 
 import binascii
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import resource
 import stat
 import struct
+from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drotemp import cli
 from drotemp import models as md
 from drotemp import trainer as tr
 from drotemp.dro_core import DroConfig, LogitSet
 from drotemp.errors import DomainError
-from drotemp.tau_solver import golden_section_oracle
+from drotemp.tau_solver import (
+    BatchSolveError,
+    batch_robust_loss,
+    batch_solve,
+    golden_section_oracle,
+)
 
 CORPUS = "src/drotemp/assets/corpus.txt"
 FIXTURE = "src/drotemp/assets/pairs_fixture.csv"
@@ -589,6 +601,331 @@ class TestSolveTau:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert [json.loads(line)["status"] for line in data.splitlines()] == ["ClampedAtTau0"] * 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out.fifo"]
+
+# ---------------------------------------------------------------------------
+# solve-tau's input contract: a record is a JSON object with exactly the keys
+# positive and contrast, every logit a finite JSON number (not a bool, not a
+# string), and the margins' spread over tau0 finite; anything else exits 1
+# naming file:line, and no output line holds NaN or inf.
+
+SOLVE_CFG = DroConfig(tau0=1e-3, tau_max=2.0, rho=0.5)
+SOLVE_ARGS = ["--rho", "0.5", "--tau0", "0.001"]
+
+
+class Raw(str):
+    """JSON text written as it is."""
+
+
+class Pairs(list):
+    """A JSON object as its (key, value) pairs, so a key may repeat."""
+
+
+def to_json(value) -> str:
+    if isinstance(value, Raw):
+        return value
+    if isinstance(value, Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {to_json(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(to_json, value)) + "]"
+    return json.dumps(value)
+
+
+def strict_loads(line: str):
+    """json.loads that refuses NaN and Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-finite token {token}")
+    return json.loads(line, parse_constant=refuse)
+
+
+def library_lines(records, cfg=SOLVE_CFG) -> str:
+    """The output the library gives valid (positive, contrast) records:
+    json.dumps of batch_solve and batch_robust_loss over LogitSets."""
+    instances = [LogitSet(p, c) for p, c in records]
+    solutions = batch_solve(instances, cfg)
+    losses = batch_robust_loss(instances, [sol.tau for sol in solutions], cfg).tolist()
+    return "".join(
+        json.dumps({"tau": sol.tau, "status": sol.status.value, "loss": loss,
+                    "grad": sol.final_grad}) + "\n"
+        for sol, loss in zip(solutions, losses)
+    )
+
+
+def contract(text: str, cfg=SOLVE_CFG):
+    """The contract on one nonblank line: (None, (positive, contrast)) for a
+    valid record, else (a fragment of its refusal, None)."""
+    repeated = []
+
+    def pairs_hook(pairs):
+        keys = [key for key, _ in pairs]
+        repeated.extend(keys[len(set(keys)):])
+        return dict(pairs)
+
+    try:
+        record = json.loads(text, object_pairs_hook=pairs_hook, parse_int=Decimal)
+    except json.JSONDecodeError:
+        return "invalid JSON", None
+    except RecursionError:
+        return "invalid JSON: nested too deeply", None
+    if repeated:
+        return "duplicate key", None
+    if not isinstance(record, dict) or set(record) != {"positive", "contrast"}:
+        return "record must have exactly the keys 'positive' and 'contrast'", None
+    positive, contrast = record["positive"], record["contrast"]
+    if not isinstance(contrast, list):
+        return "contrast must be a JSON array", None
+    if not contrast:
+        return "contrast set must hold at least one logit", None
+    logits = [positive, *contrast]
+    if not all(isinstance(x, (float, Decimal)) for x in logits):
+        return "logits must be numbers", None
+
+    def value(x):  # a JSON integer is the float int() converts to
+        if isinstance(x, float):
+            return x
+        try:
+            return float(int(x))
+        except OverflowError:
+            return math.inf
+
+    positive, *contrast = map(value, logits)
+    if not all(map(math.isfinite, [positive, *contrast])):
+        return "logits must be finite", None
+    ls = LogitSet(positive, contrast)
+    with np.errstate(all="ignore"):
+        h = ls.margins
+        if not math.isfinite((h.max() - h.min()) / cfg.tau0):
+            return "margins overflow", None
+        try:
+            sol = batch_solve([ls], cfg)[0]
+        except BatchSolveError:  # large margins put the minimizer beyond bracket_hi
+            return "gradient still", None
+        loss = batch_robust_loss([ls], [sol.tau], cfg)[0]
+    if not (math.isfinite(loss) and math.isfinite(sol.final_grad)):
+        return "loss or gradient at the solution is not finite", None
+    return None, (positive, contrast)
+
+
+def run_solve(path, out, args=SOLVE_ARGS):
+    """cli.main on one stream: (exit code, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = cli.main(["solve-tau", "--input", str(path), "--output", str(out), *args])
+    return rc, stdout.getvalue(), stderr.getvalue()
+
+
+BAD_LOGITS = [
+    True, False, None, "1.5", [1.0], Pairs([("a", 1.0)]),
+    math.nan, math.inf, -math.inf,
+    Raw("1" + "0" * 400), Raw("-" + "9" * 5000),
+]
+# JSON integers and float extremes a valid record may hold
+ODD_LOGITS = [0, 7, -3, 10**20, Raw("-0"), 5e-324, -1e-320, 1e-320, 1e308, -1.7976931348623157e308]
+
+
+@st.composite
+def record_lines(draw):
+    """One line of text: a record drawn at some magnitude, maybe mutated."""
+    k = draw(st.one_of(st.integers(1, 8), st.integers(1, 1000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-320, 1e-3, 1.0, 30.0, 1e150, 1e306, 1.7e308]))
+    contrast = (rng.uniform(-1.0, 1.0, size=k) * scale).tolist()
+    positive = float(rng.uniform(-1.0, 1.0) * scale)
+    if draw(st.booleans()):  # ties at the maximum: the clamp exit
+        contrast[: max(1, (3 * k) // 4)] = [max(contrast)] * max(1, (3 * k) // 4)
+    for _ in range(draw(st.integers(0, 2))):
+        contrast[draw(st.integers(0, k - 1))] = draw(st.sampled_from(ODD_LOGITS))
+    if draw(st.booleans()):
+        positive = draw(st.sampled_from(ODD_LOGITS))
+    pairs = Pairs([("positive", positive), ("contrast", contrast)])
+    mutation = draw(st.sampled_from(
+        ["none"] * 4 + ["logit", "positive", "contrast", "keys", "duplicate", "nest", "syntax"]
+    ))
+    if mutation == "logit":
+        contrast[draw(st.integers(0, k - 1))] = draw(st.sampled_from(BAD_LOGITS))
+    elif mutation == "positive":
+        pairs[0] = ("positive", draw(st.sampled_from(BAD_LOGITS)))
+    elif mutation == "contrast":
+        pairs[1] = ("contrast", draw(st.sampled_from(
+            [[], 1.0, "1.0", None, Pairs([("0", 1.0)]), [[1.0, 2.0]], [contrast]]
+        )))
+    elif mutation == "keys":
+        pairs = draw(st.sampled_from([
+            Pairs(pairs[:1]), Pairs(pairs[1:]), Pairs([*pairs, ("weight", 1.0)]),
+            Pairs([("Positive", positive), pairs[1]]),
+        ]))
+    elif mutation == "duplicate":
+        key, logit = draw(st.sampled_from([("positive", positive), ("contrast", contrast)]))
+        pairs.insert(draw(st.integers(0, 2)), (key, logit))
+    pairs = draw(st.permutations(pairs))
+    text = to_json(Pairs(pairs))
+    if mutation == "nest":
+        nested = [f"[{text}]", f'{{"record": {text}}}', "[" * 3000 + "]" * 3000]
+        text = draw(st.sampled_from(nested))
+    elif mutation == "syntax":
+        text = draw(st.sampled_from([text[:-1], text + "}", text.replace(":", "", 1), "{broken"]))
+    return text
+
+
+BLANK = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+class TestSolveTauContract:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(st.lists(BLANK, max_size=2), record_lines()), min_size=1, max_size=4
+        )
+    )
+    def test_fuzzed_records_solve_or_name_their_line(self, tmp_path_factory, lines):
+        """A stream of mutated records either solves, giving the library's
+        bytes, or exits 1 with one error line naming its first bad line."""
+        work = tmp_path_factory.mktemp("fuzz")
+        text, first_bad, valid = "", None, []
+        lineno = 0
+        for blanks, line in lines:
+            for blank in blanks:
+                text += blank + "\n"
+                lineno += 1
+            text += line + "\n"
+            lineno += 1
+            refusal, record = contract(line)
+            if refusal is None:
+                valid.append(record)
+            elif first_bad is None:
+                first_bad = (lineno, refusal)
+        src, dst = work / "in.jsonl", work / "out.jsonl"
+        src.write_text(text, encoding="utf-8")
+        rc, out, err = run_solve(src, dst)
+        if first_bad is None:
+            assert (rc, err) == (0, "")
+            output = dst.read_text(encoding="utf-8")
+            assert output == library_lines(valid)
+            assert [set(strict_loads(line)) for line in output.splitlines()] == [
+                {"tau", "status", "loss", "grad"}
+            ] * len(valid)
+        else:
+            lineno, refusal = first_bad
+            assert rc == 1 and out == "" and not dst.exists()
+            assert err.startswith(f"error: {src}:{lineno}: ") and err.count("\n") == 1, err
+            assert refusal in err, err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(
+            ["fine"] * 6 + ["blank", "unbounded", "malformed", "string", "nan", "overflow"]
+        ), min_size=1, max_size=14),
+        chunk=st.integers(1, 5),
+        k=st.integers(1, 4),
+    )
+    def test_first_bad_line_wins_across_chunks(self, tmp_path_factory, kinds, chunk, k):
+        """Under rho = 0 spread margins have no bounded minimizer, so a line
+        may fail to parse, be refused, or fail to solve: whichever comes
+        first in the file is named, in whatever chunk it falls."""
+        lines = {
+            "fine": json.dumps({"positive": 0.0, "contrast": [1.0] * k}),
+            "blank": "",
+            "unbounded": json.dumps({"positive": 0.0, "contrast": [0.0, 1.0] * k}),
+            "malformed": "{broken",
+            "string": json.dumps({"positive": 0.0, "contrast": ["1.0"] * k}),
+            "nan": json.dumps({"positive": 0.0, "contrast": [math.nan] * k}),
+            "overflow": json.dumps({"positive": 0.0, "contrast": [1e308, -1e308] * k}),
+        }
+        messages = {
+            "unbounded": "gradient still", "malformed": "invalid JSON",
+            "string": "logits must be numbers", "nan": "logits must be finite",
+            "overflow": "margins overflow",
+        }
+        work = tmp_path_factory.mktemp("chunks")
+        src, dst = work / "in.jsonl", work / "out.jsonl"
+        src.write_text("".join(lines[kind] + "\n" for kind in kinds), encoding="utf-8")
+        with mock.patch.object(cli, "SOLVE_CHUNK", chunk):
+            rc, _, err = run_solve(src, dst, ["--rho", "0"])
+        bad = [(i, kind) for i, kind in enumerate(kinds, start=1) if kind in messages]
+        if not bad:
+            assert (rc, err) == (0, "")
+            fine = kinds.count("fine")
+            assert dst.read_text(encoding="utf-8").count("ClampedAtTau0") == fine
+        else:
+            lineno, kind = bad[0]
+            assert rc == 1 and not dst.exists()
+            assert err.startswith(f"error: {src}:{lineno}: {messages[kind]}"), err
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_output_bytes_equal_the_library(self, tmp_path, monkeypatch, seed):
+        """Mixed-K streams, integers and extremes included, give the bytes of
+        json.dumps over batch_solve and batch_robust_loss, at any chunk size."""
+        rng = np.random.default_rng(seed)
+        records, text = [], ""
+        for _ in range(300):
+            k = int(rng.choice([1, 2, 8, 64, 512, 1000]))
+            scale = float(rng.choice([1e-320, 1e-3, 1.0, 10.0, 30.0]))
+            contrast = (rng.normal(size=k) * scale).tolist()
+            if rng.random() < 0.25:  # ties at the maximum: the clamp exit
+                contrast[: (3 * k + 3) // 4] = [max(contrast)] * ((3 * k + 3) // 4)
+            positive = float(rng.normal() * scale)
+            if rng.random() < 0.2:  # integer logits, -0 included
+                positive, contrast[0] = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
+            text += json.dumps({"positive": positive, "contrast": contrast}) + "\n"
+            records.append((float(positive), [float(x) for x in contrast]))
+        text = text.replace('"positive": 0,', '"positive": -0,')
+        src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        src.write_text(text, encoding="utf-8")
+        expected = library_lines(records)
+        for chunk in (1024, 37):
+            monkeypatch.setattr(cli, "SOLVE_CHUNK", chunk)
+            assert run_solve(src, dst)[0] == 0
+            output = dst.read_text(encoding="utf-8")
+            assert output == expected
+            for line in output.splitlines():
+                strict_loads(line)
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"positive": 1%s, "contrast": [0.5]}' % ("0" * 400), "logits must be finite"),
+        ('{"positive": 1.0, "contrast": [0.5, -%s]}' % ("9" * 5000), "logits must be finite"),
+        ('{"positive": NaN, "contrast": [0.5]}', "logits must be finite"),
+        ('{"positive": 1.0, "contrast": [0.5, Infinity]}', "logits must be finite"),
+        ('{"positive": 0.0, "contrast": [1e308, -1e308]}',
+         "margins overflow: (max - min) of contrast - positive, over tau0, is not finite"),
+        # a finite spread whose quotient by tau0 = 1e-3 overflows
+        ('{"positive": 0.0, "contrast": [1e307, -1e307]}',
+         "margins overflow: (max - min) of contrast - positive, over tau0, is not finite"),
+        ('{"positive": 1.0, "contrast": [0.5], "positive": 2.0}', "duplicate key 'positive'"),
+        ('{"positive": true, "contrast": [0.5]}', "logits must be numbers"),
+        ('{"positive": 1.0, "contrast": [0.5, false]}', "logits must be numbers"),
+        ('{"positive": "1", "contrast": ["2", "3"]}', "logits must be numbers"),
+        ('{"positive": 1.0, "contrast": [[0.5]]}', "logits must be numbers"),
+        ('{"positive": 1.0, "contrast": 0.5}', "contrast must be a JSON array of logits"),
+        ("[" * 100_000, "invalid JSON: nested too deeply"),
+    ])
+    def test_refused_with_one_line(self, tmp_path, line, message):
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"positive": 1.0, "contrast": [0.5]}\n' + line + "\n", encoding="utf-8")
+        rc, out, err = run_solve(src, tmp_path / "out.jsonl")
+        assert (rc, out) == (1, "")
+        assert err == f"error: {src}:2: {message}\n"
+
+    def test_overflowing_loss_is_refused(self, tmp_path):
+        # clamped at tau0 = 1e-3, the loss h + tau0 * rho leaves the float range
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"positive": -8.985e307, "contrast": [8.985e307]}\n', encoding="utf-8")
+        rc, _, err = run_solve(src, tmp_path / "out.jsonl", ["--rho", "1e308"])
+        assert rc == 1
+        assert err == f"error: {src}:1: loss or gradient at the solution is not finite\n"
+
+    def test_integer_logits_solve_as_their_floats(self, tmp_path):
+        src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        src.write_text(
+            '{"positive": -0, "contrast": [-0, 1, 2]}\n'
+            '{"positive": 0.0, "contrast": [0.0, 1.0, 2.0]}\n'
+            # beyond 2**53 an integer rounds as float() rounds it
+            '{"positive": 12345678901234567891, "contrast": [12345678901234567890]}\n'
+            '{"positive": 12345678901234567891.0, "contrast": [12345678901234567890.0]}\n',
+            encoding="utf-8",
+        )
+        assert run_solve(src, dst)[0] == 0
+        lines = dst.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == lines[1] and lines[2] == lines[3]
+
 
 # ---------------------------------------------------------------------------
 # train-lm

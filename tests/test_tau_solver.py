@@ -16,6 +16,7 @@ from drotemp.dro_core import (
 from drotemp import tau_solver
 from drotemp.errors import DomainError
 from drotemp.tau_solver import (
+    STATUSES,
     BatchSolveError,
     SolveStatus,
     SolverOptions,
@@ -24,7 +25,9 @@ from drotemp.tau_solver import (
     batch_robust_loss,
     batch_solve,
     golden_section_oracle,
+    margins_loss,
     newton_solve,
+    solve_margins,
 )
 
 
@@ -270,6 +273,37 @@ class TestBatchSolve:
         assert batch_solve(mixed, cfg) == batch
         by_k = batch_solve(instances, cfg)
         assert [by_k[i] for i in order] == batch
+
+    def test_solve_margins_columns_are_batch_solve(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        cfg = DroConfig(tau0=1e-3, tau_max=10.0, rho=0.5)
+        for k in (1, 3, 64, 700):
+            instances = [random_instance(rng, k=k, scale=float(rng.uniform(0.1, 6.0)))
+                         for _ in range(40)]
+            instances.append(LogitSet(0.2, [0.7] * k))  # clamps
+            h = np.stack([ls.margins for ls in instances])
+            expected = batch_solve(instances, cfg)
+            for block_elements in (1, 1000, 16_384):
+                monkeypatch.setattr(tau_solver, "_BLOCK_ELEMENTS", block_elements)
+                columns, failure = solve_margins(h, cfg)
+                assert failure is None
+                assert [
+                    TauSolution(t, STATUSES[c], i, g)
+                    for t, c, i, g in zip(*(column.tolist() for column in columns))
+                ] == expected
+                loss = margins_loss(h, columns[0], cfg)
+                assert loss.tolist() == batch_robust_loss(instances, columns[0], cfg).tolist()
+
+    def test_solve_margins_names_the_first_unbounded_row_across_slices(self, monkeypatch):
+        # rho = 0: rows with spread margins have no bounded minimizer
+        h = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 2.0], [0.0, 1.0], [1.0, 1.0]])
+        monkeypatch.setattr(tau_solver, "_BLOCK_ELEMENTS", 4)  # slices of 2 rows
+        (_, code, _, _), failure = solve_margins(h, DroConfig(rho=0.0))
+        assert failure[0] == 2 and "bracket_hi" in failure[1]
+        assert STATUSES[code[4]] is SolveStatus.CLAMPED_AT_TAU0
+        with pytest.raises(BatchSolveError) as excinfo:
+            batch_solve([LogitSet(0.0, row) for row in h], DroConfig(rho=0.0))
+        assert excinfo.value.index == 2 and str(excinfo.value.cause) == failure[1]
 
     def test_batch_robust_loss_matches_robust_loss(self):
         rng = np.random.default_rng(9)
