@@ -36,7 +36,6 @@ from .dro_core import DroConfig, LogitSet, robust_loss  # noqa: F401
 from .errors import DomainError, IntegrityError, TrainingDivergedError
 from .tau_solver import (
     STATUSES,
-    BatchSolveError,
     SolveStatus,
     SolverOptions,
     margins_loss,
@@ -578,7 +577,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, IntegrityError, TrainingDivergedError, BatchSolveError) as exc:
+    except (DomainError, IntegrityError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -5,9 +5,8 @@ so the minimum over [tau0, inf) is either at the boundary, exactly when the
 gradient at tau0 is already nonnegative, or at the unique interior root of
 the gradient. solve_margins finds it for every row of an (n, K) margin block
 by safeguarded Newton, vectorized over the rows, on dro_core's block forms of
-the gradient and curvature; margins_loss evaluates f there. batch_solve and
-batch_robust_loss stack LogitSets of one K into such blocks, and newton_solve
-is batch_solve on one instance.
+the gradient and curvature; margins_loss evaluates f there. newton_solve is
+solve_margins on one LogitSet's margins.
 golden_section_oracle (derivative-free) and dro_core.primal_dro_oracle (the
 primal worst case) are the independent references the solver is checked
 against.
@@ -36,11 +35,8 @@ __all__ = [
     "SolverOptions",
     "TauSolution",
     "UnboundedDescentError",
-    "BatchSolveError",
     "newton_solve",
     "golden_section_oracle",
-    "batch_solve",
-    "batch_robust_loss",
     "STATUSES",
     "solve_margins",
     "margins_loss",
@@ -61,15 +57,6 @@ class SolveStatus(enum.Enum):
 
 class UnboundedDescentError(RuntimeError):
     """The gradient stayed negative past bracket_hi; no finite minimizer found."""
-
-
-class BatchSolveError(RuntimeError):
-    """A batch instance failed; carries the failing index and the cause."""
-
-    def __init__(self, index: int, cause: Exception):
-        self.index = index
-        self.cause = cause
-        super().__init__(f"instance {index}: {cause}")
 
 
 @dataclass(frozen=True)
@@ -98,11 +85,13 @@ class TauSolution:
 def newton_solve(
     ls: LogitSet, cfg: DroConfig, opts: SolverOptions = SolverOptions()
 ) -> TauSolution:
-    """batch_solve on one instance; no bounded minimizer raises UnboundedDescentError."""
-    try:
-        return batch_solve([ls], cfg, opts)[0]
-    except BatchSolveError as exc:
-        raise exc.cause from None
+    """solve_margins on one instance; no bounded minimizer raises
+    UnboundedDescentError with solve_margins' message."""
+    columns, failure = solve_margins(ls.margins[None, :], cfg, opts)
+    if failure is not None:
+        raise UnboundedDescentError(failure[1])
+    tau, code, iterations, grad = (column.item() for column in columns)
+    return TauSolution(tau, STATUSES[code], iterations, grad)
 
 
 def golden_section_oracle(
@@ -147,18 +136,6 @@ def _row_slices(n: int, k: int) -> list[slice]:
     _BLOCK_ELEMENTS margins."""
     step = max(1, _BLOCK_ELEMENTS // k)
     return [slice(start, start + step) for start in range(0, n, step)]
-
-
-def _k_blocks(instances: list[LogitSet]):
-    """(row indices, margins h = L_k - L_+) of each K, in order of first
-    appearance, indices ascending."""
-    rows_by_k: dict[int, list[int]] = {}
-    for index, ls in enumerate(instances):
-        rows_by_k.setdefault(ls.k, []).append(index)
-    for idx in rows_by_k.values():
-        h = np.stack([instances[i].contrast for i in idx])
-        h -= np.array([instances[i].positive for i in idx])[:, None]
-        yield idx, h
 
 
 # a row's status code indexes STATUSES
@@ -239,8 +216,16 @@ def _solve_block(h: np.ndarray, cfg: DroConfig, opts: SolverOptions):
 
 
 def solve_margins(h: np.ndarray, cfg: DroConfig, opts: SolverOptions = SolverOptions()):
-    """batch_solve's method on every row of an (n, K) margin block h = L_k - L_+,
-    _BLOCK_ELEMENTS margins at a time (a block's temporaries then stay in cache).
+    """Minimize f(z, tau) over tau >= tau0 for every row of an (n, K) margin
+    block h = L_k - L_+, _BLOCK_ELEMENTS margins at a time (a block's
+    temporaries then stay in cache).
+
+    grad_tau(tau0) >= 0 means, by convexity, that tau0 is the minimizer
+    (ClampedAtTau0). Otherwise a sign change is bracketed (doubling up to
+    bracket_hi) and Newton iterates from init_tau; a step that leaves the open
+    bracket, or meets curvature <= 1e-14, becomes a bisection step. A row is
+    Interior once |delta tau| < tol and |grad| < tol * max(1, rho), or at an
+    exactly zero gradient; if neither within max_iter, it is MaxIterReached.
 
     Returns the rows' (tau, code, iterations, grad) columns, code indexing
     STATUSES, and (row, message) of the first row with no bounded minimizer,
@@ -265,45 +250,4 @@ def margins_loss(h: np.ndarray, taus: np.ndarray, cfg: DroConfig) -> np.ndarray:
     out = np.empty(len(h))
     for rows in _row_slices(*h.shape):
         out[rows] = block_loss(h[rows], taus[rows], cfg.rho)
-    return out
-
-
-def batch_solve(
-    instances: list[LogitSet], cfg: DroConfig, opts: SolverOptions = SolverOptions()
-) -> list[TauSolution]:
-    """Minimize f(z, tau) over tau >= tau0 for every instance, order preserved.
-
-    grad_tau(tau0) >= 0 means, by convexity, that tau0 is the minimizer
-    (ClampedAtTau0). Otherwise a sign change is bracketed (doubling up to
-    bracket_hi) and Newton iterates from init_tau; a step that leaves the open
-    bracket, or meets curvature <= 1e-14, becomes a bisection step. A row is
-    Interior once |delta tau| < tol and |grad| < tol * max(1, rho), or at an
-    exactly zero gradient; if neither within max_iter, it is MaxIterReached.
-
-    Rows are grouped by K and solved a block at a time, each independent of
-    the rest of the batch. Rows with no bounded minimizer raise BatchSolveError
-    for the smallest such index, with an UnboundedDescentError cause.
-    """
-    if not instances:
-        raise DomainError("batch_solve needs a nonempty instance list")
-    solutions: list[TauSolution] = [None] * len(instances)
-    first_failure = None
-    for idx, h in _k_blocks(instances):
-        columns, failure = solve_margins(h, cfg, opts)
-        for index, t, c, its, g in zip(idx, *(column.tolist() for column in columns)):
-            solutions[index] = TauSolution(t, STATUSES[c], its, g)
-        if failure is not None and (first_failure is None or idx[failure[0]] < first_failure[0]):
-            first_failure = (idx[failure[0]], failure[1])
-    if first_failure is not None:
-        index, message = first_failure
-        raise BatchSolveError(index, UnboundedDescentError(message))
-    return solutions
-
-
-def batch_robust_loss(instances: list[LogitSet], taus, cfg: DroConfig) -> np.ndarray:
-    """robust_loss of every instance at its tau, computed a K block at a time."""
-    taus = np.asarray(taus, dtype=np.float64)
-    out = np.empty(len(instances))
-    for idx, h in _k_blocks(instances):
-        out[idx] = margins_loss(h, taus[idx], cfg)
     return out

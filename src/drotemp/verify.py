@@ -31,7 +31,8 @@ from .dro_core import (
     robust_loss,
 )
 from .errors import DomainError
-from .tau_solver import SolveStatus, SolverOptions, batch_robust_loss, batch_solve, newton_solve
+from .tau_solver import SolveStatus, SolverOptions, UnboundedDescentError, newton_solve
+from .tau_solver import margins_loss, solve_margins
 
 TOLERANCES = {
     "bz_bounds": 1e-12,
@@ -205,10 +206,12 @@ def _upper_bound_draw(rng: np.random.Generator) -> Tuple[float, float]:
     logits = rng.normal(size=(n, k))
     taus = tn.llm_tau_batch(net, Tensor(logits)).data
 
-    instances = [LogitSet(float(row.max()), row) for row in logits]
-    solutions = batch_solve(instances, cfg, SolverOptions(bracket_hi=1e7))
-    solved = batch_robust_loss(instances, [sol.tau for sol in solutions], cfg)
-    predicted = batch_robust_loss(instances, taus, cfg)
+    h = logits - logits.max(axis=1, keepdims=True)
+    (solved_taus, *_), failure = solve_margins(h, cfg, SolverOptions(bracket_hi=1e7))
+    if failure is not None:
+        raise UnboundedDescentError(failure[1])
+    solved = margins_loss(h, solved_taus, cfg)
+    predicted = margins_loss(h, taus, cfg)
     return float(solved.mean()), float(predicted.mean())
 
 

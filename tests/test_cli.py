@@ -25,14 +25,9 @@ from hypothesis import strategies as st
 from drotemp import cli
 from drotemp import models as md
 from drotemp import trainer as tr
-from drotemp.dro_core import DroConfig, LogitSet
+from drotemp.dro_core import DroConfig, LogitSet, robust_loss
 from drotemp.errors import DomainError
-from drotemp.tau_solver import (
-    BatchSolveError,
-    batch_robust_loss,
-    batch_solve,
-    golden_section_oracle,
-)
+from drotemp.tau_solver import UnboundedDescentError, golden_section_oracle, newton_solve
 
 CORPUS = "src/drotemp/assets/corpus.txt"
 FIXTURE = "src/drotemp/assets/pairs_fixture.csv"
@@ -639,14 +634,12 @@ def strict_loads(line: str):
 
 def library_lines(records, cfg=SOLVE_CFG) -> str:
     """The output the library gives valid (positive, contrast) records:
-    json.dumps of batch_solve and batch_robust_loss over LogitSets."""
-    instances = [LogitSet(p, c) for p, c in records]
-    solutions = batch_solve(instances, cfg)
-    losses = batch_robust_loss(instances, [sol.tau for sol in solutions], cfg).tolist()
+    json.dumps of newton_solve and robust_loss on each record's LogitSet."""
+    solved = [(ls, newton_solve(ls, cfg)) for ls in (LogitSet(p, c) for p, c in records)]
     return "".join(
-        json.dumps({"tau": sol.tau, "status": sol.status.value, "loss": loss,
-                    "grad": sol.final_grad}) + "\n"
-        for sol, loss in zip(solutions, losses)
+        json.dumps({"tau": sol.tau, "status": sol.status.value,
+                    "loss": robust_loss(ls, sol.tau, cfg), "grad": sol.final_grad}) + "\n"
+        for ls, sol in solved
     )
 
 
@@ -696,10 +689,10 @@ def contract(text: str, cfg=SOLVE_CFG):
         if not math.isfinite((h.max() - h.min()) / cfg.tau0):
             return "margins overflow", None
         try:
-            sol = batch_solve([ls], cfg)[0]
-        except BatchSolveError:  # large margins put the minimizer beyond bracket_hi
+            sol = newton_solve(ls, cfg)
+        except UnboundedDescentError:  # large margins put the minimizer beyond bracket_hi
             return "gradient still", None
-        loss = batch_robust_loss([ls], [sol.tau], cfg)[0]
+        loss = robust_loss(ls, sol.tau, cfg)
     if not (math.isfinite(loss) and math.isfinite(sol.final_grad)):
         return "loss or gradient at the solution is not finite", None
     return None, (positive, contrast)
@@ -853,7 +846,7 @@ class TestSolveTauContract:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_output_bytes_equal_the_library(self, tmp_path, monkeypatch, seed):
         """Mixed-K streams, integers and extremes included, give the bytes of
-        json.dumps over batch_solve and batch_robust_loss, at any chunk size."""
+        json.dumps over newton_solve and robust_loss, at any chunk size."""
         rng = np.random.default_rng(seed)
         records, text = [], ""
         for _ in range(300):

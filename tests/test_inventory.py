@@ -1,6 +1,7 @@
 """The package's source inventory, read with ast: every import is used, the
-tape exports exactly the ops that record, each with a caller, and every
-settings class checks its fields through the one declared-range check.
+tape exports exactly the ops that record, every export of the tape, dro_core
+and tau_solver has a caller, and every settings class checks its fields
+through the one declared-range check.
 
 perfbench's tracer wraps every name in diff_engine.__all__ and the imports
 marked ``# noqa: F401``, so a missing export goes untraced and an unused one
@@ -11,6 +12,7 @@ import ast
 from pathlib import Path
 
 from drotemp import diff_engine as de
+from drotemp import dro_core, tau_solver
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = {
@@ -60,20 +62,42 @@ def test_every_op_that_records_is_exported():
 
 
 def test_every_export_has_a_caller():
-    read = set()
-    for stem, tree in TREES.items():
-        imported = {
-            alias.asname or alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module == "diff_engine"
-            for alias in node.names
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "de":
-                read.add(node.attr)
-            elif isinstance(node, ast.Name) and (stem == "diff_engine" or node.id in imported):
-                read.add(node.id)
-    assert set(de.__all__) - read == set()
+    """An export is called when src/ reads it outside its own definition, or
+    when a non-test file in perfbench/ names it."""
+    named = set()  # "module.name" that perfbench imports or gives as a span name
+    for path in (ROOT / "perfbench").glob("*.py"):
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("drotemp."):
+                named |= {f"{node.module[len('drotemp.'):]}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    uncalled = []
+    for module in (de, dro_core, tau_solver):
+        stem = module.__name__.rsplit(".", 1)[1]
+        read = set()
+        for tree_stem, tree in TREES.items():
+            imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+            aliases = {alias.asname or alias.name for node in imports if node.module is None
+                       for alias in node.names if alias.name == stem}
+            imported = {alias.asname or alias.name for node in imports if node.module == stem
+                        for alias in node.names}
+            for stmt in tree.body:
+                defined = {getattr(stmt, "name", None)} | {
+                    target.id for target in getattr(stmt, "targets", [])
+                    if isinstance(target, ast.Name)
+                }
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+                        read.add(node.attr)
+                    elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                          and node.id not in defined
+                          and (tree_stem == stem or node.id in imported)):
+                        read.add(node.id)
+        uncalled += [f"{stem}.{name}" for name in module.__all__
+                     if name not in read and f"{stem}.{name}" not in named]
+    assert uncalled == []
 
 
 def test_every_settings_class_checks_its_declared_ranges():

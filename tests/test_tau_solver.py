@@ -17,13 +17,10 @@ from drotemp import tau_solver
 from drotemp.errors import DomainError
 from drotemp.tau_solver import (
     STATUSES,
-    BatchSolveError,
     SolveStatus,
     SolverOptions,
     TauSolution,
     UnboundedDescentError,
-    batch_robust_loss,
-    batch_solve,
     golden_section_oracle,
     margins_loss,
     newton_solve,
@@ -223,10 +220,18 @@ class TestGoldenSectionOracle:
             golden_section_oracle(ls, cfg, 1e-6, 1.0, 1e-8)  # below tau0
 
 
+def block_solutions(columns):
+    """solve_margins' (tau, code, iterations, grad) columns as one TauSolution per row."""
+    return [TauSolution(t, STATUSES[c], i, g)
+            for t, c, i, g in zip(*(column.tolist() for column in columns))]
+
+
 class TestBatchSolve:
+    """solve_margins and margins_loss on (n, K) margin blocks."""
+
     def test_single_uniform_instance(self):
-        out = batch_solve([LogitSet(0.0, [1.0, 1.0])], DroConfig(rho=1.0))
-        assert [s.status for s in out] == [SolveStatus.CLAMPED_AT_TAU0]
+        (_, code, _, _), failure = solve_margins(np.array([[1.0, 1.0]]), DroConfig(rho=1.0))
+        assert failure is None and STATUSES[code[0]] is SolveStatus.CLAMPED_AT_TAU0
 
     def test_matches_golden_section_and_permutation(self):
         rng = np.random.default_rng(7)
@@ -237,12 +242,16 @@ class TestBatchSolve:
             (0.5, SolverOptions(max_iter=2)),
         ]:
             cfg = DroConfig(tau0=1e-3, tau_max=10.0, rho=rho)
+            k = int(rng.integers(2, 65))
             instances = [
-                random_instance(rng, scale=float(rng.uniform(0.1, 6.0))) for _ in range(100)
+                random_instance(rng, k=k, scale=float(rng.uniform(0.1, 6.0))) for _ in range(100)
             ]
-            instances += [LogitSet(0.0, [1.0]), LogitSet(0.5, [0.5, 0.5, 0.5])]
-            batch = batch_solve(instances, cfg, opts)
-            for i, (ls, got) in enumerate(zip(instances, batch)):
+            instances.append(LogitSet(0.5, [0.5] * k))  # zero margins: clamps
+            h = np.stack([ls.margins for ls in instances])
+            columns, failure = solve_margins(h, cfg, opts)
+            assert failure is None
+            block = block_solutions(columns)
+            for i, (ls, got) in enumerate(zip(instances, block)):
                 if got.status is SolveStatus.MAX_ITER_REACHED:
                     assert got.iterations == opts.max_iter, (rho, i)
                     continue
@@ -251,48 +260,28 @@ class TestBatchSolve:
                 ref = golden_section_oracle(ls, cfg, cfg.tau0, opts.bracket_hi, tol=1e-10)
                 assert abs(got.tau - ref) <= 1e-6 * max(1.0, got.tau), (rho, i)
 
-            perm = list(reversed(range(len(instances))))
-            permuted = batch_solve([instances[i] for i in perm], cfg, opts)
-            assert permuted == [batch[i] for i in perm]
+            reversed_columns, _ = solve_margins(h[::-1], cfg, opts)
+            assert block_solutions(reversed_columns) == block[::-1]
 
     def test_row_independent_of_batch(self, monkeypatch):
+        # every row of a block is newton_solve on its instance alone, and
+        # margins_loss gives it the same loss, however the block is sliced
         rng = np.random.default_rng(8)
         cfg = DroConfig(tau0=1e-3, tau_max=10.0, rho=0.5)
-        instances = [
-            random_instance(rng, k=k, scale=float(rng.uniform(0.1, 6.0)))
-            for k in (3, 8, 64, 512, 1000)
-            for _ in range(12)
-        ]
-        order = rng.permutation(len(instances))
-        mixed = [instances[i] for i in order]
-        batch = batch_solve(mixed, cfg)
-        alone = [batch_solve([ls], cfg)[0] for ls in mixed]
-        assert batch == alone
-        # blocks of 1000 margins split every K group across block boundaries
-        monkeypatch.setattr(tau_solver, "_BLOCK_ELEMENTS", 1000)
-        assert batch_solve(mixed, cfg) == batch
-        by_k = batch_solve(instances, cfg)
-        assert [by_k[i] for i in order] == batch
-
-    def test_solve_margins_columns_are_batch_solve(self, monkeypatch):
-        rng = np.random.default_rng(10)
-        cfg = DroConfig(tau0=1e-3, tau_max=10.0, rho=0.5)
-        for k in (1, 3, 64, 700):
+        for k in (1, 3, 8, 64, 512, 700, 1000):
             instances = [random_instance(rng, k=k, scale=float(rng.uniform(0.1, 6.0)))
-                         for _ in range(40)]
+                         for _ in range(12)]
             instances.append(LogitSet(0.2, [0.7] * k))  # clamps
             h = np.stack([ls.margins for ls in instances])
-            expected = batch_solve(instances, cfg)
-            for block_elements in (1, 1000, 16_384):
+            alone = [newton_solve(ls, cfg) for ls in instances]
+            losses = margins_loss(h, np.array([sol.tau for sol in alone]), cfg).tolist()
+            # slices of 1 and 1000 margins split the block across slice boundaries
+            for block_elements in (1, 1000, tau_solver._BLOCK_ELEMENTS):
                 monkeypatch.setattr(tau_solver, "_BLOCK_ELEMENTS", block_elements)
                 columns, failure = solve_margins(h, cfg)
                 assert failure is None
-                assert [
-                    TauSolution(t, STATUSES[c], i, g)
-                    for t, c, i, g in zip(*(column.tolist() for column in columns))
-                ] == expected
-                loss = margins_loss(h, columns[0], cfg)
-                assert loss.tolist() == batch_robust_loss(instances, columns[0], cfg).tolist()
+                assert block_solutions(columns) == alone, (k, block_elements)
+                assert margins_loss(h, columns[0], cfg).tolist() == losses, (k, block_elements)
 
     def test_solve_margins_names_the_first_unbounded_row_across_slices(self, monkeypatch):
         # rho = 0: rows with spread margins have no bounded minimizer
@@ -301,58 +290,26 @@ class TestBatchSolve:
         (_, code, _, _), failure = solve_margins(h, DroConfig(rho=0.0))
         assert failure[0] == 2 and "bracket_hi" in failure[1]
         assert STATUSES[code[4]] is SolveStatus.CLAMPED_AT_TAU0
-        with pytest.raises(BatchSolveError) as excinfo:
-            batch_solve([LogitSet(0.0, row) for row in h], DroConfig(rho=0.0))
-        assert excinfo.value.index == 2 and str(excinfo.value.cause) == failure[1]
+        with pytest.raises(UnboundedDescentError) as excinfo:
+            newton_solve(LogitSet(0.0, h[2]), DroConfig(rho=0.0))
+        assert str(excinfo.value) == failure[1]
 
-    def test_batch_robust_loss_matches_robust_loss(self):
+    def test_margins_loss_matches_robust_loss(self):
         rng = np.random.default_rng(9)
         cfg = DroConfig(tau0=1e-3, tau_max=10.0, rho=0.7)
-        instances = [random_instance(rng, scale=float(rng.uniform(0.1, 6.0))) for _ in range(60)]
-        taus = rng.uniform(1e-3, 5.0, size=len(instances))
-        got = batch_robust_loss(instances, taus, cfg)
-        for ls, tau, loss in zip(instances, taus, got):
-            ref = robust_loss(ls, float(tau), cfg)
-            assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
+        for k in (1, 7, 64):
+            instances = [random_instance(rng, k=k, scale=float(rng.uniform(0.1, 6.0)))
+                         for _ in range(20)]
+            taus = rng.uniform(1e-3, 5.0, size=len(instances))
+            got = margins_loss(np.stack([ls.margins for ls in instances]), taus, cfg)
+            for ls, tau, loss in zip(instances, taus, got):
+                ref = robust_loss(ls, float(tau), cfg)
+                assert abs(loss - ref) <= 1e-12 * max(1.0, abs(ref))
 
-    def test_batch_robust_loss_matches_frozen_values(self):
-        # every frozen case in one mixed-K batch, once under each case's rho
-        cases = list(ORACLE["cases"].items())
-        instances = [LogitSet(case["positive"], case["contrast"]) for _, case in cases]
-        taus = [case["tau"] for _, case in cases]
-        assert len({ls.k for ls in instances}) > 1
-        for i, (name, case) in enumerate(cases):
+    def test_margins_loss_matches_frozen_values(self):
+        for name, case in ORACLE["cases"].items():
+            ls = LogitSet(case["positive"], case["contrast"])
             cfg = DroConfig(tau0=case["tau0"], tau_max=1e6, rho=case["rho"])
-            got = batch_robust_loss(instances, taus, cfg)[i]
+            got = margins_loss(ls.margins[None, :], np.array([case["tau"]]), cfg)[0]
             expected = case["expected"]["loss"]
             assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected)), name
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            batch_solve([], DroConfig())
-
-    def test_error_carries_instance_index(self):
-        instances = [
-            LogitSet(0.0, [1.0, 1.0]),  # fine: clamps
-            LogitSet(0.0, [0.0, 1.0]),  # rho=0 + spread margins: unbounded descent
-        ]
-        with pytest.raises(BatchSolveError) as excinfo:
-            batch_solve(instances, DroConfig(rho=0.0))
-        assert excinfo.value.index == 1
-        assert isinstance(excinfo.value.cause, UnboundedDescentError)
-
-        # two unbounded rows: the smaller index is reported, although its K
-        # group is not the first one solved
-        instances = [
-            LogitSet(0.0, [1.0, 1.0, 1.0]),  # clamps
-            LogitSet(0.0, [0.0, 2.0, 1.0]),  # unbounded, K = 3
-            LogitSet(0.0, [1.0, 1.0]),  # clamps
-            LogitSet(0.0, [0.0, 1.0]),  # unbounded, K = 2: solved first
-        ]
-        cfg = DroConfig(rho=0.0)
-        with pytest.raises(BatchSolveError) as excinfo:
-            batch_solve(instances, cfg)
-        assert excinfo.value.index == 1
-        with pytest.raises(UnboundedDescentError) as scalar:
-            newton_solve(instances[1], cfg)
-        assert str(excinfo.value.cause) == str(scalar.value)
