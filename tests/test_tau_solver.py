@@ -283,6 +283,30 @@ class TestBatchSolve:
                 assert block_solutions(columns) == alone, (k, block_elements)
                 assert margins_loss(h, columns[0], cfg).tolist() == losses, (k, block_elements)
 
+    def test_solve_margins_columns_are_batch_solve(self, monkeypatch):
+        # the columns of a many-row block are the one-row solves stacked,
+        # and margins_loss on the block is the one-row losses stacked
+        rng = np.random.default_rng(10)
+        cfg = DroConfig(tau0=1e-3, tau_max=10.0, rho=0.5)
+        for k in (1, 3, 64, 700):
+            instances = [random_instance(rng, k=k, scale=float(rng.uniform(0.1, 6.0)))
+                         for _ in range(40)]
+            instances.append(LogitSet(0.2, [0.7] * k))  # clamps
+            h = np.stack([ls.margins for ls in instances])
+            expected, expected_loss = [], []
+            for row in h:
+                columns, failure = solve_margins(row[None, :], cfg)
+                assert failure is None
+                expected += block_solutions(columns)
+                expected_loss += margins_loss(row[None, :], columns[0], cfg).tolist()
+            for block_elements in (1, 1000, 16_384):
+                monkeypatch.setattr(tau_solver, "_BLOCK_ELEMENTS", block_elements)
+                columns, failure = solve_margins(h, cfg)
+                assert failure is None
+                assert block_solutions(columns) == expected, (k, block_elements)
+                loss = margins_loss(h, columns[0], cfg)
+                assert loss.tolist() == expected_loss, (k, block_elements)
+
     def test_solve_margins_names_the_first_unbounded_row_across_slices(self, monkeypatch):
         # rho = 0: rows with spread margins have no bounded minimizer
         h = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 2.0], [0.0, 1.0], [1.0, 1.0]])
