@@ -394,16 +394,7 @@ def _open_run(args):
 
 
 def cmd_eval(args) -> int:
-    runtime = _open_run(args)
-    if runtime.kind == "lm":
-        rows = [("perplexity", runtime.evaluate()[0])]
-    else:
-        r_img, r_txt = md.recall_at_k(runtime.model, runtime.eval_pairs, args.k)
-        rows = [
-            (f"image_retrieval_recall@{args.k}", r_img),
-            (f"text_retrieval_recall@{args.k}", r_txt),
-            (f"mean_recall@{args.k}", 0.5 * (r_img + r_txt)),
-        ]
+    rows, _ = _open_run(args).evaluate(args.k)
     for name, value in rows:
         print(f"{name}: {value!r}")
     out_path = Path(args.out) if args.out else Path(args.checkpoint).parent / "eval.csv"
@@ -441,6 +432,16 @@ def cmd_gen_pairs(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _add_run_arguments(sub: argparse.ArgumentParser):
+    sub.add_argument("--checkpoint", required=True)
+    sub.add_argument("--corpus", help="corpus file (language-model checkpoints)")
+    sub.add_argument("--pairs", help="pair CSV (contrastive checkpoints)")
+    sub.add_argument(
+        "--tau-max-eval", type=float, dest="tau_max_eval",
+        help="stretch the temperature output map to this ceiling at inference",
+    )
 
 
 def _add_train_arguments(sub: argparse.ArgumentParser):
@@ -497,16 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     train_cl.set_defaults(func=cmd_train_cl)
 
     ev = commands.add_parser("eval", help="evaluate a checkpoint")
-    ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--corpus", help="corpus file (language-model checkpoints)")
-    ev.add_argument("--pairs", help="pair CSV (contrastive checkpoints)")
+    _add_run_arguments(ev)
     ev.add_argument("--k", type=int, default=1, help="recall cutoff")
-    ev.add_argument(
-        "--tau-max-eval",
-        type=float,
-        dest="tau_max_eval",
-        help="stretch the temperature output map to this ceiling at inference",
-    )
     ev.add_argument("--out", help="metrics CSV path (default: eval.csv next to checkpoint)")
     ev.set_defaults(func=cmd_eval)
 
@@ -522,11 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     export = commands.add_parser("export-temps", help="export per-instance temperatures")
-    export.add_argument("--checkpoint", required=True)
-    export.add_argument("--corpus", help="corpus file (language-model checkpoints)")
-    export.add_argument("--pairs", help="pair CSV (contrastive checkpoints)")
+    _add_run_arguments(export)
     export.add_argument("--output", required=True)
-    export.add_argument("--tau-max-eval", type=float, dest="tau_max_eval")
     export.set_defaults(func=cmd_export_temps)
 
     gen = commands.add_parser("gen-pairs", help="generate a synthetic clustered pair CSV")

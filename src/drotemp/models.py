@@ -526,28 +526,24 @@ def baseline_gcl_loss(
 
 
 @quiet_floats()
-def recall_at_k(towers: TwoTowerParams, eval_pairs: PairBatch, k: int) -> Tuple[float, float]:
-    """(image_retrieval, text_retrieval) recall@k over the evaluation pairs.
+def recall_at_k(e_img: np.ndarray, e_txt: np.ndarray, k: int) -> Tuple[float, float]:
+    """(image_retrieval, text_retrieval) recall@k of n matched pairs, given
+    as the rows of their unit-norm image and text embeddings.
 
     image_retrieval ranks images for each text query; text_retrieval ranks
     texts for each image query. Ties break toward the lower index. A
     non-finite similarity raises NonFiniteError.
     """
-    n = eval_pairs.n
+    n = e_img.shape[0]
     if not (1 <= k <= n):
         raise DomainError(f"k must be in [1, {n}], got {k}")
-    sims = encode_image(towers, Tensor(eval_pairs.x)).data @ encode_text(
-        towers, Tensor(eval_pairs.t)
-    ).data.T
+    sims = e_img @ e_txt.T
     if not np.isfinite(sims).all():
         raise NonFiniteError("recall_at_k: the embedding similarities are not all finite")
 
     def recall(score_rows: np.ndarray) -> float:
-        hits = 0
-        for i in range(n):
-            order = np.argsort(-score_rows[i], kind="stable")
-            hits += int(i in order[:k])
-        return hits / n
+        top = np.argsort(-score_rows, axis=1, kind="stable")[:, :k]
+        return int((top == np.arange(n)[:, None]).sum()) / n
 
     return recall(sims.T), recall(sims)
 

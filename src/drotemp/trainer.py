@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import diff_engine as de
 from . import models as md
 from . import tempnet as tn
 from .diff_engine import Tape, Tensor, backward
@@ -541,7 +542,9 @@ class _Runtime:
     """One task's data split and model shape (the constructor), then its
     foundation model and temperature networks: drawn for a new run
     (``draw``) or adopted from a checkpoint (``restore``). Subclasses sample,
-    evaluate, and lay out the temperature file."""
+    lay out the temperature file, and evaluate: ``evaluate(k)`` is the one
+    evaluation (the loop's, ``eval``'s and ``export-temps``'), the run's
+    ``eval.csv`` rows, its eval metric last, and held-out temperatures."""
 
     kind: str
 
@@ -647,10 +650,12 @@ class _LmRuntime(_Runtime):
             return md.robust_softmax_loss(self.model, self.tempnets[0], batch, self.run.cfg)
         return md.baseline_ce_loss(self.model, batch)
 
-    def evaluate(self) -> Tuple[float, np.ndarray]:
-        """Validation perplexity and the per-position temperatures behind it."""
+    def evaluate(self, k: int = 1) -> Tuple[List[Tuple[str, float]], np.ndarray]:
+        """Validation perplexity and the per-position temperatures behind it;
+        a language model has no recall cutoff, so k is ignored."""
         source = self.tempnets[0] if self.tempnets else 1.0
-        return md.lm_eval_pass(self.model, source, self.eval_batch)
+        ppl, taus = md.lm_eval_pass(self.model, source, self.eval_batch)
+        return [("perplexity", ppl)], taus
 
     def _temperature_columns(self, taus: np.ndarray):
         return "index,tau", itertools.repeat(""), taus
@@ -697,8 +702,8 @@ class _ClRuntime(_Runtime):
         # embeddings through the freshly drawn first layer, then re-init with
         # those rows (same seed, so the first layer is reproduced verbatim)
         draft = tn.init_cl_tempnet(cfg, seed)
-        emb = encode(self.model, Tensor(feats[: max(cfg.d2, 16)])).data
-        v = np.maximum(emb @ draft.W1.data.T + draft.b1.data, 0.0)
+        emb = encode(self.model, Tensor(feats[: max(cfg.d2, 16)]))
+        v = de.relu(de.affine(emb, draft.W1, draft.b1)).data
         return tn.init_cl_tempnet(cfg, seed, sample_embeddings=v)
 
     def sample_batch(self, rng: np.random.Generator):
@@ -713,22 +718,19 @@ class _ClRuntime(_Runtime):
         return md.baseline_gcl_loss(self.model, self.task.fixed_tau1, self.task.fixed_tau2, batch)
 
     @md.quiet_floats()
-    def evaluate(self) -> Tuple[float, np.ndarray]:
-        """Mean recall@1 over both directions, plus held-out temperatures:
-        the image side's then the text side's, or the two fixed taus."""
-        r_img, r_txt = md.recall_at_k(self.model, self.eval_pairs, 1)
-        metric = 0.5 * (r_img + r_txt)
-        if self.task.objective != "robust":
-            return metric, np.array([self.task.fixed_tau1, self.task.fixed_tau2])
+    def evaluate(self, k: int = 1) -> Tuple[List[Tuple[str, float]], np.ndarray]:
+        """Recall@k of each direction and their mean, plus held-out
+        temperatures: the image side's then the text side's, or the two fixed
+        taus. Each side is encoded once."""
         e_img = md.encode_image(self.model, Tensor(self.eval_pairs.x))
         e_txt = md.encode_text(self.model, Tensor(self.eval_pairs.t))
-        taus = np.concatenate(
-            [
-                tn.cl_tau_batch(self.tempnets[0], e_img).data,
-                tn.cl_tau_batch(self.tempnets[1], e_txt).data,
-            ]
-        )
-        return metric, taus
+        r_img, r_txt = md.recall_at_k(e_img.data, e_txt.data, k)
+        rows = [(f"image_retrieval_recall@{k}", r_img), (f"text_retrieval_recall@{k}", r_txt),
+                (f"mean_recall@{k}", 0.5 * (r_img + r_txt))]
+        if self.task.objective != "robust":
+            return rows, np.array([self.task.fixed_tau1, self.task.fixed_tau2])
+        nets = zip(self.tempnets, (e_img, e_txt))
+        return rows, np.concatenate([tn.cl_tau_batch(net, emb).data for net, emb in nets])
 
     def _temperature_columns(self, taus: np.ndarray):
         n = self.eval_pairs.n
@@ -922,9 +924,9 @@ def train(
                         net.phi.data[...] = PHI_FLOOR
 
             if step % run.eval_every == 0 or step == run.total_steps:
-                metric, taus = runtime.evaluate()
+                rows, taus = runtime.evaluate()
                 metrics.write(
-                    _metrics_row(step, loss_value, metric, taus, lr_model, lr_tempnet) + "\n"
+                    _metrics_row(step, loss_value, rows[-1][1], taus, lr_model, lr_tempnet) + "\n"
                 )
                 metrics.flush()
                 if step == end_step:

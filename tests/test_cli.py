@@ -1591,6 +1591,34 @@ class TestExportTemps:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestCommandsReproduceTheRun:
+    """eval and export-temps read the evaluation the training loop wrote."""
+
+    @pytest.mark.parametrize(
+        "command, objective",
+        [("train-lm", "robust"), ("train-lm", "ce"), ("train-cl", "robust"),
+         ("train-cl", "fixed")],
+    )
+    def test_eval_and_export_equal_the_final_evaluation(
+        self, cl_run, tmp_path, command, objective
+    ):
+        out = tmp_path / "run"
+        if command == "train-lm":
+            overrides, data = LM_OVERRIDES, ["--corpus", CORPUS]
+        else:
+            pairs = str(cl_run[1])
+            overrides, data = [f"data.pairs={pairs}", *CL_OVERRIDES], ["--pairs", pairs]
+        argv = [command, "--out", str(out), *overrides, f"task.objective={objective}"]
+        assert run_cli(argv) == 0
+        ckpt = ["--checkpoint", str(out / "checkpoint.bin"), *data]
+        assert run_cli(["eval", *ckpt, "--out", str(tmp_path / "eval.csv")]) == 0
+        assert run_cli(["export-temps", *ckpt, "--output", str(tmp_path / "t.csv")]) == 0
+        logged = (out / "metrics.csv").read_text().strip().split("\n")[-1].split(",")[2]
+        evaluated = (tmp_path / "eval.csv").read_text().strip().split("\n")[-1].split(",")[1]
+        assert evaluated == logged
+        assert (tmp_path / "t.csv").read_bytes() == (out / "temperatures.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # gen-pairs
 

@@ -1,7 +1,8 @@
 """The package's source inventory, read with ast: every import is used, the
 tape exports exactly the ops that record, every export of the tape, dro_core
-and tau_solver has a caller, and every settings class checks its fields
-through the one declared-range check.
+and tau_solver, and every public top-level function and class of models,
+tempnet, trainer, verify and errors, has a caller, and every settings class
+checks its fields through the one declared-range check.
 
 perfbench's tracer wraps every name in diff_engine.__all__ and the imports
 marked ``# noqa: F401``, so a missing export goes untraced and an unused one
@@ -12,7 +13,7 @@ import ast
 from pathlib import Path
 
 from drotemp import diff_engine as de
-from drotemp import dro_core, tau_solver
+from drotemp import dro_core, errors, models, tau_solver, tempnet, trainer, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = {
@@ -61,6 +62,17 @@ def test_every_op_that_records_is_exported():
     assert public - set(de.__all__) == set()
 
 
+def exports(module):
+    """module.__all__, or for a module without one, its public top-level
+    functions and classes."""
+    stem = module.__name__.rsplit(".", 1)[1]
+    if hasattr(module, "__all__"):
+        return stem, module.__all__
+    return stem, [node.name for node in TREES[stem].body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")]
+
+
 def test_every_export_has_a_caller():
     """An export is called when src/ reads it outside its own definition, or
     when a non-test file in perfbench/ names it."""
@@ -74,8 +86,8 @@ def test_every_export_has_a_caller():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 named.add(node.value)
     uncalled = []
-    for module in (de, dro_core, tau_solver):
-        stem = module.__name__.rsplit(".", 1)[1]
+    for module in (de, dro_core, tau_solver, models, tempnet, trainer, verify, errors):
+        stem, names = exports(module)
         read = set()
         for tree_stem, tree in TREES.items():
             imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
@@ -95,7 +107,7 @@ def test_every_export_has_a_caller():
                           and node.id not in defined
                           and (tree_stem == stem or node.id in imported)):
                         read.add(node.id)
-        uncalled += [f"{stem}.{name}" for name in module.__all__
+        uncalled += [f"{stem}.{name}" for name in names
                      if name not in read and f"{stem}.{name}" not in named]
     assert uncalled == []
 

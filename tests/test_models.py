@@ -664,55 +664,71 @@ class TestPerplexity:
             md.lm_eval_pass(lm, llm_tnet(7), batch)
 
 
+def encoded(towers, batch):
+    """The unit-norm image and text embeddings recall_at_k ranks."""
+    return (
+        md.encode_image(towers, Tensor(batch.x)).data,
+        md.encode_text(towers, Tensor(batch.t)).data,
+    )
+
+
 class TestRecallAtK:
     def test_identity_structure_is_perfect(self):
         towers = identity_towers(4)
         batch = md.PairBatch(np.eye(4), np.eye(4))
-        assert md.recall_at_k(towers, batch, 1) == (1.0, 1.0)
+        assert md.recall_at_k(*encoded(towers, batch), 1) == (1.0, 1.0)
 
     def test_recall_at_n_is_one(self):
         towers = small_towers(seed=10)
         rng = np.random.default_rng(101)
         batch = md.PairBatch(rng.normal(size=(6, 5)), rng.normal(size=(6, 5)))
-        assert md.recall_at_k(towers, batch, 6) == (1.0, 1.0)
+        assert md.recall_at_k(*encoded(towers, batch), 6) == (1.0, 1.0)
 
     def test_matches_brute_force(self):
         towers = small_towers(seed=11)
         rng = np.random.default_rng(111)
         batch = md.PairBatch(rng.normal(size=(5, 5)), rng.normal(size=(5, 5)))
-        sims = (
-            md.encode_image(towers, Tensor(batch.x)).data
-            @ md.encode_text(towers, Tensor(batch.t)).data.T
-        )
-        for k in (1, 2, 3, 5):
-            img_r, txt_r = md.recall_at_k(towers, batch, k)
-            img_hits = sum(
-                1
-                for i in range(5)
-                if sorted(range(5), key=lambda j: (-sims[j, i], j)).index(i) < k
-            )
-            txt_hits = sum(
-                1
-                for i in range(5)
-                if sorted(range(5), key=lambda j: (-sims[i, j], j)).index(i) < k
-            )
-            assert img_r == pytest.approx(img_hits / 5)
-            assert txt_r == pytest.approx(txt_hits / 5)
+        # partly tied: 7 pairs whose rows repeat 3 unit vectors per side, so
+        # equal similarities recur within a row but not everywhere
+        units = rng.normal(size=(3, 4))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        tied = (units[rng.integers(3, size=7)], units[::-1][rng.integers(3, size=7)])
+        assert 1 < len(np.unique(tied[0] @ tied[1].T)) < 9
+        cases = [(encoded(towers, batch), (1, 2, 3, 5)), (tied, (1, 2, 7))]
+        for (e_img, e_txt), ks in cases:
+            n = len(e_img)
+            sims = e_img @ e_txt.T
+            for k in ks:
+                img_r, txt_r = md.recall_at_k(e_img, e_txt, k)
+                img_hits = sum(
+                    1
+                    for i in range(n)
+                    if sorted(range(n), key=lambda j: (-sims[j, i], j)).index(i) < k
+                )
+                txt_hits = sum(
+                    1
+                    for i in range(n)
+                    if sorted(range(n), key=lambda j: (-sims[i, j], j)).index(i) < k
+                )
+                assert img_r == pytest.approx(img_hits / n)
+                assert txt_r == pytest.approx(txt_hits / n)
 
     def test_ties_break_to_lower_index(self):
         towers = small_towers(seed=12)
         row = np.linspace(0.2, 1.0, 5)
         batch = md.PairBatch(np.tile(row, (3, 1)), np.tile(row + 0.3, (3, 1)))
         # every similarity ties, so only query 0 can win at k = 1
-        assert md.recall_at_k(towers, batch, 1) == (pytest.approx(1 / 3), pytest.approx(1 / 3))
+        assert md.recall_at_k(*encoded(towers, batch), 1) == (
+            pytest.approx(1 / 3), pytest.approx(1 / 3)
+        )
 
     def test_k_out_of_range(self):
         towers = small_towers()
         batch = md.PairBatch(np.eye(2, 5), np.ones((2, 5)))
         with pytest.raises(DomainError):
-            md.recall_at_k(towers, batch, 3)
+            md.recall_at_k(*encoded(towers, batch), 3)
         with pytest.raises(DomainError):
-            md.recall_at_k(towers, batch, 0)
+            md.recall_at_k(*encoded(towers, batch), 0)
 
     def test_nan_hidden_weight_reaches_the_embeddings_and_recall(self):
         # the ReLU passes a NaN pre-activation on instead of zeroing it
@@ -722,14 +738,14 @@ class TestRecallAtK:
         emb = md.encode_image(towers, Tensor(batch.x)).data
         assert not np.isfinite(emb).all()
         with pytest.raises(NonFiniteError):
-            md.recall_at_k(towers, batch, 1)
+            md.recall_at_k(*encoded(towers, batch), 1)
 
     def test_non_finite_weight_raises_instead_of_a_recall(self):
         towers = small_towers(seed=13)
         towers.image.W2.data[0, 0] = np.nan
         batch = md.PairBatch(np.eye(3, 5), np.ones((3, 5)))
         with pytest.raises(NonFiniteError, match="similarities are not all finite"):
-            md.recall_at_k(towers, batch, 1)
+            md.recall_at_k(*encoded(towers, batch), 1)
 
 
 class TestCorpusPlumbing:
