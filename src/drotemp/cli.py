@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 validation or check failure, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import functools
 import itertools
@@ -538,32 +537,8 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# glibc mallopt parameters, from malloc.h
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-@functools.cache
-def _keep_freed_heap() -> None:
-    """Start glibc's malloc at the thresholds its dynamic rule grows to.
-
-    A training step frees its tape's temporaries, a few MB, at once. Under
-    the default, dynamic thresholds, whether that memory goes back to the OS,
-    to be faulted in again by the next step, depends on the heap's layout,
-    which shifts with how the process was launched. On a 2-core x86-64 Linux
-    host, a ce train-lm step of the benchmark took 15-40% longer in one launch
-    than in another, with 0.5-1.1M minor page faults per run against 24k. Fixed
-    at the values the dynamic rule reaches at its limit (mmap 32 MiB, trim
-    twice that), every launch keeps its freed heap for the next step.
-    """
-    if sys.platform.startswith("linux"):
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-        if mallopt is not None:
-            mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-            mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _keep_freed_heap()
+    tr._keep_freed_heap()
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

@@ -238,9 +238,12 @@ def reciprocal(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    # a NaN input passes through, so the checks downstream still see it
-    mask = ~(x.data <= 0.0)
-    return _emit(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    # a NaN input passes through, so the checks downstream still see it.
+    # numpy leaves the sign of max(-0.0, 0.0) open; the add makes it +0.0,
+    # so the bytes are where(~(x <= 0), x, 0) and out != 0 is its mask
+    out = np.maximum(x.data, 0.0)
+    out += 0.0
+    return _emit(out, (x,), lambda g: (g * (out != 0.0),))
 
 
 def logistic(x: Tensor) -> Tensor:
@@ -430,9 +433,12 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         )
 
     def back(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ii, g)
-        return (gt,)
+        # bincount sums each cell's contributions in id order from 0.0, as
+        # np.add.at does, at a fraction of its cost
+        rows, d = table.shape
+        flat = ii.astype(np.intp, copy=False)[:, None] * d + np.arange(d)
+        gt = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=rows * d)
+        return (gt.reshape(rows, d),)
 
     return _emit(table.data[ii], (table,), back)
 

@@ -99,30 +99,44 @@ class LmParams:
 
 @dataclass(frozen=True)
 class TokenBatch:
-    """Token id sequences; targets are the next token at every position."""
+    """Token id sequences; targets are the next token at every position.
+
+    Built from a 2-D integer array, one sequence per row, or from an
+    iterable of 1-D sequences; an item of the iterable may also be a 2-D
+    array of equal-length sequences. Each 2-D array is checked at once.
+    """
 
     sequences: Tuple[np.ndarray, ...]
 
     def __init__(self, sequences):
-        seqs = []
+        if isinstance(sequences, np.ndarray) and sequences.ndim == 2:
+            sequences = (sequences,)
+        rows = []
         for seq in sequences:
             arr = np.asarray(seq)
-            if arr.ndim != 1 or arr.size < 2:
-                raise DomainError("every sequence needs at least 2 tokens")
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise DomainError("token ids must be integers")
-            if arr.min() < 0:
-                raise DomainError("token ids must be nonnegative")
-            seqs.append(arr.astype(np.int64, copy=True))
-        if not seqs:
+            rows.extend(_token_rows(arr[None] if arr.ndim == 1 else arr))
+        if not rows:
             raise DomainError("batch must contain at least one sequence")
-        for arr in seqs:
-            arr.setflags(write=False)
-        object.__setattr__(self, "sequences", tuple(seqs))
+        object.__setattr__(self, "sequences", tuple(rows))
 
     @property
     def n_targets(self) -> int:
         return sum(len(s) - 1 for s in self.sequences)
+
+
+def _token_rows(block: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The rows of an n x m block of token ids as read-only int64 arrays."""
+    if block.ndim != 2 or (block.shape[0] and block.shape[1] < 2):
+        raise DomainError("every sequence needs at least 2 tokens")
+    if not block.size:
+        return ()
+    if not np.issubdtype(block.dtype, np.integer):
+        raise DomainError("token ids must be integers")
+    if block.min() < 0:
+        raise DomainError("token ids must be nonnegative")
+    block = block.astype(np.int64, copy=True)
+    block.setflags(write=False)
+    return tuple(block)
 
 
 def _param(data: np.ndarray) -> Tensor:
@@ -227,10 +241,13 @@ def _target_logits(params: LmParams, sequences: Sequence[np.ndarray]) -> Tuple[T
     Rows are sequence-major: the m - 1 predicting rows of each sequence in
     turn. Consecutive sequences of equal length share one stacked forward.
     """
-    _check_sequences(params, sequences)
+    blocks = [np.stack(list(run)) for _, run in itertools.groupby(sequences, key=len)]
+    cfg = params.cfg
+    if any(ids.shape[1] > cfg.context_len or ids.max() >= cfg.vocab_size for ids in blocks):
+        _check_sequences(params, sequences)  # raises, naming the first bad sequence
     parts = []
-    for m, run in itertools.groupby(sequences, key=len):
-        ids = np.stack(list(run))
+    for ids in blocks:
+        m = ids.shape[1]
         # every row but each sequence's last, which predicts past its end
         keep = (np.arange(ids.shape[0])[:, None] * m + np.arange(m - 1)).reshape(-1)
         parts.append(de.embedding_lookup(_stacked_logits(params, ids), keep))
@@ -611,16 +628,17 @@ def sample_windows(
     if len(ids) < context_len:
         raise DomainError(f"corpus of {len(ids)} tokens shorter than context {context_len}")
     starts = rng.integers(0, len(ids) - context_len + 1, size=batch_size)
-    return TokenBatch([ids[s : s + context_len] for s in starts])
+    return TokenBatch(ids[starts[:, None] + np.arange(context_len)])
 
 
 def eval_windows(ids: np.ndarray, context_len: int) -> TokenBatch:
     """Non-overlapping full-coverage windows (trailing runt kept if >= 2)."""
-    seqs = [ids[s : s + context_len] for s in range(0, len(ids), context_len)]
-    seqs = [s for s in seqs if len(s) >= 2]
-    if not seqs:
+    n = len(ids) // context_len
+    parts = [ids[: n * context_len].reshape(n, context_len), ids[n * context_len :]]
+    parts = [part for part in parts if part.shape[-1] >= 2 and part.size]
+    if not parts:
         raise DomainError("eval split too short for even one window")
-    return TokenBatch(seqs)
+    return TokenBatch(parts)
 
 
 def split_ids(ids: np.ndarray, val_fraction: float) -> Tuple[np.ndarray, np.ndarray]:

@@ -49,6 +49,21 @@ class TestForwardValues:
         assert out.data.tobytes() == old_out.tobytes()
         assert backward(total, tape)[x].tobytes() == (g * old_mask).tobytes()
 
+    def test_relu_bits_match_the_where_form_on_special_values(self):
+        rng = np.random.default_rng(32)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                   np.inf, -np.inf, np.nan, -np.nan]
+        payload_nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)
+        data = np.concatenate([rng.normal(size=64), special, payload_nan]).reshape(5, 15)
+        g = rng.normal(size=data.shape)
+        x = Tensor(data, requires_grad=True)
+        with Tape() as tape:
+            out = de.relu(x)
+            total = de.sum(de.mul(out, Tensor(g)))
+        mask = ~(data <= 0.0)
+        assert out.data.tobytes() == np.where(mask, data, 0.0).tobytes()
+        assert backward(total, tape)[x].tobytes() == (g * mask).tobytes()
+
     def test_l2_normalize(self):
         np.testing.assert_allclose(
             de.l2_normalize(Tensor([3.0, 4.0])).data, [0.6, 0.8], atol=1e-15
@@ -203,8 +218,8 @@ class TestBackward:
         assert gw.flags.c_contiguous and gw.flags.owndata
         u = Tensor(np.ones((1, 1)), requires_grad=True)
         assert grad_of(lambda: de.transpose(u))[u].flags.owndata
-        # a fresh gradient is stored as is only when C-contiguous: the
-        # embedding backward's zeros_like follows a Fortran-ordered table
+        # a gradient is stored as is only when fresh and C-contiguous; the
+        # embedding backward hands back a view of its bincount
         table = Tensor(np.asfortranarray(np.ones((3, 2))), requires_grad=True)
         gt = grad_of(lambda: de.sum(de.embedding_lookup(table, [0, 2])))[table]
         assert gt.flags.c_contiguous and gt.flags.owndata
@@ -498,6 +513,23 @@ class TestFiniteDiffCheck:
         x = Tensor(rng.normal(size=(4, 3)))
         v = Tensor(rng.normal(size=4))
         assert finite_diff_check(lambda t: de.sum(de.mul(de.add_colvec(x, t), 2.0)), v) <= 1e-9
+
+    @pytest.mark.parametrize("ids", [
+        [4, 0, 4, 4, 2, 0, 4, 1],  # repeated, as token ids
+        np.tile(np.arange(3), 3),  # tiled, as positions
+        [5, 3, 0, 1],  # unique, as kept rows
+    ], ids=["repeated", "tiled", "unique"])
+    def test_embedding_gradient_bits_match_add_at(self, ids):
+        rng = np.random.default_rng(33)
+        table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        ids = np.asarray(ids)
+        g = rng.normal(size=(ids.size, 4))
+        g[0, 0], g[-1, 1], g[1, 2] = -0.0, np.nan, -0.0
+        with Tape() as tape:
+            total = de.sum(de.mul(de.embedding_lookup(table, ids), Tensor(g)))
+        ref = np.zeros(table.shape)
+        np.add.at(ref, ids, g)
+        assert backward(total, tape)[table].tobytes() == ref.tobytes()
 
     def test_duplicate_embedding_ids_accumulate(self):
         table = Tensor(np.zeros((3, 2)), requires_grad=True)

@@ -133,10 +133,41 @@ class TestLmValidation:
         batch = md.TokenBatch([[0, 1, 2], [3, 4]])
         assert batch.n_targets == 3
 
+    @pytest.mark.parametrize("block, message", [
+        (np.zeros((3, 1), dtype=np.int64), "every sequence needs at least 2 tokens"),
+        (np.zeros((3, 4)), "token ids must be integers"),
+        (np.array([[0, 1, 2], [3, -1, 4]]), "token ids must be nonnegative"),
+        (np.zeros((0, 4), dtype=np.int64), "batch must contain at least one sequence"),
+    ])
+    def test_block_refusals_match_the_per_sequence_messages(self, block, message):
+        for source in (block, list(block)):
+            with pytest.raises(DomainError) as info:
+                md.TokenBatch(source)
+            assert str(info.value) == message
+
+    def test_block_rows_match_per_sequence_rows(self):
+        block = np.arange(12, dtype=np.int32).reshape(3, 4)
+        for batch in (md.TokenBatch(block), md.TokenBatch([block[:2], block[2]])):
+            assert len(batch.sequences) == 3
+            for row, seq in zip(block, batch.sequences):
+                assert seq.dtype == np.int64 and not seq.flags.writeable
+                np.testing.assert_array_equal(seq, row)
+        assert block.flags.writeable
+
     def test_out_of_range_ids_rejected_at_forward(self):
         lm = small_lm()
         with pytest.raises(DomainError):
             md.baseline_ce_loss(lm, md.TokenBatch([[0, 99]]))
+
+    @pytest.mark.parametrize("seqs, message", [
+        ([[0, 1, 2], [0, 7, 1], [7, 0, 1]], "token id 7 out of range for vocab 7"),
+        ([[0, 1], [0] * 7, [1] * 7], "sequence length 7 exceeds context 6"),
+    ])
+    def test_forward_refusal_names_the_first_bad_sequence(self, seqs, message):
+        lm = small_lm()
+        with pytest.raises(DomainError) as info:
+            md.baseline_ce_loss(lm, md.TokenBatch(seqs))
+        assert str(info.value) == message
 
     def test_overlong_sequence_rejected(self):
         lm = small_lm()
@@ -810,6 +841,29 @@ class TestCorpusPlumbing:
         # a trailing single token cannot form a target and is dropped
         batch = md.eval_windows(np.arange(17, dtype=np.int64), context_len=8)
         assert [len(s) for s in batch.sequences] == [8, 8]
+
+    @pytest.mark.parametrize("length", [2, 7, 8, 9, 17])
+    def test_eval_windows_match_slices(self, length):
+        # lengths 2, m - 1, m, m + 1 and 2m + 1 for a context of m = 8
+        ids = (np.arange(length, dtype=np.int64) * 5) % 11
+        slices = [ids[s : s + 8] for s in range(0, length, 8)]
+        expected = [s for s in slices if len(s) >= 2]
+        got = md.eval_windows(ids, context_len=8).sequences
+        assert len(got) == len(expected)
+        for seq, ref in zip(got, expected):
+            assert seq.dtype == np.int64 and seq.tobytes() == ref.tobytes()
+        with pytest.raises(DomainError, match="eval split too short"):
+            md.eval_windows(ids[:1], context_len=8)
+
+    def test_sample_windows_match_slices_and_draw_the_same_stream(self):
+        ids = (np.arange(300, dtype=np.int64) * 7) % 13
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        batch = md.sample_windows(ids, context_len=12, batch_size=6, rng=rng)
+        starts = ref_rng.integers(0, len(ids) - 12 + 1, size=6)
+        assert [seq.tobytes() for seq in batch.sequences] == [
+            ids[s : s + 12].tobytes() for s in starts
+        ]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_split_ids(self):
         ids = np.arange(100)

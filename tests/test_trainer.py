@@ -3,7 +3,11 @@
 import binascii
 import json
 import math
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +28,22 @@ from drotemp.errors import (
 )
 
 CORPUS = "src/drotemp/assets/corpus.txt"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+# two 40-step train-lm runs at the command's default shape, called as a
+# library in a fresh process; prints the minor faults of the second run
+_HEAP_SCRIPT = """
+import resource, sys
+from drotemp import trainer as tr
+from drotemp.dro_core import DroConfig
+run = tr.TrainConfig(total_steps=40, batch_size=8, seed=0, cfg=DroConfig(), eval_every=40)
+task = tr.LmTask(corpus_path=sys.argv[1])
+tr.train(run, task, "a")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+tr.train(run, task, "b")
+assert "drotemp.cli" not in sys.modules
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 def small_run(**overrides) -> tr.TrainConfig:
@@ -508,6 +528,16 @@ class TestLmTraining:
         assert (part / "temperatures.csv").exists()
         tr.train(run, task, part, stop_at_step=5, resume_from=part / "checkpoint.bin")
         assert not (part / "temperatures.csv").exists()
+
+    def test_library_runs_reuse_the_freed_heap(self, tmp_path):
+        # the library twin of test_cli's test_steps_reuse_the_freed_heap: train
+        # sets the malloc thresholds itself, with no cli.main in the process
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", _HEAP_SCRIPT, str(SRC / "drotemp" / "assets" / "corpus.txt")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        )
+        assert int(done.stdout) < 40 * 25
 
     def test_same_seed_runs_are_bit_identical(self, tmp_path):
         run, task = small_run(), small_lm_task()
