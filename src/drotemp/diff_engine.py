@@ -22,10 +22,11 @@ path stays visible. Each op takes only the shapes the models give it:
 - transpose of a matrix or of a 3-D tensor's last two axes, and reshape
   between the flat (n*m, d) and stacked (n, m, d) views, so equal-length
   sequences batch through per-sequence attention without a block mask;
-- affine (x @ w.T + b, one node), mul_rowvec, add_colvec, scale_rows and
-  gather_rows on (n, d) matrices, and embedding_lookup of a matrix's rows;
-- softmax, logsumexp and l2_normalize along one axis; sum of every entry or
-  along one axis; mean of every entry; concat along the first axis.
+- affine (x @ w.T + b, one node), mul_rowvec, add_colvec, gather_rows and
+  robust_rows (row i's robust loss at tau_i, which every training objective
+  ends in) on (n, d) matrices, and embedding_lookup of a matrix's rows;
+- softmax and l2_normalize along one axis; sum of every entry or along one
+  axis; mean of every entry; concat along the first axis.
 
 finite_diff_check compares a reverse-mode gradient with the numeric one from
 central_difference, which verify also calls.
@@ -70,9 +71,8 @@ __all__ = [
     "affine",
     "add_colvec",
     "mul_rowvec",
-    "scale_rows",
+    "robust_rows",
     "softmax",
-    "logsumexp",
     "l2_normalize",
     "mean",
     "sum",
@@ -309,18 +309,6 @@ def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
     )
 
 
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """Row i of x times scalar s_i."""
-    if x.data.ndim != 2 or s.data.ndim != 1 or x.shape[0] != s.shape[0]:
-        raise ShapeError("scale_rows", x.shape, s.shape)
-    col = s.data[:, None]
-    return _emit(
-        x.data * col,
-        (x, s),
-        lambda g: (g * col, (g * x.data).sum(axis=1)),
-    )
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
@@ -333,12 +321,28 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _emit(out, (x,), back)
 
 
-def logsumexp(x: Tensor, axis: int) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    se = e.sum(axis=axis, keepdims=True)
-    out, soft = np.squeeze(m + np.log(se), axis=axis), e / se
-    return _emit(out, (x,), lambda g: (np.expand_dims(g, axis) * soft,))
+def robust_rows(x: Tensor, taus: Tensor, c: float) -> Tensor:
+    """Row i: taus_i * (logsumexp(x_i / taus_i) + c) in one node, with the
+    numpy operations, and so the bits, of reciprocal, row scaling, shifted
+    logsumexp, + c and * taus. The taus get a gradient only if they need one."""
+    xd, td = x.data, taus.data
+    if xd.ndim != 2 or td.ndim != 1 or xd.shape[0] != td.shape[0]:
+        raise ShapeError("robust_rows", x.shape, taus.shape)
+    # a zero tau's infinite reciprocal flows on to the caller's checks
+    with np.errstate(divide="ignore"):
+        r = 1.0 / td
+    z = xd * r[:, None]
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    se = e.sum(axis=1, keepdims=True)
+    s, soft = np.squeeze(m + np.log(se), axis=1) + c, e / se
+
+    def back(g):
+        gz = (g * td)[:, None] * soft
+        dtaus = g * s + (-(gz * xd).sum(axis=1)) * r * r if taus.requires_grad else None
+        return gz * r[:, None], dtaus
+
+    return _emit(td * s, (x, taus), back)
 
 
 def l2_normalize(x: Tensor, axis: int = -1, zero_policy: str = "error") -> Tensor:

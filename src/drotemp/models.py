@@ -255,11 +255,9 @@ def _target_logits(params: LmParams, sequences: Sequence[np.ndarray]) -> Tuple[T
     return logits, np.concatenate([seq[1:] for seq in sequences])
 
 
-def _robust_terms(logits: Tensor, taus: Tensor, targets: np.ndarray, rho: float) -> Tensor:
-    """Per position: tau * (logsumexp(L / tau) - log K + rho) - L_target."""
-    lse = de.logsumexp(de.scale_rows(logits, de.reciprocal(taus)), axis=1)
-    positive = de.gather_rows(logits, targets)
-    return de.sub(de.mul(taus, de.add(lse, rho - math.log(logits.shape[1]))), positive)
+def _target_terms(logits: Tensor, taus: Tensor, targets: np.ndarray, c: float) -> Tensor:
+    """Per position: tau * (logsumexp(L / tau) + c) - L_target."""
+    return de.sub(de.robust_rows(logits, taus, c), de.gather_rows(logits, targets))
 
 
 def _taus(temps, features: Tensor, variant: tn.Variant, what: str) -> Tensor:
@@ -297,13 +295,13 @@ def robust_softmax_loss(
     """
     logits, targets = _target_logits(params, batch.sequences)
     taus = _taus(temps, logits, tn.Variant.LLM_LOGITS, "LM loss")
-    return de.mean(_robust_terms(logits, taus, targets, cfg.rho))
+    return de.mean(_target_terms(logits, taus, targets, cfg.rho - math.log(logits.shape[1])))
 
 
 def baseline_ce_loss(params: LmParams, batch: TokenBatch) -> Tensor:
     """Mean per-token negative log-likelihood at temperature 1."""
     logits, targets = _target_logits(params, batch.sequences)
-    return de.mean(de.sub(de.logsumexp(logits, axis=1), de.gather_rows(logits, targets)))
+    return de.mean(_target_terms(logits, Tensor(np.ones(logits.shape[0])), targets, 0.0))
 
 
 # sequences per eval forward, 512 rows at context 32: half the per-call
@@ -498,9 +496,7 @@ def _direction_terms(sims: Tensor, diag: Tensor, taus: Tensor, rho: float, n: in
     sims rows already carry the additive diagonal mask, so the anchor's own
     positive drops out of the contrast set exactly.
     """
-    margins = de.add_colvec(sims, de.neg(diag))
-    lse = de.logsumexp(de.scale_rows(margins, de.reciprocal(taus)), axis=1)
-    return de.mul(taus, de.add(lse, rho - math.log(n - 1)))
+    return de.robust_rows(de.add_colvec(sims, de.neg(diag)), taus, rho - math.log(n - 1))
 
 
 def robust_gcl_loss(
@@ -536,8 +532,7 @@ def baseline_gcl_loss(
     _, _, masked, diag = _similarities(towers, batch)
 
     def direction(rows: Tensor, tau: float) -> Tensor:
-        lse = de.logsumexp(de.mul(rows, 1.0 / tau), axis=1)
-        return de.sub(de.mul(lse, tau), diag)
+        return de.sub(de.robust_rows(rows, Tensor(np.full(batch.n, tau)), 0.0), diag)
 
     return de.mean(de.add(direction(masked, tau1), direction(de.transpose(masked), tau2)))
 
@@ -692,8 +687,9 @@ def load_pairs_csv(path) -> PairBatch:
         except StopIteration:
             raise DomainError(f"pair file {path} is empty") from None
         d_x = len([h for h in header if h.startswith("x")])
-        d_t = len([h for h in header if h.startswith("t")])
-        if d_x < 1 or d_t < 1 or d_x + d_t != len(header):
+        d_t = len(header) - d_x
+        saved = [f"x{i}" for i in range(d_x)] + [f"t{i}" for i in range(d_t)]
+        if d_x < 1 or d_t < 1 or header != saved:
             raise DomainError(f"pair file {path} has a malformed header: {header!r}")
         xs, ts = [], []
         for line_no, row in enumerate(reader, start=2):

@@ -1332,6 +1332,25 @@ class TestEval:
         assert eval_err == train_err
         assert eval_err.startswith("error: 3 pairs") and "Traceback" not in eval_err
 
+    @pytest.mark.parametrize("header", [
+        "t0,t1,t2,t3,t4,t5,x0,x1,x2,x3,x4,x5",  # the sides swapped
+        "x0,xylophone,x2,x3,x4,x5,t0,t1,t2,t3,t4,t5",  # an x-named stranger
+    ], ids=["swapped", "stranger"])
+    def test_pairs_header_out_of_layout_exits_1(self, fixture_cl_ckpt, tmp_path, capsys, header):
+        # a header save_pairs_csv would not write is refused, not read by
+        # first letters into the wrong sides or a wrong split of the widths
+        with open(FIXTURE, encoding="utf-8") as fh:
+            rows = fh.read().splitlines()[1:]
+        path = tmp_path / "pairs.csv"
+        path.write_text("\n".join([header] + rows) + "\n")
+        argvs = [
+            ["train-cl", "--out", str(tmp_path / "run"), f"data.pairs={path}"],
+            ["eval", "--checkpoint", str(fixture_cl_ckpt), "--pairs", str(path)],
+        ]
+        for argv in argvs:
+            assert run_cli(argv) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: pair file {path} has a malformed header: {header.split(',')!r}\n"
 
     def test_transfer_pairs_evaluate_where_training_refuses(self, cl_run, tmp_path, capsys):
         # 4 pairs split 2 / 2: too few for a batch of 16, enough to evaluate

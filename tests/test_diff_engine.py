@@ -20,6 +20,11 @@ def grad_of(build, *params):
     return backward(out, tape)
 
 
+def lse_rows(x: Tensor) -> Tensor:
+    """The row logsumexp: robust_rows at tau = 1 and c = 0."""
+    return de.robust_rows(x, Tensor(np.ones(x.shape[0])), 0.0)
+
+
 class TestForwardValues:
     def test_relu(self):
         np.testing.assert_array_equal(
@@ -113,7 +118,7 @@ class TestForwardValues:
     def test_logsumexp_matches_shifted_reference(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 6)) * 300.0
-        got = de.logsumexp(Tensor(x), axis=1).data
+        got = lse_rows(Tensor(x)).data
         m = x.max(axis=1, keepdims=True)
         ref = (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))).squeeze(1)
         np.testing.assert_allclose(got, ref, rtol=1e-14)
@@ -137,7 +142,7 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             de.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
         with pytest.raises(ShapeError):
-            de.scale_rows(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+            de.robust_rows(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), 0.0)
 
     def test_embedding_and_gather_validate_indices(self):
         with pytest.raises(DomainError):
@@ -155,7 +160,7 @@ class TestBackward:
     def test_logsumexp_gradient_is_softmax(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
-        grads = grad_of(lambda: de.logsumexp(x, axis=1))
+        grads = grad_of(lambda: lse_rows(x))
         z = np.exp(x.data - x.data.max())
         np.testing.assert_allclose(grads[x], z / z.sum(), rtol=1e-13)
 
@@ -353,6 +358,66 @@ class TestAffine:
         assert finite_diff_check(lambda t: de.sum(de.mul(de.affine(x, w, t), coef)), b) <= 1e-6
 
 
+def composed_chain(x, taus, c, g):
+    """The numpy operations of reciprocal -> row scaling -> logsumexp -> + c
+    -> * taus, forward and then backward from the output gradient g, in the
+    order the tape summed them: (output, d/dx, d/dtaus)."""
+    r = 1.0 / taus
+    z = x * r[:, None]
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    se = e.sum(axis=1, keepdims=True)
+    lse, soft = np.squeeze(m + np.log(se), axis=1), e / se
+    a = lse + c
+    gz = np.expand_dims(g * taus, 1) * soft
+    dtaus = g * a
+    dtaus += -(gz * x).sum(axis=1) * r * r
+    return taus * a, gz * r[:, None], dtaus
+
+
+class TestRobustRows:
+    """Row i: taus_i * (logsumexp(x_i / taus_i) + c) as one tape node."""
+
+    def operands(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(16, 29)) * 3.0
+        taus = rng.uniform(0.05, 2.0, size=16)
+        return x, taus, rng.normal(size=16)
+
+    @pytest.mark.parametrize("taus_grad", [True, False], ids=["taus_grad", "taus_fixed"])
+    def test_bytes_match_the_composed_chain(self, taus_grad):
+        xd, td, g = self.operands(46)
+        c = 0.7 - np.log(29)
+        x, taus = Tensor(xd, requires_grad=True), Tensor(td, requires_grad=taus_grad)
+        with Tape() as tape:
+            out = de.robust_rows(x, taus, c)
+            total = de.sum(de.mul(out, Tensor(g)))
+        grads = backward(total, tape)
+        ref_out, ref_dx, ref_dtaus = composed_chain(xd, td, c, g)
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert grads[x].tobytes() == ref_dx.tobytes()
+        if taus_grad:
+            assert grads[taus].tobytes() == ref_dtaus.tobytes()
+        else:
+            assert taus not in grads and len(tape) == 3
+
+    def test_gradients_match_finite_differences(self):
+        xd, td, g = self.operands(47)
+        coef = Tensor(g)
+        x, taus = Tensor(xd), Tensor(td)
+        f_x = lambda t: de.sum(de.mul(de.robust_rows(t, taus, 0.4), coef))
+        f_taus = lambda t: de.sum(de.mul(de.robust_rows(x, t, 0.4), coef))
+        assert finite_diff_check(f_x, x) <= 1e-6
+        assert finite_diff_check(f_taus, taus) <= 1e-6
+
+    @pytest.mark.parametrize("shapes", [((4, 3), (3,)), ((4,), (4,)), ((4, 3), (4, 1)),
+                                        ((2, 4, 3), (2,))])
+    def test_shape_error_names_robust_rows(self, shapes):
+        with pytest.raises(ShapeError) as err:
+            de.robust_rows(*(Tensor(np.ones(shape)) for shape in shapes), 0.0)
+        assert err.value.op == "robust_rows" and str(err.value).startswith("robust_rows:")
+
+
 # one call per recording op, on the shapes the models give it: cl-train's
 # batch of 16 through 32-wide towers, an (n, m, d) attention stack, and the
 # TempNet's scalar phi
@@ -374,9 +439,8 @@ RECORDING_OPS = {
     "affine": lambda: de.affine(_M, Tensor(_RNG.normal(size=(24, 32))), Tensor(np.zeros(24))),
     "add_colvec": lambda: de.add_colvec(_M, _S),
     "mul_rowvec": lambda: de.mul_rowvec(_M, _V),
-    "scale_rows": lambda: de.scale_rows(_M, _S),
+    "robust_rows": lambda: de.robust_rows(_M, Tensor(np.abs(_S.data) + 0.1), 0.5),
     "softmax": lambda: de.softmax(_M, axis=-1),
-    "logsumexp": lambda: de.logsumexp(_M, axis=1),
     "l2_normalize": lambda: de.l2_normalize(_M, axis=-1),
     "mean": lambda: de.mean(_M),
     "sum": lambda: de.sum(_M, axis=1),
@@ -459,7 +523,7 @@ class TestFiniteDiffCheck:
             ("sum_rows", lambda t: de.sum(de.mul(de.sum(t, axis=1), 3.0)), (3, 4)),
             ("reciprocal", lambda t: de.sum(de.reciprocal(de.add(de.mul(t, t), 1.0))), (7,)),
             ("softmax", lambda t: de.sum(de.mul(de.softmax(t), de.softmax(t))), (8,)),
-            ("logsumexp_all", lambda t: de.sum(de.logsumexp(t, axis=1)), (1, 4096)),
+            ("logsumexp_all", lambda t: de.sum(lse_rows(t)), (1, 4096)),
             ("l2_normalize", lambda t: de.sum(de.mul(de.l2_normalize(t), Tensor(np.arange(6.0)))), (6,)),
             ("mean", lambda t: de.mean(de.mul(t, t)), (12,)),
         ],
@@ -477,21 +541,16 @@ class TestFiniteDiffCheck:
         w = Tensor(rng.normal(size=(5, 7)))
         x = Tensor(rng.normal(size=(9, 7)))
         v = Tensor(rng.normal(size=5))
-        s = Tensor(rng.normal(size=9))
+        s = Tensor(np.abs(rng.normal(size=9)) + 0.5)
 
         base = lambda m: de.matmul(x, de.transpose(m))
         assert finite_diff_check(lambda t: de.sum(base(t)), w) <= 1e-6
         assert finite_diff_check(lambda t: de.sum(de.matmul(t, de.transpose(w))), x) <= 1e-6
         assert finite_diff_check(lambda t: de.sum(de.affine(x, w, t)), v) <= 1e-6
         assert finite_diff_check(lambda t: de.sum(de.mul_rowvec(base(w), t)), v) <= 1e-6
-        assert finite_diff_check(lambda t: de.sum(de.scale_rows(base(w), t)), s) <= 1e-6
-        assert (
-            finite_diff_check(
-                lambda t: de.sum(de.softmax(de.scale_rows(base(w), t), axis=-1)), s
-            )
-            <= 1e-5
-        )
-        assert finite_diff_check(lambda t: de.sum(de.logsumexp(base(t), axis=1)), w) <= 1e-5
+        assert finite_diff_check(lambda t: de.sum(de.robust_rows(base(w), t, 0.3)), s) <= 1e-6
+        assert finite_diff_check(lambda t: de.sum(de.robust_rows(base(t), s, 0.3)), w) <= 1e-5
+        assert finite_diff_check(lambda t: de.sum(lse_rows(base(t))), w) <= 1e-5
         assert finite_diff_check(lambda t: de.sum(de.l2_normalize(base(t), axis=0)), w) <= 1e-5
 
     def test_gather_and_embedding(self):

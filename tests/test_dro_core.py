@@ -96,13 +96,14 @@ class TestValidation:
 
 
 class TestStableLogsumexp:
-    """The tape's logsumexp, which every robust loss uses, against the same
-    extended-precision oracle as the closed-form pieces."""
+    """The logsumexp inside the tape's robust_rows node, which every training
+    loss ends in, against the same extended-precision oracle as the
+    closed-form pieces: one row at tau = 1 and c = 0, the plain logsumexp."""
 
     @staticmethod
     def lse(values) -> float:
-        # one row, along axis 1: the form the robust losses call
-        return de.logsumexp(Tensor(np.asarray(values, dtype=np.float64)[None, :]), axis=1).item()
+        row = Tensor(np.asarray(values, dtype=np.float64)[None, :])
+        return de.robust_rows(row, Tensor(np.ones(1)), 0.0).item()
 
     def test_two_equal_terms(self):
         assert self.lse([0.0, 0.0]) == pytest.approx(math.log(2), abs=1e-15)

@@ -651,6 +651,40 @@ class TestBaselineGcl:
             assert finite_diff_check(f, getattr(towers.image, field)) <= 1e-5
 
 
+def test_each_objective_ends_in_robust_rows_nodes():
+    """One loss per training objective at the default shapes (the bundled
+    corpus's vocabulary, the LmConfig defaults and 8 windows of 32 tokens;
+    the TwoTowerConfig defaults on 16 pairs of 12 + 12 features; TempNets of
+    widths 16 and 8) records one robust_rows node per LM loss and per CL
+    direction: a composed chain back in any of them shows here."""
+    vocab = md.build_vocab(md.load_corpus(ASSETS / "corpus.txt")).size
+    lm = md.init_lm(md.LmConfig(vocab_size=vocab), seed=0)
+    rng = np.random.default_rng(0)
+    windows = md.sample_windows(rng.integers(vocab, size=400), 32, 8, rng)
+    llm_net = tn.init_llm_tempnet(
+        tn.TempNetConfig(variant=tn.Variant.LLM_LOGITS, d0=vocab, d1=16, d2=8), seed=1
+    )
+    towers = md.init_two_tower(md.TwoTowerConfig(img_dim=12, txt_dim=12), seed=0)
+    pairs = md.gen_clustered_pairs(16, dim=12, n_clusters=4, noise=0.3, seed=2)
+    cl_cfg = tn.TempNetConfig(variant=tn.Variant.CL_EMBEDDING, d0=16, d1=16, d2=8)
+    cl_nets = [tn.init_cl_tempnet(cl_cfg, seed=s) for s in (3, 4)]
+    losses = {
+        "lm-robust": lambda: md.robust_softmax_loss(lm, llm_net, windows, DroConfig()),
+        "lm-ce": lambda: md.baseline_ce_loss(lm, windows),
+        "cl-robust": lambda: md.robust_gcl_loss(towers, *cl_nets, pairs, DroConfig()),
+        "cl-fixed": lambda: md.baseline_gcl_loss(towers, 0.05, 0.05, pairs),
+    }
+    nodes = {}
+    for name, loss in losses.items():
+        with Tape() as tape:
+            loss()
+        nodes[name] = [fn.__qualname__.split(".")[0] for _, _, fn in tape._nodes]
+    assert {name: len(ops) for name, ops in nodes.items()} == {
+        "lm-robust": 53, "lm-ce": 37, "cl-robust": 53, "cl-fixed": 19}
+    assert {name: ops.count("robust_rows") for name, ops in nodes.items()} == {
+        "lm-robust": 1, "lm-ce": 1, "cl-robust": 2, "cl-fixed": 2}
+
+
 class TestPerplexity:
     def test_uniform_model_gives_vocab_size(self):
         lm = small_lm(randomize_out=False)
@@ -911,4 +945,16 @@ class TestPairData:
             md.load_pairs_csv(path)
         path.write_text("a,b\n1,2\n")
         with pytest.raises(DomainError):
+            md.load_pairs_csv(path)
+
+    @pytest.mark.parametrize("header", [
+        "t0,x0", "x0,xylophone,t0", "x1,x0,t0,t1", "x0,x1,t1,t0", "x0,t0,x1,t1", "x0,t1",
+        "x0,x1,t0,t1,", "x0, t0",
+    ])
+    def test_header_must_be_the_saved_layout(self, tmp_path, header):
+        # only x0..x{dx-1} then t0..t{dt-1}, as save_pairs_csv writes it
+        path = tmp_path / "pairs.csv"
+        row = ",".join(["1"] * len(header.split(",")))
+        path.write_text("\n".join([header, row, row]) + "\n")
+        with pytest.raises(DomainError, match="malformed header"):
             md.load_pairs_csv(path)
