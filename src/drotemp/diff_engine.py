@@ -17,14 +17,16 @@ patterns the models need (bias rows, per-row temperature scaling) are
 explicit named primitives with hand-written backward rules, so every gradient
 path stays visible. Each op takes only the shapes the models give it:
 
-- add, sub, mul (equal shapes or a scalar), neg, reciprocal, relu, logistic;
+- add, sub, mul (equal shapes or a scalar), neg, relu;
 - matmul (m, k) @ (k, p), and a stacked (n, m, k) @ (n, k, p) or @ (k, p);
 - transpose of a matrix or of a 3-D tensor's last two axes, and reshape
   between the flat (n*m, d) and stacked (n, m, d) views, so equal-length
   sequences batch through per-sequence attention without a block mask;
-- affine (x @ w.T + b, one node), mul_rowvec, add_colvec, gather_rows and
-  robust_rows (row i's robust loss at tau_i, which every training objective
-  ends in) on (n, d) matrices, and embedding_lookup of a matrix's rows;
+- affine (x @ w.T + b, one node), add_colvec, gather_rows and robust_rows
+  (row i's robust loss at tau_i, which every training objective ends in) on
+  (n, d) matrices, and embedding_lookup of a matrix's rows;
+- tempnet_head, the temperature network's pooling and output map from
+  prototypical logits to temperatures, one node;
 - softmax and l2_normalize along one axis; sum of every entry or along one
   axis; mean of every entry; concat along the first axis.
 
@@ -62,16 +64,14 @@ __all__ = [
     "sub",
     "mul",
     "neg",
-    "reciprocal",
     "relu",
-    "logistic",
     "matmul",
     "transpose",
     "reshape",
     "affine",
     "add_colvec",
-    "mul_rowvec",
     "robust_rows",
+    "tempnet_head",
     "softmax",
     "l2_normalize",
     "mean",
@@ -153,7 +153,7 @@ class Tape:
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     # every op hands over a float64 array of its own, wrapped as is; only a
-    # 0-d ufunc result (1 / phi) is a numpy scalar
+    # 0-d ufunc result (a scalar times a scalar) is a numpy scalar
     out = object.__new__(Tensor)
     out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
     out.requires_grad = False
@@ -229,14 +229,6 @@ def neg(x: Tensor) -> Tensor:
     return _emit(-x.data, (x,), lambda g: (-g,))
 
 
-def reciprocal(x: Tensor) -> Tensor:
-    # a non-finite result (division by zero) flows on to the caller's check
-    # of its loss, gradients or outputs; the numpy warning would only repeat it
-    with np.errstate(divide="ignore"):
-        out = 1.0 / x.data
-    return _emit(out, (x,), lambda g: (-g * out * out,))
-
-
 def relu(x: Tensor) -> Tensor:
     # a NaN input passes through, so the checks downstream still see it.
     # numpy leaves the sign of max(-0.0, 0.0) open; the add makes it +0.0,
@@ -244,13 +236,6 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
     out += 0.0
     return _emit(out, (x,), lambda g: (g * (out != 0.0),))
-
-
-def logistic(x: Tensor) -> Tensor:
-    d = x.data
-    t = np.exp(-np.abs(d))  # in (0, 1]: stable for any magnitude
-    out = np.where(d >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    return _emit(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -299,16 +284,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit(xd @ wt + b.data, (x, w, b), back)
 
 
-def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    if x.data.ndim != 2 or v.data.ndim != 1 or x.shape[1] != v.shape[0]:
-        raise ShapeError("mul_rowvec", x.shape, v.shape)
-    return _emit(
-        x.data * v.data,
-        (x, v),
-        lambda g: (g * v.data, (g * x.data).sum(axis=0)),
-    )
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
@@ -323,7 +298,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def robust_rows(x: Tensor, taus: Tensor, c: float) -> Tensor:
     """Row i: taus_i * (logsumexp(x_i / taus_i) + c) in one node, with the
-    numpy operations, and so the bits, of reciprocal, row scaling, shifted
+    numpy operations, and so the bits, of 1 / taus, row scaling, shifted
     logsumexp, + c and * taus. The taus get a gradient only if they need one."""
     xd, td = x.data, taus.data
     if xd.ndim != 2 or td.ndim != 1 or xd.shape[0] != td.shape[0]:
@@ -343,6 +318,45 @@ def robust_rows(x: Tensor, taus: Tensor, c: float) -> Tensor:
         return gz * r[:, None], dtaus
 
     return _emit(td * s, (x, taus), back)
+
+
+def tempnet_head(u: Tensor, w3: Tensor, phi: Tensor, b: Tensor, rho: float, tau0: float,
+                 tau_max: float) -> tuple[Tensor, Tensor]:
+    """The temperature network's head on prototypical logits u (n, d2), one
+    node: s_i = (sum_k (softmax(u_i / phi)_k - 1/d2) w3_k u_ik - b) / rho and
+    tau_i = (tau_max - tau0) sigmoid(s_i) + tau0, with the numpy operations,
+    and so the bits, of those ops composed. Returns (s, tau), s on no tape;
+    w3, phi and b get a gradient only if they need one."""
+    ud, wd = u.data, w3.data
+    if ud.ndim != 2 or wd.ndim != 1 or ud.shape[1] != wd.shape[0]:
+        raise ShapeError("tempnet_head", u.shape, w3.shape)
+    if phi.data.ndim != 0 or b.data.ndim != 0:
+        raise ShapeError("tempnet_head", phi.shape, b.shape)
+    if float(phi.data) <= 0.0:
+        raise DomainError(f"phi must be positive, got {float(phi.data)}")
+    r, d2, span = 1.0 / phi.data, wd.shape[0], tau_max - tau0
+    z = ud * r
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    soft = e / e.sum(axis=1, keepdims=True)
+    centered = soft - 1.0 / d2
+    cw = centered * wd
+    s = ((cw * ud).sum(axis=1) - b.data) * (1.0 / rho)
+    t = np.exp(-np.abs(s))  # in (0, 1]: stable for any magnitude
+    sig = np.where(s >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+    def back(g):
+        gs = g * span * sig * (1.0 - sig) * (1.0 / rho)
+        gp = np.repeat(gs[:, None], d2, axis=1)
+        gcw, gu = gp * ud, gp * cw
+        gw3 = (gcw * centered).sum(axis=0) if w3.requires_grad else None
+        gc = gcw * wd
+        gz = (gc - (gc * soft).sum(axis=1, keepdims=True)) * soft
+        gu += gz * r
+        gphi = np.asarray(-(gz * ud).sum() * r * r) if phi.requires_grad else None
+        gb = np.asarray((-gs).sum()) if b.requires_grad else None
+        return gu, gw3, gphi, gb
+
+    return Tensor(s), _emit(sig * span + tau0, (u, w3, phi, b), back)
 
 
 def l2_normalize(x: Tensor, axis: int = -1, zero_policy: str = "error") -> Tensor:

@@ -660,6 +660,8 @@ def gen_clustered_pairs(
         raise DomainError("need n_pairs >= 2, n_clusters >= 1, dim >= 1")
     if noise < 0.0:
         raise DomainError(f"noise must be nonnegative, got {noise}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(n_clusters, dim))
     assign = rng.integers(n_clusters, size=n_pairs)

@@ -2,9 +2,9 @@
 
 A small two-layer network maps a model output (a raw logit vector for language
 models, or a unit-norm embedding for two-tower contrastive models) to a
-temperature in [tau0, tau_max]. The head is shared between the two variants:
-prototypical logits u are pooled into a scalar s by an attention-style
-weighted sum, and s is squashed through a logistic output map.
+temperature in [tau0, tau_max]. The head, one tape node (``tempnet_head``), is
+shared by the two variants: prototypical logits u are pooled into a scalar s by
+an attention-style weighted sum, and s is squashed through a logistic map.
 
 The pooled scalar mirrors the fixed-point form of the optimal temperature: the
 same radius rho that defines the robust loss scales the pooled sum, so a
@@ -177,32 +177,14 @@ def init_cl_tempnet(
     )
 
 
-def _head(params: TempNetParams, u: Tensor) -> Tuple[Tensor, Tensor]:
-    """Pooling plus output map on a batch of prototypical logits (n x d2).
-
-    Returns the pooled scalars s and the temperatures, both (n,):
-    s = (1/rho) * [sum_k (softmax(u/phi)_k - 1/d2) * w3_k * u_k - b], a
-    centered attention readout scaled like the optimal-temperature fixed
-    point, and tau = (tau_max - tau0) * sigmoid(s) + tau0, strictly
-    increasing in s.
-    """
-    cfg = params.cfg
-    if float(params.phi.data) <= 0.0:
-        raise DomainError(f"phi must be positive, got {float(params.phi.data)}")
-    attn = de.softmax(de.mul(u, de.reciprocal(params.phi)), axis=-1)
-    centered = de.sub(attn, 1.0 / cfg.d2)
-    pooled = de.sum(de.mul(de.mul_rowvec(centered, params.w3), u), axis=1)
-    s = de.mul(de.sub(pooled, params.b), 1.0 / cfg.rho)
-    return s, de.add(de.mul(de.logistic(s), cfg.tau_max - cfg.tau0), cfg.tau0)
-
-
 def _llm_parts(params: TempNetParams, logits: Tensor) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
     """v, u, s and tau for a batch of raw logit rows; an all-zero row (an
     untrained model emits them) goes through unnormalized."""
     normed = de.l2_normalize(logits, axis=-1, zero_policy="keep")
     v = de.relu(de.affine(normed, params.W1, params.b1))
     u = de.matmul(v, de.transpose(params.W2))
-    return (v, u, *_head(params, u))
+    c = params.cfg
+    return (v, u, *de.tempnet_head(u, params.w3, params.phi, params.b, c.rho, c.tau0, c.tau_max))
 
 
 def _cl_parts(params: TempNetParams, embeddings: Tensor) -> Tuple[Tensor, Tensor, Tensor, Tensor]:
@@ -210,7 +192,8 @@ def _cl_parts(params: TempNetParams, embeddings: Tensor) -> Tuple[Tensor, Tensor
     v = de.relu(de.affine(embeddings, params.W1, params.b1))
     # prototype columns normalized here so gradients flow through the norm
     u = de.matmul(v, de.l2_normalize(params.W2, axis=0))
-    return (v, u, *_head(params, u))
+    c = params.cfg
+    return (v, u, *de.tempnet_head(u, params.w3, params.phi, params.b, c.rho, c.tau0, c.tau_max))
 
 
 def _check_finite(data: np.ndarray, what: str) -> None:

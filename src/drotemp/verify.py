@@ -401,6 +401,8 @@ def run_suite(
     fault: bool = False,
 ) -> List[CheckReport]:
     """Run the named checks (all by default) and merge reports in name order."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if only is None:
         names = sorted(_CHECKS)
     else:
@@ -409,13 +411,8 @@ def run_suite(
             if name not in _CHECKS:
                 raise DomainError(f"unknown check {name!r}; choose from {sorted(_CHECKS)}")
         names = sorted(set(names))
-    reports = []
-    for name in names:
-        if name == "gradients":
-            reports.append(check_gradients(seed=seed, fault=fault))
-        else:
-            reports.append(_CHECKS[name](seed=seed))
-    return reports
+    return [check_gradients(seed=seed, fault=fault) if name == "gradients"
+            else _CHECKS[name](seed=seed) for name in names]
 
 
 def suite_csv(reports: Sequence[CheckReport]) -> str:

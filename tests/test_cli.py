@@ -1539,6 +1539,11 @@ class TestVerifyCommand:
         assert rc == 1
         assert "unknown check" in capsys.readouterr().err
 
+    def test_negative_seed_refused(self, capsys):
+        # refused as train.seed=-1 is, before numpy's generator sees it
+        assert run_cli(["verify", "--seed", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+
 
 # ---------------------------------------------------------------------------
 # export-temps
@@ -1664,3 +1669,10 @@ class TestGenPairs:
             outs.append(dst.read_bytes())
         assert outs[0] == outs[1]
         assert outs[0] != outs[2]
+
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        dst = tmp_path / "x.csv"
+        argv = ["gen-pairs", "--n", "5", "--dim", "3", "--seed", "-1", "--output", str(dst)]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+        assert not dst.exists()

@@ -25,6 +25,17 @@ def lse_rows(x: Tensor) -> Tensor:
     return de.robust_rows(x, Tensor(np.ones(x.shape[0])), 0.0)
 
 
+def head_tau(u: Tensor, w3=None, phi=0.7, b=0.3, rho=1.3, tau0=0.01, tau_max=2.0) -> Tensor:
+    """The temperatures of tempnet_head on u, with plain values made tensors."""
+    w3 = Tensor(np.linspace(-1.0, 1.5, u.shape[-1])) if w3 is None else w3
+    phi, b = (t if isinstance(t, Tensor) else Tensor(np.asarray(t)) for t in (phi, b))
+    return de.tempnet_head(u, w3, phi, b, rho, tau0, tau_max)[1]
+
+
+# prototypical logits held fixed while a finite-difference check moves phi
+PROTO = Tensor(np.linspace(-2.0, 3.0, 35).reshape(7, 5))
+
+
 class TestForwardValues:
     def test_relu(self):
         np.testing.assert_array_equal(
@@ -98,16 +109,20 @@ class TestForwardValues:
         # an op passes a non-finite value on, and so does its gradient; the
         # callers' checks raise NonFiniteError (temperature networks, eval
         # passes) or TrainingDivergedError (loss value, flat gradients)
-        x = Tensor([1.0, 0.0], requires_grad=True)
+        x = Tensor([[1.0, np.nan, 2.0], [0.5, 2.0, -1.0]], requires_grad=True)
         with Tape() as tape:
-            out = de.reciprocal(x)
+            out = head_tau(x)
             total = de.sum(out)
-        assert out.data[1] == np.inf
-        assert backward(total, tape)[x][1] == -np.inf
+        assert np.isnan(out.data[0]) and np.isfinite(out.data[1])
+        grad = backward(total, tape)[x]
+        assert np.isnan(grad[0]).all() and np.isfinite(grad[1]).all()
         assert issubclass(NonFiniteError, DomainError)
 
     def test_logistic_extremes_stay_finite(self):
-        out = de.logistic(Tensor([-1000.0, 0.0, 1000.0])).data
+        # a constant row pools to exactly 0, so s = -b, and on [0, 1] the
+        # output map is the logistic itself
+        out = [head_tau(Tensor(np.ones((1, 2))), b=-s, rho=1.0, tau0=0.0, tau_max=1.0).data[0]
+               for s in (-1000.0, 0.0, 1000.0)]
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
@@ -124,10 +139,10 @@ class TestForwardValues:
         np.testing.assert_allclose(got, ref, rtol=1e-14)
 
     def test_exp_overflow_is_a_domain_error(self):
-        # an op passes an overflow on as inf (here 1 / 0); the check of
-        # whoever consumes it raises NonFiniteError, a DomainError (here a
-        # temperature network)
-        out = de.reciprocal(Tensor([[0.0, 1.0]]))
+        # an op passes an overflow on as inf (here an infinite tau_max); the
+        # check of whoever consumes it raises NonFiniteError, a DomainError
+        # (here a temperature network)
+        out = de.reshape(head_tau(Tensor(np.ones((2, 3))), tau_max=np.inf), (1, 2))
         assert out.data[0, 0] == np.inf
         cfg = tn.TempNetConfig(variant=tn.Variant.CL_EMBEDDING, d0=2, d1=4, d2=2)
         with pytest.raises(DomainError, match="embedding rows are not all finite"):
@@ -143,6 +158,8 @@ class TestForwardValues:
             de.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
         with pytest.raises(ShapeError):
             de.robust_rows(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), 0.0)
+        with pytest.raises(ShapeError):
+            head_tau(Tensor(np.zeros((2, 3))), w3=Tensor(np.zeros(2)))
 
     def test_embedding_and_gather_validate_indices(self):
         with pytest.raises(DomainError):
@@ -296,20 +313,23 @@ class TestBackwardInto:
         w = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=5), requires_grad=True)
         x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        w3, phi, hb = (Tensor(v, requires_grad=True) for v in (rng.normal(size=5), 0.6, 0.2))
         with Tape() as tape:
             h = de.relu(de.affine(x, w, b))
             y = de.add(h, de.reshape(de.transpose(de.reshape(h, (5, 6))), (6, 5)))
-            z = de.concat([de.mul(y, y), de.reciprocal(de.add(de.mul(y, y), 1.0))])
-            out = de.add(de.mean(de.logistic(z)), de.sum(de.softmax(y, axis=1), axis=None))
+            z = de.concat([de.mul(y, y), de.add(de.mul(y, y), 1.0)])
+            s, tau = de.tempnet_head(z, w3, phi, hb, 1.5, 0.1, 2.0)
+            out = de.add(de.mean(tau), de.sum(de.softmax(y, axis=1), axis=None))
         forward = [(output.data, output.data.tobytes()) for output, _, _ in tape._nodes]
-        leaves = [t.data.tobytes() for t in (w, b, x)]
+        forward.append((s.data, s.data.tobytes()))
+        leaves = [t.data.tobytes() for t in (w, b, x, w3, phi, hb)]
         runs = []
-        for into in (None, {w: np.empty((5, 4)), b: np.empty(5)}, None):
+        for into in (None, {w: np.empty((5, 4)), b: np.empty(5), phi: np.empty(())}, None):
             grads = backward(out, tape, into=into)
-            runs.append([grads[t].tobytes() for t in (w, b, x)])
+            runs.append([grads[t].tobytes() for t in (w, b, x, w3, phi, hb)])
         assert runs[0] == runs[1] == runs[2]
         assert all(data.tobytes() == before for data, before in forward)
-        assert [t.data.tobytes() for t in (w, b, x)] == leaves
+        assert [t.data.tobytes() for t in (w, b, x, w3, phi, hb)] == leaves
 
 
 class TestAffine:
@@ -418,6 +438,95 @@ class TestRobustRows:
         assert err.value.op == "robust_rows" and str(err.value).startswith("robust_rows:")
 
 
+def composed_head(u, w3, phi, b, rho, tau0, tau_max, g):
+    """The numpy operations of reciprocal(phi) -> mul(u, .) -> softmax ->
+    sub(., 1/d2) -> mul_rowvec(., w3) -> mul(., u) -> sum(axis=1) -> sub(., b)
+    -> mul(., 1/rho) -> logistic -> mul(., span) -> add(., tau0), forward and
+    then each node's backward in reverse record order from the output
+    gradient g, summed as the tape summed them: (s, tau, du, dw3, dphi, db)."""
+    r = 1.0 / phi
+    z = u * np.asarray(r)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    centered = attn - np.asarray(1.0 / u.shape[1])
+    weighted = centered * w3
+    s = (np.asarray((weighted * u).sum(axis=1)) - b) * np.asarray(1.0 / rho)
+    t = np.exp(-np.abs(s))
+    sig = np.where(s >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    tau = sig * np.asarray(tau_max - tau0) + np.asarray(tau0)
+    g_sig = g * np.asarray(tau_max - tau0)
+    g_s = g_sig * sig * (1.0 - sig)
+    g_pooled = g_s * np.asarray(1.0 / rho)
+    db = np.asarray((-g_pooled).sum(), dtype=np.float64).reshape(())
+    g_prod = np.repeat(np.expand_dims(g_pooled, 1), u.shape[1], axis=1)
+    g_weighted, du = g_prod * u, g_prod * weighted
+    g_attn, dw3 = g_weighted * w3, (g_weighted * centered).sum(axis=0)
+    g_z = (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * attn
+    du += g_z * np.asarray(r)
+    g_r = np.asarray((g_z * u).sum(), dtype=np.float64).reshape(())
+    return s, tau, du, dw3, np.asarray(-g_r * r * r), db
+
+
+class TestTempnetHead:
+    """The TempNet's pooling and output map as one tape node."""
+
+    RHO, TAU0, TAU_MAX = 1.3, 0.01, 2.0
+
+    def operands(self, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(16, 8)) * 2.0
+        return u, rng.normal(size=8), np.asarray(0.45), np.asarray(0.3), rng.normal(size=16)
+
+    @pytest.mark.parametrize("w3_grad", [True, False], ids=["w3_grad", "w3_fixed"])
+    @pytest.mark.parametrize("phi_grad", [True, False], ids=["phi_grad", "phi_fixed"])
+    @pytest.mark.parametrize("b_grad", [True, False], ids=["b_grad", "b_fixed"])
+    def test_bytes_match_the_composed_chain(self, w3_grad, phi_grad, b_grad):
+        ud, wd, phid, bd, g = self.operands(48)
+        u = Tensor(ud, requires_grad=True)
+        w3, phi, b = (Tensor(v, requires_grad=flag)
+                      for v, flag in ((wd, w3_grad), (phid, phi_grad), (bd, b_grad)))
+        with Tape() as tape:
+            s, tau = de.tempnet_head(u, w3, phi, b, self.RHO, self.TAU0, self.TAU_MAX)
+            total = de.sum(de.mul(tau, Tensor(g)))
+        grads = backward(total, tape)
+        ref = composed_head(ud, wd, phid, bd, self.RHO, self.TAU0, self.TAU_MAX, g)
+        assert s.data.tobytes() == ref[0].tobytes() and not s.requires_grad
+        assert tau.data.tobytes() == ref[1].tobytes() and len(tape) == 3
+        assert grads[u].tobytes() == ref[2].tobytes()
+        for t, flag, want in ((w3, w3_grad, ref[3]), (phi, phi_grad, ref[4]), (b, b_grad, ref[5])):
+            if flag:
+                assert grads[t].shape == want.shape and grads[t].tobytes() == want.tobytes()
+            else:
+                assert t not in grads
+
+    def test_gradients_match_finite_differences(self):
+        ud, wd, phid, bd, g = self.operands(49)
+        args = {"u": Tensor(ud), "w3": Tensor(wd), "phi": Tensor(phid), "b": Tensor(bd)}
+        coef = Tensor(g)
+        for name, x in args.items():
+            def f(t, name=name):
+                ops = {**args, name: t}
+                tau = de.tempnet_head(*ops.values(), self.RHO, self.TAU0, self.TAU_MAX)[1]
+                return de.sum(de.mul(tau, coef))
+
+            assert finite_diff_check(f, x) <= 1e-6, name
+
+    @pytest.mark.parametrize("shapes", [((4, 3), (4,), (), ()), ((4,), (4,), (), ()),
+                                        ((2, 4, 3), (3,), (), ()), ((4, 3), (3, 1), (), ()),
+                                        ((4, 3), (3,), (1,), ()), ((4, 3), (3,), (), (4,))])
+    def test_shape_error_names_tempnet_head(self, shapes):
+        u, w3, phi, b = (Tensor(np.ones(shape)) for shape in shapes)
+        with pytest.raises(ShapeError) as err:
+            de.tempnet_head(u, w3, phi, b, 1.0, 0.01, 2.0)
+        assert err.value.op == "tempnet_head" and str(err.value).startswith("tempnet_head:")
+
+    @pytest.mark.parametrize("phi", [0.0, -0.5])
+    def test_non_positive_phi_is_a_domain_error(self, phi):
+        # an optimizer step can drive phi there; the message names it
+        with pytest.raises(DomainError, match=rf"^phi must be positive, got {phi}$"):
+            head_tau(Tensor(np.ones((2, 3))), phi=phi)
+
+
 # one call per recording op, on the shapes the models give it: cl-train's
 # batch of 16 through 32-wide towers, an (n, m, d) attention stack, and the
 # TempNet's scalar phi
@@ -430,16 +539,14 @@ RECORDING_OPS = {
     "sub": lambda: de.sub(_M, 1.0),
     "mul": lambda: de.mul(_M, _M),
     "neg": lambda: de.neg(_M),
-    "reciprocal": lambda: de.reciprocal(_PHI),
     "relu": lambda: de.relu(_M),
-    "logistic": lambda: de.logistic(_S),
     "matmul": lambda: de.matmul(_STACK, de.transpose(_STACK)),
     "transpose": lambda: de.transpose(_M),
     "reshape": lambda: de.reshape(_M, (2, 8, 32)),
     "affine": lambda: de.affine(_M, Tensor(_RNG.normal(size=(24, 32))), Tensor(np.zeros(24))),
     "add_colvec": lambda: de.add_colvec(_M, _S),
-    "mul_rowvec": lambda: de.mul_rowvec(_M, _V),
     "robust_rows": lambda: de.robust_rows(_M, Tensor(np.abs(_S.data) + 0.1), 0.5),
+    "tempnet_head": lambda: head_tau(Tensor(_M.data[:, :8]), Tensor(_V.data[:8]), _PHI, 0.0),
     "softmax": lambda: de.softmax(_M, axis=-1),
     "l2_normalize": lambda: de.l2_normalize(_M, axis=-1),
     "mean": lambda: de.mean(_M),
@@ -518,10 +625,10 @@ class TestFiniteDiffCheck:
         [
             ("relu", lambda t: de.sum(de.relu(t)), (33,)),
             ("relu_long", lambda t: de.sum(de.relu(t)), (4096,)),
-            ("logistic", lambda t: de.sum(de.logistic(t)), (17,)),
+            ("tempnet_head", lambda t: de.sum(head_tau(t)), (17, 4)),
             ("neg", lambda t: de.sum(de.mul(de.neg(t), t)), (9,)),
             ("sum_rows", lambda t: de.sum(de.mul(de.sum(t, axis=1), 3.0)), (3, 4)),
-            ("reciprocal", lambda t: de.sum(de.reciprocal(de.add(de.mul(t, t), 1.0))), (7,)),
+            ("tempnet_head_phi", lambda t: de.sum(head_tau(PROTO, phi=de.add(de.mul(t, t), 0.5))), ()),
             ("softmax", lambda t: de.sum(de.mul(de.softmax(t), de.softmax(t))), (8,)),
             ("logsumexp_all", lambda t: de.sum(lse_rows(t)), (1, 4096)),
             ("l2_normalize", lambda t: de.sum(de.mul(de.l2_normalize(t), Tensor(np.arange(6.0)))), (6,)),
@@ -547,7 +654,7 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(lambda t: de.sum(base(t)), w) <= 1e-6
         assert finite_diff_check(lambda t: de.sum(de.matmul(t, de.transpose(w))), x) <= 1e-6
         assert finite_diff_check(lambda t: de.sum(de.affine(x, w, t)), v) <= 1e-6
-        assert finite_diff_check(lambda t: de.sum(de.mul_rowvec(base(w), t)), v) <= 1e-6
+        assert finite_diff_check(lambda t: de.sum(head_tau(base(w), w3=t)), v) <= 1e-6
         assert finite_diff_check(lambda t: de.sum(de.robust_rows(base(w), t, 0.3)), s) <= 1e-6
         assert finite_diff_check(lambda t: de.sum(de.robust_rows(base(t), s, 0.3)), w) <= 1e-5
         assert finite_diff_check(lambda t: de.sum(lse_rows(base(t))), w) <= 1e-5

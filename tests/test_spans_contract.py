@@ -3,7 +3,9 @@
 perfbench/spans.py wraps the package's functions by name from outside the
 package. Here it is loaded unchanged, installed around short train-lm and
 train-cl runs, and then uninstalled: renaming or bypassing a traced name
-fails this test instead of the traced benchmark run.
+fails this test instead of the traced benchmark run. A wrapped name that no
+command calls any more is a span gone stale; those are pinned in STALE_SPANS,
+so a new one shows here.
 """
 
 import importlib.util
@@ -17,6 +19,16 @@ CORPUS = "src/drotemp/assets/corpus.txt"
 SMALL = ["train.total_steps=2", "train.eval_every=2", "train.batch_size=8",
          "tempnet.d1=8", "tempnet.d2=4"]
 LM = [f"data.corpus={CORPUS}", "lm.context_len=12", "lm.d_model=16", "lm.d_ff=32"]
+# wrapped, but no command calls them: solve-tau solves through
+# cli.solve_margins, and the LM evaluation through models.lm_eval_pass
+STALE_SPANS = {
+    "tau_solver.newton_solve",
+    "dro_core.LogitSet",
+    "dro_core.robust_loss",
+    "dro_core.grad_tau",
+    "dro_core.hess_tau",
+    "models.perplexity",
+}
 
 
 def load_spans():
@@ -57,6 +69,37 @@ def test_traced_runs_record_their_loss_and_uninstall_restores(tmp_path):
     assert len(originals) > 40
     for owner, attr, fn in originals:
         assert getattr(owner, attr) is fn, (owner, attr)
+
+
+def test_every_wrapped_name_but_the_stale_ones_is_called(tmp_path):
+    """The four training runs, eval and export-temps on each, solve-tau on
+    one record and verify's gradient check reach every wrapped name but
+    STALE_SPANS."""
+    pairs = tmp_path / "pairs.csv"
+    md.save_pairs_csv(pairs, md.gen_clustered_pairs(40, 6, 3, 0.2, seed=4))
+    stream = tmp_path / "in.jsonl"
+    stream.write_text('{"positive":1.0,"contrast":[0.5,2.0,-1.0]}\n', encoding="utf-8")
+    commands = [["solve-tau", "--input", str(stream), "--output", str(tmp_path / "out.jsonl")],
+                ["verify", "--seed", "0", "--only", "gradients"]]
+    cl = [f"data.pairs={pairs}", "cl.hidden=12", "cl.out_dim=8"]
+    for command, data, objective in [("train-lm", LM, "robust"), ("train-lm", LM, "ce"),
+                                     ("train-cl", cl, "robust"), ("train-cl", cl, "fixed")]:
+        out = tmp_path / f"{command}-{objective}"
+        source = ["--corpus", CORPUS] if command == "train-lm" else ["--pairs", str(pairs)]
+        run = ["--checkpoint", str(out / "checkpoint.bin"), *source]
+        commands += [[command, "--out", str(out), *data, *SMALL, f"task.objective={objective}"],
+                     ["eval", *run, "--out", str(out / "eval.csv")],
+                     ["export-temps", *run, "--output", str(out / "temps.csv")]]
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    called = {tracer.names[i] for i in tracer.name_id}
+    assert "diff_engine.tempnet_head" in called
+    assert set(tracer.names) - called == STALE_SPANS
 
 
 def evaluations_and_outside_tau_calls(argv, tau_span):

@@ -15,7 +15,6 @@ from drotemp.tempnet import (
     TempNetParams,
     Variant,
     _cl_parts,
-    _head,
     _llm_parts,
     cl_tau_batch,
     init_cl_tempnet,
@@ -62,35 +61,22 @@ def params_from_case(case, variant):
     )
 
 
-def head_params(w3, phi=1.0, b=0.0, rho=1.0, tau0=1e-3, tau_max=2.0):
-    """A network whose head pools len(w3) prototypical logits; the layers
-    before the head are placeholders, since _head is fed u directly."""
-    d2 = len(w3)
-    cfg = TempNetConfig(
-        variant=Variant.CL_EMBEDDING, d0=1, d1=d2, d2=d2, tau0=tau0, tau_max=tau_max, rho=rho
-    )
-    return TempNetParams(
-        cfg=cfg,
-        W1=Tensor(np.zeros((d2, 1))),
-        b1=Tensor(np.zeros(d2)),
-        W2=Tensor(np.eye(d2)),
-        w3=Tensor(np.asarray(w3, dtype=np.float64)),
-        phi=Tensor(np.asarray(float(phi))),
-        b=Tensor(np.asarray(float(b))),
-    )
+def head(u, w3, phi=1.0, b=0.0, rho=1.0, tau0=1e-3, tau_max=2.0):
+    """The pooled scalars s and the temperatures of the TempNet head, the
+    tape node the network ends in, on rows u of prototypical logits."""
+    u, w3, phi, b = (Tensor(np.asarray(v, dtype=np.float64)) for v in (u, w3, phi, b))
+    return de.tempnet_head(u, w3, phi, b, rho, tau0, tau_max)
 
 
 def pooled(u, w3, phi, b, rho) -> float:
     """The pooled scalar s for one row of prototypical logits."""
-    s, _ = _head(head_params(w3, phi, b, rho), Tensor(np.asarray([u], dtype=np.float64)))
-    return float(s.data[0])
+    return float(head([u], w3, phi, b, rho)[0].data[0])
 
 
 def mapped(s, tau0, tau_max) -> float:
     """The temperature at pooled scalar s. A constant u row pools to exactly
     zero, so at rho = 1 the head's s is -b."""
-    p = head_params([1.0, 1.0], b=-s, tau0=tau0, tau_max=tau_max)
-    s_out, tau = _head(p, Tensor(np.ones((1, 2))))
+    s_out, tau = head(np.ones((1, 2)), [1.0, 1.0], b=-s, tau0=tau0, tau_max=tau_max)
     assert s_out.data[0] == s
     return float(tau.data[0])
 
@@ -147,11 +133,9 @@ class TestOutputMap:
         s = rng.normal(size=(10_000, 2)) * 5.0
         lo, hi = s.min(axis=1), s.max(axis=1)
         keep = lo < hi
-        p, u = head_params([1.0, 1.0], tau0=0.001, tau_max=2.0), Tensor(np.ones((1, 2)))
 
         def tau_at(x):
-            p.b.data = np.asarray(-x)
-            return _head(p, u)[1].data[0]
+            return head(np.ones((1, 2)), [1.0, 1.0], b=-x, tau0=0.001, tau_max=2.0)[1].data[0]
 
         taus_lo = np.array([tau_at(x) for x in lo[keep]])
         taus_hi = np.array([tau_at(x) for x in hi[keep]])
@@ -178,14 +162,13 @@ class TestPooling:
             assert got == pytest.approx(case["expected"], rel=1e-12, abs=1e-15)
 
     def test_domain_errors(self):
-        p = head_params([1.0])
-        p.phi.data = np.asarray(0.0)  # an optimizer step can drive phi to zero
+        # an optimizer step can drive phi to zero
         with pytest.raises(DomainError):
-            _head(p, Tensor(np.ones((1, 1))))
+            head(np.ones((1, 1)), [1.0], phi=0.0)
         with pytest.raises(DomainError):
-            head_params([1.0], rho=-2.0)
+            cl_cfg(rho=-2.0)
         with pytest.raises(DomainError):
-            TempNetParams(**{**vars(head_params([1.0, 2.0])), "w3": Tensor(np.ones(1))})
+            TempNetParams(**{**vars(init_cl_tempnet(cl_cfg(), seed=0)), "w3": Tensor(np.ones(1))})
 
     def test_large_logits_stable(self):
         # max-shifted softmax: huge prototypical logits must not overflow

@@ -634,12 +634,12 @@ class TestLmTraining:
         assert not (tmp_path / "checkpoint.bin").exists()
 
     def test_non_finite_loss_from_a_tape_op_is_divergence(self, tmp_path, monkeypatch):
-        # 1 / (+-0) gives +-inf and their mean NaN: the tape passes both on,
-        # without a numpy warning, and the loss-value check stops the step
-        def infinite_loss(params, temps, batch, cfg):
-            return de.mean(de.reciprocal(de.mul(params.emb, 0.0)))
+        # a NaN factor makes every product and their mean NaN: the tape passes
+        # it on, without a numpy warning, and the loss-value check stops the step
+        def nan_loss(params, temps, batch, cfg):
+            return de.mean(de.mul(params.emb, math.nan))
 
-        monkeypatch.setattr(md, "robust_softmax_loss", infinite_loss)
+        monkeypatch.setattr(md, "robust_softmax_loss", nan_loss)
         with pytest.raises(TrainingDivergedError) as excinfo:
             tr.train(small_run(total_steps=2, eval_every=2), small_lm_task(), tmp_path)
         assert str(excinfo.value) == "training diverged at step 1: loss value nan"
