@@ -17,18 +17,19 @@ patterns the models need (bias rows, per-row temperature scaling) are
 explicit named primitives with hand-written backward rules, so every gradient
 path stays visible. Each op takes only the shapes the models give it:
 
-- add, sub, mul (equal shapes or a scalar), neg, relu;
+- add, sub, mul (equal shapes or a scalar), relu;
 - matmul (m, k) @ (k, p), and a stacked (n, m, k) @ (n, k, p) or @ (k, p);
 - transpose of a matrix or of a 3-D tensor's last two axes, and reshape
   between the flat (n*m, d) and stacked (n, m, d) views, so equal-length
   sequences batch through per-sequence attention without a block mask;
-- affine (x @ w.T + b, one node), add_colvec, gather_rows and robust_rows
-  (row i's robust loss at tau_i, which every training objective ends in) on
-  (n, d) matrices, and embedding_lookup of a matrix's rows;
+- affine (x @ w.T + b, one node), sub_colvec (one scalar taken from each
+  row), gather_rows and robust_rows (row i's robust loss at tau_i, which
+  every training objective ends in) on (n, d) matrices, and
+  embedding_lookup of a matrix's rows;
 - tempnet_head, the temperature network's pooling and output map from
   prototypical logits to temperatures, one node;
-- softmax and l2_normalize along one axis; sum of every entry or along one
-  axis; mean of every entry; concat along the first axis.
+- softmax along the last axis, l2_normalize along one axis; sum and mean of
+  every entry; concat along the first axis.
 
 finite_diff_check compares a reverse-mode gradient with the numeric one from
 central_difference, which verify also calls.
@@ -63,13 +64,12 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "neg",
     "relu",
     "matmul",
     "transpose",
     "reshape",
     "affine",
-    "add_colvec",
+    "sub_colvec",
     "robust_rows",
     "tempnet_head",
     "softmax",
@@ -225,10 +225,6 @@ def mul(a, b) -> Tensor:
     )
 
 
-def neg(x: Tensor) -> Tensor:
-    return _emit(-x.data, (x,), lambda g: (-g,))
-
-
 def relu(x: Tensor) -> Tensor:
     # a NaN input passes through, so the checks downstream still see it.
     # numpy leaves the sign of max(-0.0, 0.0) open; the add makes it +0.0,
@@ -284,13 +280,14 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit(xd @ wt + b.data, (x, w, b), back)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Along the last axis."""
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def back(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return ((g - inner) * out,)
 
     return _emit(out, (x,), back)
@@ -391,13 +388,8 @@ def mean(x: Tensor) -> Tensor:
     )
 
 
-def sum(x: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - op name
-    out = x.data.sum(axis=axis)
-    if axis is None:
-        back = lambda g: (np.full(x.shape, float(g)),)
-    else:
-        back = lambda g: (np.repeat(np.expand_dims(g, axis), x.shape[axis], axis=axis),)
-    return _emit(np.asarray(out), (x,), back)
+def sum(x: Tensor) -> Tensor:  # noqa: A001 - op name
+    return _emit(np.asarray(x.data.sum()), (x,), lambda g: (np.full(x.shape, float(g)),))
 
 
 def concat(tensors: list[Tensor]) -> Tensor:
@@ -413,15 +405,11 @@ def concat(tensors: list[Tensor]) -> Tensor:
     return _emit(out, tuple(tensors), lambda g: tuple(np.split(g, splits, axis=0)))
 
 
-def add_colvec(x: Tensor, v: Tensor) -> Tensor:
-    """out[i, j] = x[i, j] + v[i] (one scalar per row)."""
+def sub_colvec(x: Tensor, v: Tensor) -> Tensor:
+    """out[i, j] = x[i, j] - v[i] (one scalar per row)."""
     if x.data.ndim != 2 or v.data.ndim != 1 or x.shape[0] != v.shape[0]:
-        raise ShapeError("add_colvec", x.shape, v.shape)
-    return _emit(
-        x.data + v.data[:, None],
-        (x, v),
-        lambda g: (g, g.sum(axis=1)),
-    )
+        raise ShapeError("sub_colvec", x.shape, v.shape)
+    return _emit(x.data - v.data[:, None], (x, v), lambda g: (g, -g.sum(axis=1)))
 
 
 def gather_rows(x: Tensor, idx) -> Tensor:

@@ -43,7 +43,6 @@ from .errors import DomainError, UnsupportedSizeError, bounds, check_fields
 __all__ = [
     "LogitSet",
     "DroConfig",
-    "SimplexDistribution",
     "block_loss",
     "block_grad_curvature",
     "robust_loss",
@@ -124,26 +123,6 @@ class DroConfig:
             )
 
 
-@dataclass(frozen=True)
-class SimplexDistribution:
-    """A probability vector: entries >= 0, summing to 1 within 1e-12."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_vector(self.probs, "probs")
-        if arr.size < 1:
-            raise DomainError("probability vector must be nonempty")
-        if not np.isfinite(arr).all() or (arr < 0.0).any():
-            raise DomainError("probabilities must be finite and nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise DomainError(f"probabilities sum to {total!r}, not 1 within 1e-12")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
-
-
 def _shifted_scaled_margins(h: np.ndarray, tau: float) -> np.ndarray:
     # (h - max h) / tau: all entries <= 0, so exp never overflows even for
     # tau far below the 1e-6 regime where the unshifted form would.
@@ -193,12 +172,12 @@ def hess_tau(ls: LogitSet, tau: float) -> float:
     return float(block_grad_curvature(h - h.max(), tau, 0.0)[1][0])
 
 
-def gibbs_distribution(ls: LogitSet, tau: float) -> SimplexDistribution:
+def gibbs_distribution(ls: LogitSet, tau: float) -> np.ndarray:
     """p_k = exp(L_k/tau) / sum_l exp(L_l/tau), max-shifted."""
     tau = _require_tau(tau)
     z = _shifted_scaled_margins(ls.contrast, tau)
     e = np.exp(z)
-    return SimplexDistribution(e / float(e.sum()))
+    return e / float(e.sum())
 
 
 def compute_bz(ls: LogitSet, tau: float) -> float:
@@ -226,7 +205,7 @@ def fixed_point_rhs(ls: LogitSet, tau: float, cfg: DroConfig) -> float:
     if cfg.rho <= 0.0:
         raise DomainError("fixed point form requires rho > 0")
     L = ls.contrast
-    p = gibbs_distribution(ls, tau).probs
+    p = gibbs_distribution(ls, tau)
     attended = float((p - 1.0 / L.size) @ L)
     return (attended - compute_bz(ls, tau)) / cfg.rho
 

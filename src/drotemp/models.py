@@ -219,7 +219,7 @@ def _stacked_logits(params: LmParams, ids: np.ndarray) -> Tensor:
         k = de.matmul(xn, de.transpose(blk.Wk))
         v = de.matmul(xn, de.transpose(blk.Wv))
         scores = de.add(de.mul(de.matmul(q, de.transpose(k)), 1.0 / math.sqrt(d)), mask)
-        ctx = de.matmul(de.softmax(scores, axis=-1), v)
+        ctx = de.matmul(de.softmax(scores), v)
         x = de.add(x, de.reshape(de.matmul(ctx, de.transpose(blk.Wo)), (n * m, d)))
         h = de.relu(de.affine(_rmsnorm(x, d), blk.Wf1, blk.bf1))
         x = de.add(x, de.affine(h, blk.Wf2, blk.bf2))
@@ -496,7 +496,7 @@ def _direction_terms(sims: Tensor, diag: Tensor, taus: Tensor, rho: float, n: in
     sims rows already carry the additive diagonal mask, so the anchor's own
     positive drops out of the contrast set exactly.
     """
-    return de.robust_rows(de.add_colvec(sims, de.neg(diag)), taus, rho - math.log(n - 1))
+    return de.robust_rows(de.sub_colvec(sims, diag), taus, rho - math.log(n - 1))
 
 
 def robust_gcl_loss(
@@ -594,12 +594,6 @@ class Vocab:
         if unknown.any():
             raise DomainError(f"character {text[int(unknown.argmax())]!r} not in vocabulary")
         return ids
-
-    def decode(self, ids) -> str:
-        ids = np.asarray(ids)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.size):
-            raise DomainError(f"id out of range for vocabulary of {self.size}")
-        return "".join(self.chars[i] for i in ids)
 
 
 def build_vocab(text: str) -> Vocab:

@@ -758,8 +758,8 @@ def _keep_freed_heap() -> None:
     than in another, with 0.5-1.1M minor page faults per run against 24k. Fixed
     at the values the dynamic rule reaches at its limit (mmap 32 MiB, trim
     twice that), every launch keeps its freed heap for the next step.
-    train, open_run and cli.main set them on first use, so a library caller
-    gets them too; importing the package changes nothing.
+    train and cli.main set them on first use, so a library caller that
+    trains gets them too; importing the package changes nothing.
     """
     if sys.platform.startswith("linux"):
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
@@ -782,7 +782,9 @@ def open_run(ckpt: Checkpoint, data_path, tau_max: Optional[float] = None) -> _R
     place of the training data, holding the checkpoint's model and TempNets.
 
     ``tau_max`` stretches each TempNet's output map to a new ceiling at
-    inference; the weights are kept. Nothing is drawn fresh.
+    inference; the weights are kept. Nothing is drawn fresh. A ceiling the
+    run's DroConfig would refuse is refused for every checkpoint, with or
+    without TempNets.
     """
     task_meta = _field(ckpt.extra, "task", "meta")
     run_meta = _field(ckpt.extra, "run", "meta")
@@ -792,6 +794,8 @@ def open_run(ckpt: Checkpoint, data_path, tau_max: Optional[float] = None) -> _R
         task = task_type(**{**task_meta, data_key: str(data_path)})
     except (TypeError, ValueError) as exc:
         raise IntegrityError(f"checkpoint does not describe a valid run: {exc}") from None
+    if tau_max is not None:
+        dataclasses.replace(run.cfg, tau_max=tau_max)  # DroConfig's checks, or DomainError
     runtime = _runtime(run, task)
     runtime.restore(ckpt)
     if tau_max is not None:

@@ -1406,6 +1406,46 @@ class TestOpenRunRefusals:
         err = self.refused(capsys, tmp_path, command, ckpt, [*data, "--tau-max-eval", "inf"])
         assert err == "error: tau_max must be finite, got inf\n"
 
+    @pytest.fixture(scope="class", params=["ce", "fixed"])
+    def baseline(self, request, tmp_path_factory, cl_run):
+        """(checkpoint, data arguments) of a trained run that holds no TempNet."""
+        out = tmp_path_factory.mktemp(request.param)
+        if request.param == "ce":
+            argv, data = ["train-lm", *LM_OVERRIDES], ["--corpus", CORPUS]
+        else:
+            pairs = str(cl_run[1])
+            argv, data = ["train-cl", f"data.pairs={pairs}", *CL_OVERRIDES], ["--pairs", pairs]
+        assert run_cli([*argv, "--out", str(out), f"task.objective={request.param}"]) == 0
+        return out / "checkpoint.bin", data
+
+    @pytest.mark.parametrize("command", ["eval", "export-temps"])
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "tau_max must be finite, got nan"),
+        ("inf", "tau_max must be finite, got inf"),
+        ("-5", "tau_max must exceed tau0, got tau_max=-5.0 tau0=0.001"),
+        ("0.0001", "tau_max must exceed tau0, got tau_max=0.0001 tau0=0.001"),
+    ], ids=["nan", "inf", "-5", "0.0001"])
+    def test_tau_ceiling_checked_without_tempnets(
+        self, baseline, tmp_path, capsys, command, value, message
+    ):
+        ckpt, data = baseline
+        err = self.refused(capsys, tmp_path, command, ckpt, [*data, "--tau-max-eval", value])
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "export-temps"])
+    def test_valid_tau_ceiling_without_tempnets_changes_nothing(
+        self, baseline, tmp_path, command
+    ):
+        ckpt, data = baseline
+        flag = "--out" if command == "eval" else "--output"
+        outputs = []
+        for name, extra in (("plain.csv", []), ("stretched.csv", ["--tau-max-eval", "5.0"])):
+            out_path = tmp_path / name
+            assert run_cli([command, "--checkpoint", str(ckpt), *data, *extra,
+                            flag, str(out_path)]) == 0
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("command", ["eval", "export-temps"])
     def test_checkpoint_short_of_a_tempnet(self, finished, tmp_path, capsys, command):
         # CRC-valid, but its recorded robust task needs one TempNet more

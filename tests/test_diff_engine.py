@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,8 @@ def head_tau(u: Tensor, w3=None, phi=0.7, b=0.3, rho=1.3, tau0=0.01, tau_max=2.0
 
 # prototypical logits held fixed while a finite-difference check moves phi
 PROTO = Tensor(np.linspace(-2.0, 3.0, 35).reshape(7, 5))
+# one scalar per row of a (3, 4) input, held fixed while the check moves x
+COL = Tensor(np.array([0.5, -1.5, 2.0]))
 
 
 class TestForwardValues:
@@ -94,12 +98,29 @@ class TestForwardValues:
         with pytest.raises(DomainError):
             de.l2_normalize(x, axis=-1, zero_policy="clip")
 
-    def test_add_colvec_forward(self):
-        x = Tensor(np.zeros((3, 2)))
-        v = Tensor(np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(de.add_colvec(x, v).data, [[1, 1], [2, 2], [3, 3]])
-        with pytest.raises(ShapeError):
-            de.add_colvec(x, Tensor(np.zeros(2)))
+    def test_sub_colvec_bits_match_adding_the_negation(self):
+        # IEEE subtraction is addition of the negation, so the node keeps the
+        # bytes of x + (-v) and of its gradient -(g summed over each row),
+        # save the sign of a NaN in v, which x + (-v) flips
+        rng = np.random.default_rng(34)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        xd, g = rng.normal(size=(7, 6)), rng.normal(size=(7, 6))
+        xd[0, :5], xd[3, 1:], g[1, :5], g[4, 1:] = special, special, special, special
+        vd = np.array([0.5, -0.0, 0.0, np.inf, -np.inf, -1.25, np.nan])
+        x, v = Tensor(xd, requires_grad=True), Tensor(vd, requires_grad=True)
+        with np.errstate(invalid="ignore"), Tape() as tape:
+            out = de.sub_colvec(x, v)
+            total = de.sum(de.mul(out, Tensor(g)))
+        with np.errstate(invalid="ignore"):
+            grads = backward(total, tape)
+            ref, gv = xd + (-vd)[:, None], -(g.sum(axis=1))
+        assert out.data[:-1].tobytes() == ref[:-1].tobytes()
+        assert np.isnan(out.data[-1]).all()
+        assert grads[x].tobytes() == g.tobytes()
+        assert grads[v].tobytes() == gv.tobytes()
+        with pytest.raises(ShapeError) as err:
+            de.sub_colvec(x, Tensor(np.zeros(6)))
+        assert err.value.op == "sub_colvec" and str(err.value).startswith("sub_colvec:")
 
     def test_l2_normalize_zero_vector_rejected(self):
         with pytest.raises(DomainError):
@@ -127,7 +148,7 @@ class TestForwardValues:
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        out = de.softmax(Tensor(rng.normal(size=(5, 9)) * 50.0), axis=-1).data
+        out = de.softmax(Tensor(rng.normal(size=(5, 9)) * 50.0)).data
         np.testing.assert_allclose(out.sum(axis=-1), np.ones(5), atol=1e-12)
 
     def test_logsumexp_matches_shifted_reference(self):
@@ -319,7 +340,7 @@ class TestBackwardInto:
             y = de.add(h, de.reshape(de.transpose(de.reshape(h, (5, 6))), (6, 5)))
             z = de.concat([de.mul(y, y), de.add(de.mul(y, y), 1.0)])
             s, tau = de.tempnet_head(z, w3, phi, hb, 1.5, 0.1, 2.0)
-            out = de.add(de.mean(tau), de.sum(de.softmax(y, axis=1), axis=None))
+            out = de.add(de.mean(tau), de.sum(de.softmax(y)))
         forward = [(output.data, output.data.tobytes()) for output, _, _ in tape._nodes]
         forward.append((s.data, s.data.tobytes()))
         leaves = [t.data.tobytes() for t in (w, b, x, w3, phi, hb)]
@@ -538,19 +559,18 @@ RECORDING_OPS = {
     "add": lambda: de.add(_M, _M),
     "sub": lambda: de.sub(_M, 1.0),
     "mul": lambda: de.mul(_M, _M),
-    "neg": lambda: de.neg(_M),
     "relu": lambda: de.relu(_M),
     "matmul": lambda: de.matmul(_STACK, de.transpose(_STACK)),
     "transpose": lambda: de.transpose(_M),
     "reshape": lambda: de.reshape(_M, (2, 8, 32)),
     "affine": lambda: de.affine(_M, Tensor(_RNG.normal(size=(24, 32))), Tensor(np.zeros(24))),
-    "add_colvec": lambda: de.add_colvec(_M, _S),
+    "sub_colvec": lambda: de.sub_colvec(_M, _S),
     "robust_rows": lambda: de.robust_rows(_M, Tensor(np.abs(_S.data) + 0.1), 0.5),
     "tempnet_head": lambda: head_tau(Tensor(_M.data[:, :8]), Tensor(_V.data[:8]), _PHI, 0.0),
-    "softmax": lambda: de.softmax(_M, axis=-1),
+    "softmax": lambda: de.softmax(_M),
     "l2_normalize": lambda: de.l2_normalize(_M, axis=-1),
     "mean": lambda: de.mean(_M),
-    "sum": lambda: de.sum(_M, axis=1),
+    "sum": lambda: de.sum(_M),
     "concat": lambda: de.concat([_M, _M]),
     "gather_rows": lambda: de.gather_rows(_M, np.arange(16) % 32),
     "embedding_lookup": lambda: de.embedding_lookup(_M, [0, 3, 3]),
@@ -626,17 +646,18 @@ class TestFiniteDiffCheck:
             ("relu", lambda t: de.sum(de.relu(t)), (33,)),
             ("relu_long", lambda t: de.sum(de.relu(t)), (4096,)),
             ("tempnet_head", lambda t: de.sum(head_tau(t)), (17, 4)),
-            ("neg", lambda t: de.sum(de.mul(de.neg(t), t)), (9,)),
-            ("sum_rows", lambda t: de.sum(de.mul(de.sum(t, axis=1), 3.0)), (3, 4)),
+            ("sub_colvec_x", lambda t: de.sum(de.mul(de.sub_colvec(t, COL), t)), (3, 4)),
+            ("sum", lambda t: de.mul(de.sum(t), 3.0), (3, 4)),
             ("tempnet_head_phi", lambda t: de.sum(head_tau(PROTO, phi=de.add(de.mul(t, t), 0.5))), ()),
             ("softmax", lambda t: de.sum(de.mul(de.softmax(t), de.softmax(t))), (8,)),
             ("logsumexp_all", lambda t: de.sum(lse_rows(t)), (1, 4096)),
             ("l2_normalize", lambda t: de.sum(de.mul(de.l2_normalize(t), Tensor(np.arange(6.0)))), (6,)),
             ("mean", lambda t: de.mean(de.mul(t, t)), (12,)),
+            ("sub_colvec_v", lambda t: de.sum(de.mul(de.sub_colvec(PROTO, t), PROTO)), (7,)),
         ],
     )
     def test_unary_primitives(self, name, fn, shape):
-        rng = np.random.default_rng(hash(name) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         x = Tensor(rng.normal(size=shape))
         # keep relu inputs away from the kink where FD is one-sided
         if name.startswith("relu"):
@@ -678,7 +699,7 @@ class TestFiniteDiffCheck:
         rng = np.random.default_rng(14)
         x = Tensor(rng.normal(size=(4, 3)))
         v = Tensor(rng.normal(size=4))
-        assert finite_diff_check(lambda t: de.sum(de.mul(de.add_colvec(x, t), 2.0)), v) <= 1e-9
+        assert finite_diff_check(lambda t: de.sum(de.mul(de.sub_colvec(x, t), 2.0)), v) <= 1e-9
 
     @pytest.mark.parametrize("ids", [
         [4, 0, 4, 4, 2, 0, 4, 1],  # repeated, as token ids

