@@ -18,19 +18,20 @@ explicit named primitives with hand-written backward rules, so every gradient
 path stays visible. Each op takes only the shapes the models give it:
 
 - add, sub, mul (equal shapes or a scalar), relu;
-- matmul (m, k) @ (k, p), and a stacked (n, m, k) @ (n, k, p) or @ (k, p);
-- transpose of a matrix or of a 3-D tensor's last two axes, and reshape
+- affine (x @ w.T + b, one node; a stacked (n, m, k) x takes no b), so no
+  weight is transposed on the tape, and matmul of same-rank operands;
+- transpose of a matrix or of stacked keys' last two axes, and reshape
   between the flat (n*m, d) and stacked (n, m, d) views, so equal-length
   sequences batch through per-sequence attention without a block mask;
-- affine (x @ w.T + b, one node), sub_colvec (one scalar taken from each
-  row), gather_rows and robust_rows (row i's robust loss at tau_i, which
-  every training objective ends in) on (n, d) matrices, and
-  embedding_lookup of a matrix's rows;
+- sub_colvec (one scalar taken from each row), gather_rows and robust_rows
+  (row i's robust loss at tau_i, which every training objective ends in) on
+  (n, d) matrices, and embedding_lookup of a matrix's rows;
 - tempnet_head, the temperature network's pooling and output map from
   prototypical logits to temperatures, one node;
 - softmax along the last axis, l2_normalize along one axis; sum and mean of
   every entry; concat along the first axis.
 
+stop_gradient passes a tensor's values on without a path back to it.
 finite_diff_check compares a reverse-mode gradient with the numeric one from
 central_difference, which verify also calls.
 
@@ -235,20 +236,12 @@ def relu(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(m, k) @ (k, p); a stacked (n, m, k) takes (n, k, p) slice by slice, or
-    one (k, p) for every slice, whose gradient is summed over the stack."""
+    """(m, k) @ (k, p), or a stacked (n, m, k) @ (n, k, p) slice by slice."""
     ad, bd = a.data, b.data
-    if (ad.ndim not in (2, 3) or bd.ndim not in (2, ad.ndim) or ad.shape[-1] != bd.shape[-2]
-            or (bd.ndim == 3 and bd.shape[0] != ad.shape[0])):
+    if (ad.ndim not in (2, 3) or bd.ndim != ad.ndim or ad.shape[-1] != bd.shape[-2]
+            or ad.shape[:-2] != bd.shape[:-2]):
         raise ShapeError("matmul", a.shape, b.shape)
-
-    def back(g):
-        ga = g @ bd.swapaxes(-1, -2)
-        if bd.ndim == ad.ndim:
-            return ga, ad.swapaxes(-1, -2) @ g
-        k, p = bd.shape
-        return ga, ad.reshape(-1, k).T @ g.reshape(-1, p)
-
+    back = lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
     return _emit(ad @ bd, (a, b), back)
 
 
@@ -267,17 +260,23 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _emit(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.shape),))
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w.T + b for a matrix x, the bias added to every row: one node with
-    the numpy operations, and so the bits, of matmul(x, transpose(w)) + b."""
-    xd = x.data
-    if xd.ndim != 2 or w.data.ndim != 2 or xd.shape[1] != w.shape[1]:
+def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w.T, plus b on every row of a matrix x, in one node with the numpy
+    operations, and so the bits, of matmul(x, transpose(w)) (+ b); a stacked
+    (n, m, k) x shares w across its slices and takes no b."""
+    xd, wd = x.data, w.data
+    if xd.ndim not in (2, 3) or wd.ndim != 2 or xd.shape[-1] != wd.shape[1]:
         raise ShapeError("affine", x.shape, w.shape)
-    if b.data.ndim != 1 or b.shape[0] != w.shape[0]:
-        raise ShapeError("affine", w.shape, b.shape)
-    wt = w.data.T.copy()
-    back = lambda g: (g @ wt.T, (xd.T @ g).T, g.sum(axis=0))
-    return _emit(xd @ wt + b.data, (x, w, b), back)
+    if b is not None and (xd.ndim != 2 or b.data.ndim != 1 or b.shape[0] != wd.shape[0]):
+        raise ShapeError("affine", x.shape, b.shape)
+    (p, k), wt = wd.shape, wd.T.copy()
+
+    def back(g):
+        gw = (xd.T @ g).T if xd.ndim == 2 else (xd.reshape(-1, k).T @ g.reshape(-1, p)).T
+        return (g @ wt.T, gw) if b is None else (g @ wt.T, gw, g.sum(axis=0))
+
+    out = xd @ wt
+    return _emit(out, (x, w), back) if b is None else _emit(out + b.data, (x, w, b), back)
 
 
 def softmax(x: Tensor) -> Tensor:

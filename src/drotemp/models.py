@@ -215,15 +215,15 @@ def _stacked_logits(params: LmParams, ids: np.ndarray) -> Tensor:
     mask = _causal_mask(n, m)
     for blk in params.blocks:
         xn = de.reshape(_rmsnorm(x, d), (n, m, d))
-        q = de.matmul(xn, de.transpose(blk.Wq))
-        k = de.matmul(xn, de.transpose(blk.Wk))
-        v = de.matmul(xn, de.transpose(blk.Wv))
+        q = de.affine(xn, blk.Wq)
+        k = de.affine(xn, blk.Wk)
+        v = de.affine(xn, blk.Wv)
         scores = de.add(de.mul(de.matmul(q, de.transpose(k)), 1.0 / math.sqrt(d)), mask)
         ctx = de.matmul(de.softmax(scores), v)
-        x = de.add(x, de.reshape(de.matmul(ctx, de.transpose(blk.Wo)), (n * m, d)))
+        x = de.add(x, de.reshape(de.affine(ctx, blk.Wo), (n * m, d)))
         h = de.relu(de.affine(_rmsnorm(x, d), blk.Wf1, blk.bf1))
         x = de.add(x, de.affine(h, blk.Wf2, blk.bf2))
-    return de.matmul(_rmsnorm(x, d), de.transpose(params.out_proj))
+    return de.affine(_rmsnorm(x, d), params.out_proj)
 
 
 def _check_sequences(params: LmParams, sequences: Sequence[np.ndarray]):
@@ -485,7 +485,7 @@ def _similarities(
     n = batch.n
     e_img = encode_image(towers, Tensor(batch.x))
     e_txt = encode_text(towers, Tensor(batch.t))
-    sims = de.matmul(e_img, de.transpose(e_txt))
+    sims = de.affine(e_img, e_txt)
     masked = de.add(sims, Tensor(np.diag(np.full(n, _NEG_MASK))))
     return e_img, e_txt, masked, de.gather_rows(sims, np.arange(n))
 
@@ -652,8 +652,8 @@ def gen_clustered_pairs(
     """Matched pairs drawn around shared cluster centers with per-side noise."""
     if n_pairs < 2 or n_clusters < 1 or dim < 1:
         raise DomainError("need n_pairs >= 2, n_clusters >= 1, dim >= 1")
-    if noise < 0.0:
-        raise DomainError(f"noise must be nonnegative, got {noise}")
+    if not 0.0 <= noise < math.inf:
+        raise DomainError(f"noise must be finite and >= 0, got {noise}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -182,7 +182,7 @@ def _llm_parts(params: TempNetParams, logits: Tensor) -> Tuple[Tensor, Tensor, T
     untrained model emits them) goes through unnormalized."""
     normed = de.l2_normalize(logits, axis=-1, zero_policy="keep")
     v = de.relu(de.affine(normed, params.W1, params.b1))
-    u = de.matmul(v, de.transpose(params.W2))
+    u = de.affine(v, params.W2)
     c = params.cfg
     return (v, u, *de.tempnet_head(u, params.w3, params.phi, params.b, c.rho, c.tau0, c.tau_max))
 

@@ -654,8 +654,9 @@ class _LmRuntime(_Runtime):
         return md.baseline_ce_loss(self.model, batch)
 
     def evaluate(self, k: int = 1) -> Tuple[List[Tuple[str, float]], np.ndarray]:
-        """Validation perplexity and the per-position temperatures behind it;
-        a language model has no recall cutoff, so k is ignored."""
+        """Validation perplexity and its per-position temperatures; any k >= 1."""
+        if k < 1:
+            raise DomainError(f"k must be >= 1, got {k}")
         source = self.tempnets[0] if self.tempnets else 1.0
         ppl, taus = md.lm_eval_pass(self.model, source, self.eval_batch)
         return [("perplexity", ppl)], taus

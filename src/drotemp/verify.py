@@ -315,10 +315,10 @@ def _check_lm_loss_gradients(rng: np.random.Generator) -> float:
 
 
 def _check_stacked_primitives(rng: np.random.Generator) -> float:
-    """Stacked matmul (both operand shapes), 3-D transpose and reshape."""
+    """Stacked matmul, stacked affine, 3-D transpose and reshape."""
     a = Tensor(rng.normal(size=(3, 4, 5)))
     b = Tensor(rng.normal(size=(3, 5, 2)))
-    w = Tensor(rng.normal(size=(5, 2)))
+    w = Tensor(rng.normal(size=(5, 2)).T)  # affine's (p, k) weight
     flat = Tensor(rng.normal(size=(12, 5)))
 
     def probe(f, x: Tensor) -> float:
@@ -328,9 +328,9 @@ def _check_stacked_primitives(rng: np.random.Generator) -> float:
     return _worst(
         probe(lambda t: de.matmul(t, b), a),
         probe(lambda t: de.matmul(a, t), b),
-        probe(lambda t: de.matmul(a, t), w),
+        probe(lambda t: de.affine(a, t), w),
         probe(de.transpose, a),
-        probe(lambda t: de.matmul(de.reshape(t, (3, 4, 5)), w), flat),
+        probe(lambda t: de.affine(de.reshape(t, (3, 4, 5)), w), flat),
     )
 
 

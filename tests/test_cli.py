@@ -1446,6 +1446,15 @@ class TestOpenRunRefusals:
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_recall_cutoff_below_one(self, finished, tmp_path, capsys, k):
+        kind, ckpt, data = finished
+        err = self.refused(capsys, tmp_path, "eval", ckpt, [*data, "--k", k])
+        if kind == "lm":
+            assert err == f"error: k must be >= 1, got {k}\n"
+        else:  # recall_at_k's own refusal, with the held-out pair count
+            assert err.startswith("error: k must be in [1, ") and err.endswith(f"got {k}\n"), err
+
     @pytest.mark.parametrize("command", ["eval", "export-temps"])
     def test_checkpoint_short_of_a_tempnet(self, finished, tmp_path, capsys, command):
         # CRC-valid, but its recorded robust task needs one TempNet more
@@ -1715,4 +1724,12 @@ class TestGenPairs:
         argv = ["gen-pairs", "--n", "5", "--dim", "3", "--seed", "-1", "--output", str(dst)]
         assert run_cli(argv) == 1
         assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_refused(self, tmp_path, capsys, noise):
+        dst = tmp_path / "x.csv"
+        argv = ["gen-pairs", "--n", "5", "--dim", "3", "--noise", noise, "--output", str(dst)]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr() == ("", f"error: noise must be finite and >= 0, got {noise}\n")
         assert not dst.exists()

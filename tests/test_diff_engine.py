@@ -354,7 +354,8 @@ class TestBackwardInto:
 
 
 class TestAffine:
-    """affine is one node with the composed matmul / transpose / bias bits."""
+    """affine is one node with the composed matmul / transpose / bias bits,
+    with or without the bias and on a matrix or a stacked x."""
 
     def operands(self, requires_grad=True):
         rng = np.random.default_rng(42)
@@ -370,28 +371,56 @@ class TestAffine:
         assert len(tape) == 1
 
     def test_bits_match_the_composed_numpy_reference(self):
+        for form in ("bias", "bias-free", "stacked"):
+            for w_grad in (True, False):
+                self.check_bits(form, w_grad)
+
+    def check_bits(self, form, w_grad):
         x, w, b = self.operands()
-        coef = np.random.default_rng(43).normal(size=(16, 24))
+        w.requires_grad = w_grad
+        if form == "stacked":
+            x = Tensor(x.data.reshape(2, 8, 32), requires_grad=True)
+        bias = (b,) if form == "bias" else ()
+        coef = np.random.default_rng(43).normal(size=x.shape[:-1] + (24,))
         with Tape() as tape:
-            y = de.affine(x, w, b)
+            y = de.affine(x, w, *bias)
             out = de.sum(de.mul(y, Tensor(coef)))
         grads = backward(out, tape)
-        wt = w.data.T.copy()  # transpose's C-contiguous output
-        assert y.data.tobytes() == (x.data @ wt + b.data).tobytes()
+        # the numpy of matmul(x, transpose(w)) (+ b): transpose's C-contiguous
+        # output, then matmul's forward and its gradient rules
+        wt = w.data.T.copy()
+        ref = x.data @ wt
+        assert y.data.tobytes() == (ref + b.data if bias else ref).tobytes()
         assert grads[x].tobytes() == (coef @ wt.swapaxes(-1, -2)).tobytes()
-        gwt = x.data.swapaxes(-1, -2) @ coef  # matmul's gradient of w.T
-        assert grads[w].tobytes() == gwt.swapaxes(-1, -2).copy().tobytes()
-        assert grads[b].tobytes() == coef.sum(axis=0).tobytes()
+        if form == "stacked":
+            gwt = x.data.reshape(-1, 32).T @ coef.reshape(-1, 24)
+        else:
+            gwt = x.data.swapaxes(-1, -2) @ coef
+        if w_grad:
+            assert grads[w].tobytes() == gwt.swapaxes(-1, -2).copy().tobytes()
+        assert (w in grads) == w_grad
+        if bias:
+            assert grads[b].tobytes() == coef.sum(axis=0).tobytes()
+        assert (b in grads) == bool(bias)
 
     @pytest.mark.parametrize(
         "shapes",
         [((16, 31), (24, 32), (24,)), ((16, 32), (24, 32), (23,)),
-         ((2, 16, 32), (24, 32), (24,)), ((16, 32), (24, 32), (1, 24))],
+         ((2, 16, 32), (24, 32), (24,)), ((16, 32), (24, 32), (1, 24)),
+         ((16, 32), (2, 24, 32)), ((2, 16, 32), (2, 24, 32))],
     )
     def test_shape_error_names_affine(self, shapes):
         with pytest.raises(ShapeError) as err:
             de.affine(*(Tensor(np.zeros(shape)) for shape in shapes))
         assert err.value.op == "affine" and str(err.value).startswith("affine:")
+
+    @pytest.mark.parametrize("x_shape", [(5, 7), (2, 3, 7)], ids=["matrix", "stacked"])
+    def test_bias_free_gradients_match_finite_differences(self, x_shape):
+        rng = np.random.default_rng(45)
+        x, w = Tensor(rng.normal(size=x_shape)), Tensor(rng.normal(size=(4, 7)))
+        coef = Tensor(rng.normal(size=x_shape[:-1] + (4,)))
+        assert finite_diff_check(lambda t: de.sum(de.mul(de.affine(t, w), coef)), x) <= 1e-6
+        assert finite_diff_check(lambda t: de.sum(de.mul(de.affine(x, t), coef)), w) <= 1e-6
 
     def test_bias_gradient_matches_finite_differences(self):
         x, w, b = self.operands(requires_grad=False)
@@ -748,7 +777,8 @@ class TestFiniteDiffCheck:
 
 
 class TestStackedPrimitives:
-    """3-D matmul operands, 3-D transpose and reshape."""
+    """3-D matmul operands, a weight shared by a stack through affine, 3-D
+    transpose and reshape."""
 
     def weighted(self, rng, f, x):
         weights = Tensor(rng.normal(size=f(x).shape))
@@ -760,7 +790,7 @@ class TestStackedPrimitives:
         b = rng.normal(size=(3, 5, 2))
         w = rng.normal(size=(5, 2))
         pairwise = de.matmul(Tensor(a), Tensor(b)).data
-        shared = de.matmul(Tensor(a), Tensor(w)).data
+        shared = de.affine(Tensor(a), Tensor(w.T)).data
         for i in range(3):
             np.testing.assert_allclose(pairwise[i], a[i] @ b[i], rtol=1e-14, atol=1e-14)
             np.testing.assert_allclose(shared[i], a[i] @ w, rtol=1e-14, atol=1e-14)
@@ -769,11 +799,11 @@ class TestStackedPrimitives:
         rng = np.random.default_rng(21)
         a = Tensor(rng.normal(size=(3, 4, 5)))
         b = Tensor(rng.normal(size=(3, 5, 2)))
-        w = Tensor(rng.normal(size=(5, 2)))
+        w = Tensor(rng.normal(size=(5, 2)).T)
         assert finite_diff_check(self.weighted(rng, lambda t: de.matmul(t, b), a), a) <= 1e-6
         assert finite_diff_check(self.weighted(rng, lambda t: de.matmul(a, t), b), b) <= 1e-6
-        assert finite_diff_check(self.weighted(rng, lambda t: de.matmul(t, w), a), a) <= 1e-6
-        assert finite_diff_check(self.weighted(rng, lambda t: de.matmul(a, t), w), w) <= 1e-6
+        assert finite_diff_check(self.weighted(rng, lambda t: de.affine(t, w), a), a) <= 1e-6
+        assert finite_diff_check(self.weighted(rng, lambda t: de.affine(a, t), w), w) <= 1e-6
 
     def test_stacked_matmul_shape_errors(self):
         a = Tensor(np.zeros((3, 4, 5)))
@@ -783,6 +813,8 @@ class TestStackedPrimitives:
             de.matmul(a, Tensor(np.zeros((3, 4, 2))))
         with pytest.raises(ShapeError):
             de.matmul(a, Tensor(np.zeros(5)))
+        with pytest.raises(ShapeError):  # a shared weight goes through affine
+            de.matmul(a, Tensor(np.zeros((5, 2))))
 
     def test_transpose_swaps_last_two_axes(self):
         rng = np.random.default_rng(22)
@@ -809,11 +841,11 @@ class TestStackedPrimitives:
         # flat rows, values and gradients alike
         rng = np.random.default_rng(24)
         x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3)).T, requires_grad=True)
         coef = Tensor(rng.normal(size=(6, 3)))
-        flat = grad_of(lambda: de.sum(de.mul(de.matmul(x, w), coef)))
+        flat = grad_of(lambda: de.sum(de.mul(de.affine(x, w), coef)))
         stacked = grad_of(
-            lambda: de.sum(de.mul(de.reshape(de.matmul(de.reshape(x, (2, 3, 4)), w), (6, 3)), coef))
+            lambda: de.sum(de.mul(de.reshape(de.affine(de.reshape(x, (2, 3, 4)), w), (6, 3)), coef))
         )
         np.testing.assert_allclose(stacked[w], flat[w], rtol=1e-13, atol=1e-14)
         np.testing.assert_allclose(stacked[x], flat[x], rtol=1e-13, atol=1e-14)

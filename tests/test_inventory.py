@@ -1,8 +1,9 @@
 """The package's source inventory, read with ast: every import is used, the
-tape exports exactly the ops that record, every export of the tape, dro_core
-and tau_solver, and every public top-level function and class of models,
-tempnet, trainer, verify and errors, has a caller, and every settings class
-checks its fields through the one declared-range check.
+tape exports exactly the ops that record and its docstring names each
+export, every export of the tape, dro_core and tau_solver, and every public
+top-level function and class of models, tempnet, trainer, verify and errors,
+has a caller, and every settings class checks its fields through the one
+declared-range check.
 
 perfbench's tracer wraps every name in diff_engine.__all__ and the imports
 marked ``# noqa: F401``, so a missing export goes untraced and an unused one
@@ -10,6 +11,7 @@ is wrapped for nothing.
 """
 
 import ast
+import re
 from pathlib import Path
 
 from drotemp import diff_engine as de
@@ -44,6 +46,11 @@ def test_every_import_is_used_or_a_tracer_hook():
                     unhooked.append(f"{stem}.py:{alias.lineno} {bound}")
     assert unused == []
     assert unhooked == []  # kept unused only for the tracer, which names it
+
+
+def test_every_export_is_named_in_the_tape_docstring():
+    doc = ast.get_docstring(TREES["diff_engine"])
+    assert [name for name in de.__all__ if not re.search(rf"\b{name}\b", doc)] == []
 
 
 def test_every_op_that_records_is_exported():

@@ -656,8 +656,9 @@ def test_each_objective_ends_in_robust_rows_nodes():
     corpus's vocabulary, the LmConfig defaults and 8 windows of 32 tokens;
     the TwoTowerConfig defaults on 16 pairs of 12 + 12 features; TempNets of
     widths 16 and 8) records one robust_rows node per LM loss and per CL
-    direction, and one tempnet_head node per TempNet call: a composed chain
-    back in any of them shows here."""
+    direction, one tempnet_head node per TempNet call, and one transpose
+    node, of the attention keys or of the masked similarities: a composed
+    chain or a weight transpose back in any of them shows here."""
     vocab = md.build_vocab(md.load_corpus(ASSETS / "corpus.txt")).size
     lm = md.init_lm(md.LmConfig(vocab_size=vocab), seed=0)
     rng = np.random.default_rng(0)
@@ -681,11 +682,13 @@ def test_each_objective_ends_in_robust_rows_nodes():
             loss()
         nodes[name] = [fn.__qualname__.split(".")[0] for _, _, fn in tape._nodes]
     assert {name: len(ops) for name, ops in nodes.items()} == {
-        "lm-robust": 42, "lm-ce": 37, "cl-robust": 29, "cl-fixed": 19}
+        "lm-robust": 36, "lm-ce": 32, "cl-robust": 28, "cl-fixed": 18}
     assert {name: ops.count("robust_rows") for name, ops in nodes.items()} == {
         "lm-robust": 1, "lm-ce": 1, "cl-robust": 2, "cl-fixed": 2}
     assert {name: ops.count("tempnet_head") for name, ops in nodes.items()} == {
         "lm-robust": 1, "lm-ce": 0, "cl-robust": 2, "cl-fixed": 0}
+    assert {name: ops.count("transpose") for name, ops in nodes.items()} == {
+        "lm-robust": 1, "lm-ce": 1, "cl-robust": 1, "cl-fixed": 1}
 
 
 class TestPerplexity:
