@@ -272,7 +272,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     (p, k), wt = wd.shape, wd.T.copy()
 
     def back(g):
-        gw = (xd.T @ g).T if xd.ndim == 2 else (xd.reshape(-1, k).T @ g.reshape(-1, p)).T
+        gw = (xd.reshape(-1, k).T @ g.reshape(-1, p)).T
         return (g @ wt.T, gw) if b is None else (g @ wt.T, gw, g.sum(axis=0))
 
     out = xd @ wt

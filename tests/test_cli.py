@@ -1726,8 +1726,8 @@ class TestGenPairs:
         assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
         assert not dst.exists()
 
-    @pytest.mark.parametrize("noise", ["nan", "inf"])
-    def test_non_finite_noise_refused(self, tmp_path, capsys, noise):
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    def test_noise_outside_range_refused(self, tmp_path, capsys, noise):
         dst = tmp_path / "x.csv"
         argv = ["gen-pairs", "--n", "5", "--dim", "3", "--noise", noise, "--output", str(dst)]
         assert run_cli(argv) == 1
