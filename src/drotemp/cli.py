@@ -32,7 +32,7 @@ from . import verify as vf
 # this module because perfbench's tracer wraps cli.newton_solve, cli.LogitSet
 # and cli.robust_loss by name
 from .dro_core import DroConfig, LogitSet, robust_loss  # noqa: F401
-from .errors import DomainError, IntegrityError, TrainingDivergedError
+from .errors import DomainError, IntegrityError, TrainingDivergedError, read_utf8
 from .tau_solver import (
     STATUSES,
     SolveStatus,
@@ -93,15 +93,14 @@ _CL_SCHEMA = _schema(tr.ClTask, "cl", {
 
 def _parse_config_file(path) -> Dict[str, str]:
     entries: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+    for lineno, raw in enumerate(read_utf8(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, value = line.split("=", 1)
+        entries[key.strip()] = value.strip()
     return entries
 
 
@@ -327,7 +326,12 @@ def cmd_solve_tau(args) -> int:
     opts = SolverOptions(tol=args.tol, bracket_hi=args.bracket_hi)
     counts = dict.fromkeys(SolveStatus, 0)
     with open(args.input, "r", encoding="utf-8") as src:
-        _write_whole(args.output, _solve_stream(src, args.input, cfg, opts, counts))
+        try:
+            _write_whole(args.output, _solve_stream(src, args.input, cfg, opts, counts))
+        except UnicodeDecodeError as exc:
+            # the stream is decoded a block ahead of the line being parsed,
+            # so no line can be named
+            raise DomainError(f"{args.input}: not UTF-8 text ({exc.reason})") from None
     total = sum(counts.values())
     summary = ", ".join(f"{status.value} {n}" for status, n in counts.items())
     print(f"solved {total} instances -> {args.output} ({summary})")

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the range check of the
-settings classes: each field declares its range once, as ``bounds`` metadata,
-and ``check_fields`` enforces every declaration of a class."""
+"""Exception types shared across the package, the range check of the
+settings classes (each field declares its range once, as ``bounds`` metadata,
+and ``check_fields`` enforces every declaration of a class), and the one
+reader of the package's whole-file text inputs, ``read_utf8``."""
 
 import dataclasses
+import io
 import math
 
 
@@ -65,3 +67,18 @@ def check_fields(obj) -> None:
         else:
             span = "positive" if open_lo and lo == 0 else f"{'>' if open_lo else '>='} {lo:g}"
         raise DomainError(f"{f.name} must be {span}, got {v}")
+
+
+def read_utf8(path, newline=None) -> io.StringIO:
+    """The file at path decoded whole as UTF-8, as a text stream whose newline
+    handling is open()'s for the same newline. A file that is not UTF-8 is a
+    DomainError naming path:line of the first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        # the line a text reader would be on: count the line ends before the
+        # bad byte, as universal newlines split them
+        line = len((raw[: exc.start] + b".").splitlines())
+        raise DomainError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None

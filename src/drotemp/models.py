@@ -35,6 +35,7 @@ from . import tempnet as tn
 from .diff_engine import Tensor
 from .dro_core import DroConfig
 from .errors import DegenerateBatchError, DomainError, NonFiniteError, bounds, check_fields
+from .errors import read_utf8
 
 _NEG_MASK = -1e9  # additive score mask; exp underflows to exactly zero
 
@@ -603,8 +604,7 @@ def build_vocab(text: str) -> Vocab:
 
 
 def load_corpus(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_utf8(path).read()
     if not text:
         raise DomainError(f"corpus file {path} is empty")
     return text
@@ -676,25 +676,57 @@ def save_pairs_csv(path, batch: PairBatch):
 
 
 def load_pairs_csv(path) -> PairBatch:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    """The pairs of a CSV file in the layout save_pairs_csv writes: the header
+    x0..x{d_x-1},t0..t{d_t-1}, then one row of d_x + d_t numbers per pair.
+
+    A refused file is a DomainError that names the file, and a bad row as
+    path:line. The rows are parsed in one np.loadtxt call, whose result is
+    taken only when it holds one row per line; any other file goes through
+    the per-line loop, which finds and names the bad line.
+    """
+    fh = read_utf8(path, newline="")
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DomainError(f"pair file {path} is empty") from None
+    except csv.Error as exc:
+        raise DomainError(f"{path}:1: {exc}") from None
+    d_x = len([h for h in header if h.startswith("x")])
+    d_t = len(header) - d_x
+    saved = [f"x{i}" for i in range(d_x)] + [f"t{i}" for i in range(d_t)]
+    if d_x < 1 or d_t < 1 or header != saved:
+        raise DomainError(f"pair file {path} has a malformed header: {header!r}")
+    lines = fh.readlines()
+    if not lines:
+        raise DomainError(f"pair file {path} has no rows")
+    width = d_x + d_t
+    lengths = list(map(len, lines))
+    # A line shorter than a row's width fields and commas (a blank one, which
+    # np.loadtxt skips) or longer than csv's field limit goes to the loop.
+    rows = None
+    if 2 * width - 1 <= min(lengths) and max(lengths) <= csv.field_size_limit():
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"pair file {path} is empty") from None
-        d_x = len([h for h in header if h.startswith("x")])
-        d_t = len(header) - d_x
-        saved = [f"x{i}" for i in range(d_x)] + [f"t{i}" for i in range(d_t)]
-        if d_x < 1 or d_t < 1 or header != saved:
-            raise DomainError(f"pair file {path} has a malformed header: {header!r}")
-        xs, ts = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != d_x + d_t:
-                raise DomainError(f"{path}:{line_no}: expected {d_x + d_t} fields, got {len(row)}")
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if rows is None or rows.shape != (len(lines), width):
+        rows = np.array(_pair_rows(path, lines, width))
+    return PairBatch(rows[:, :d_x].copy(), rows[:, d_x:].copy())
+
+
+def _pair_rows(path, lines, width: int) -> list:
+    """The rows of the body lines as lists of floats, read one csv record at
+    a time; the first bad line raises, named as path:line."""
+    rows, line_no = [], 1
+    try:
+        for line_no, row in enumerate(csv.reader(lines), start=2):
+            if len(row) != width:
+                raise DomainError(f"{path}:{line_no}: expected {width} fields, got {len(row)}")
             try:
-                values = [float(v) for v in row]
+                rows.append([float(v) for v in row])
             except ValueError:
                 raise DomainError(f"{path}:{line_no}: non-numeric field") from None
-            xs.append(values[:d_x])
-            ts.append(values[d_x:])
-    return PairBatch(np.array(xs), np.array(ts))
+    except csv.Error as exc:
+        raise DomainError(f"{path}:{line_no + 1}: {exc}") from None
+    return rows

@@ -331,8 +331,7 @@ def _unpack_arrays(payload: bytes, section: str) -> List[Tuple[str, np.ndarray]]
         name = take(name_len).decode("utf-8")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}q", take(8 * ndim)) if ndim else ()
-        size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        arr = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
+        arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
         named.append((name, arr))
     if pos != len(payload):
         raise IntegrityError(f"checkpoint section {section!r} has trailing bytes")

@@ -1352,6 +1352,21 @@ class TestEval:
             err = capsys.readouterr().err
             assert err == f"error: pair file {path} has a malformed header: {header.split(',')!r}\n"
 
+    def test_pairs_field_over_the_csv_limit_exits_1(self, fixture_cl_ckpt, tmp_path, capsys):
+        path = tmp_path / "pairs.csv"
+        with open(FIXTURE, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[2] = "1" * 200_000 + lines[2][lines[2].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        argvs = [
+            ["train-cl", "--out", str(tmp_path / "run"), f"data.pairs={path}"],
+            ["eval", "--checkpoint", str(fixture_cl_ckpt), "--pairs", str(path)],
+        ]
+        for argv in argvs:
+            assert run_cli(argv) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {path}:3: field larger than field limit (131072)\n"
+
     def test_transfer_pairs_evaluate_where_training_refuses(self, cl_run, tmp_path, capsys):
         # 4 pairs split 2 / 2: too few for a batch of 16, enough to evaluate
         _, pairs = cl_run
@@ -1690,6 +1705,54 @@ class TestCommandsReproduceTheRun:
         evaluated = (tmp_path / "eval.csv").read_text().strip().split("\n")[-1].split(",")[1]
         assert evaluated == logged
         assert (tmp_path / "t.csv").read_bytes() == (out / "temperatures.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# input that is not UTF-8
+
+
+class TestNotUtf8Input:
+    """A byte that is not UTF-8 in any file a command reads is one error line
+    that names the file, and its line where the reader knows it."""
+
+    def write(self, path, text, line):
+        lines = text.encode("utf-8").splitlines(keepends=True)
+        lines[line - 1] = b"\xe9" + lines[line - 1]
+        path.write_bytes(b"".join(lines))
+        return path
+
+    def refused(self, argv, capsys, message):
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_pairs_file(self, fixture_cl_ckpt, tmp_path, capsys):
+        with open(FIXTURE, encoding="utf-8") as fh:
+            path = self.write(tmp_path / "pairs.csv", fh.read(), 3)
+        message = f"{path}:3: not UTF-8 text (invalid continuation byte)"
+        self.refused(["eval", "--checkpoint", str(fixture_cl_ckpt), "--pairs", str(path)],
+                     capsys, message)
+        self.refused(["train-cl", "--out", str(tmp_path / "run"), f"data.pairs={path}"],
+                     capsys, message)
+
+    def test_corpus(self, tmp_path, capsys):
+        path = self.write(tmp_path / "corpus.txt", "the cat\r\nsat on\rthe mat\n" * 3, 4)
+        self.refused(["train-lm", "--out", str(tmp_path / "run"), f"data.corpus={path}"],
+                     capsys, f"{path}:4: not UTF-8 text (invalid continuation byte)")
+
+    def test_config_file(self, tmp_path, capsys):
+        path = self.write(tmp_path / "run.cfg", "# a comment\ndro.rho = 0.5\n# caf\n", 3)
+        self.refused(["train-cl", "--config", str(path), "--out", str(tmp_path / "run")],
+                     capsys, f"{path}:3: not UTF-8 text (invalid continuation byte)")
+
+    def test_solve_stream_leaves_no_output(self, tmp_path, capsys):
+        # the bad byte sits past two solved chunks, after output has begun
+        fine = '{"positive":1.0,"contrast":[0.5,2.0]}\n'
+        n = 3 * cli.SOLVE_CHUNK
+        src = self.write(tmp_path / "in.jsonl", fine * n, n)
+        dst = tmp_path / "out.jsonl"
+        self.refused(["solve-tau", "--input", str(src), "--output", str(dst)],
+                     capsys, f"{src}: not UTF-8 text (invalid continuation byte)")
+        assert list(tmp_path.iterdir()) == [src]
 
 
 # ---------------------------------------------------------------------------

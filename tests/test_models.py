@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -861,6 +863,12 @@ class TestCorpusPlumbing:
         ids = vocab.encode(text[:200])
         assert ids.dtype == np.int64
 
+    def test_corpus_line_ends_read_as_a_text_file_reads_them(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes("ab\r\ncd\ref\n\u00e9\r".encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            assert md.load_corpus(path) == fh.read() == "ab\ncd\nef\n\u00e9\n"
+
     def test_sample_windows(self):
         rng = np.random.default_rng(5)
         ids = np.arange(100, dtype=np.int64) % 9
@@ -961,3 +969,116 @@ class TestPairData:
         path.write_text("\n".join([header, row, row]) + "\n")
         with pytest.raises(DomainError, match="malformed header"):
             md.load_pairs_csv(path)
+
+    def test_header_without_rows_names_the_file(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        for text in ["x0,t0\n", "x0,t0"]:
+            path.write_text(text)
+            with pytest.raises(DomainError) as info:
+                md.load_pairs_csv(path)
+            assert str(info.value) == f"pair file {path} has no rows"
+
+    @pytest.mark.parametrize("text, line", [
+        ("x0,t0\n1,2\n3," + "4" * 200_000 + "\n", 3), ("x0,t" + "0" * 200_000 + "\n1,2\n", 1),
+    ], ids=["row", "header"])
+    def test_oversized_field_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "pairs.csv"
+        path.write_text(text)
+        with pytest.raises(DomainError) as info:
+            md.load_pairs_csv(path)
+        assert str(info.value) == f"{path}:{line}: field larger than field limit (131072)"
+
+
+def per_line_pairs(path):
+    """load_pairs_csv as it read every file before the one-call parse, one
+    csv row and one float() per field at a time: the loader must give what
+    this gives on any file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DomainError(f"pair file {path} is empty") from None
+        d_x = len([h for h in header if h.startswith("x")])
+        d_t = len(header) - d_x
+        saved = [f"x{i}" for i in range(d_x)] + [f"t{i}" for i in range(d_t)]
+        if d_x < 1 or d_t < 1 or header != saved:
+            raise DomainError(f"pair file {path} has a malformed header: {header!r}")
+        xs, ts = [], []
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != d_x + d_t:
+                raise DomainError(f"{path}:{line_no}: expected {d_x + d_t} fields, got {len(row)}")
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                raise DomainError(f"{path}:{line_no}: non-numeric field") from None
+            xs.append(values[:d_x])
+            ts.append(values[d_x:])
+    return md.PairBatch(np.array(xs), np.array(ts))
+
+
+def load_outcome(load, path):
+    """The arrays a loader returns, as shapes, layouts and bytes, or the type
+    and message of its refusal; a warning counts as a refusal."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(a.shape, a.dtype, a.flags.c_contiguous, a.tobytes()) for a in (batch.x, batch.t)]
+
+
+class TestPairLoaderMatchesThePerLineLoop:
+    # bodies under the header x0,x1,t0,t1
+    EDGE_CASES = {
+        "lf": "1,2,3,4\n5,6,7,8\n",
+        "crlf": "1,2,3,4\r\n5,6,7,8\r\n",
+        "cr-only": "1,2,3,4\r5,6,7,8\r",
+        "no-final-newline": "1,2,3,4\n5,6,7,8",
+        "blank-line-in-middle": "1,2,3,4\n\n5,6,7,8\n",
+        "blank-line-at-end": "1,2,3,4\n5,6,7,8\n\n",
+        "blank-lines-only": "\n\r\n",
+        "whitespace-line": "1,2,3,4\n  \n5,6,7,8\n",
+        "hash-line": "1,2,3,4\n# note\n5,6,7,8\n",
+        "quoted-field": '1,"2",3,4\n5,6,7,8\n',
+        "space-around": "1, 2,3 ,4\n5,6,7,8\n",
+        "tab-around": "1,\t2,3\t,4\n5,6,7,8\n",
+        "underscore": "1_0,2,3,4\n5,6,7,8\n",
+        "hex-float": "0x1p3,2,3,4\n5,6,7,8\n",
+        "arabic-indic-digit": "\u0663,2,3,4\n5,6,7,8\n",
+        "signs": "+1e3,-0,3,4\n5,6,7,-0.0\n",
+        "nan": "nan,2,3,4\n5,6,7,8\n",
+        "inf": "1,2,inf,4\n5,6,7,8\n",
+        "empty-field": "1,,3,4\n5,6,7,8\n",
+        "trailing-comma": "1,2,3,4,\n5,6,7,8,\n",
+        "short-row": "1,2,3,4\n5,6,7\n",
+        "every-row-one-too-long": "1,2,3,4,9\n5,6,7,8,9\n",
+    }
+
+    @pytest.mark.parametrize("body", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+    def test_edge_cases(self, tmp_path, body):
+        path = tmp_path / "pairs.csv"
+        path.write_text("x0,x1,t0,t1\n" + body, encoding="utf-8", newline="")
+        assert load_outcome(md.load_pairs_csv, path) == load_outcome(per_line_pairs, path)
+
+    @pytest.mark.parametrize("n_pairs, dim, seed, powers", [
+        (40, 6, 0, (0, 0)), (40, 6, 1, (0, 0)), (160, 12, 7, (0, 0)), (160, 12, 8, (-320, 300)),
+    ], ids=["gen-pairs-seed0", "gen-pairs-seed1", "160x24", "160x24-subnormal-to-huge"])
+    def test_saved_files_take_the_one_call_parse(self, tmp_path, monkeypatch, n_pairs, dim, seed,
+                                                 powers):
+        # what save_pairs_csv writes never reaches the per-line loop, and reads
+        # back with the loop's bits; each value is scaled by 10**p, p drawn
+        # from the powers range
+        batch = md.gen_clustered_pairs(n_pairs, dim, 4, 0.2, seed)
+        p = np.random.default_rng(seed).integers(powers[0], powers[1] + 1, (2, n_pairs, dim))
+        batch = md.PairBatch(batch.x * 10.0 ** p[0], batch.t * 10.0 ** p[1])
+        path = tmp_path / "pairs.csv"
+        md.save_pairs_csv(path, batch)
+        expected = load_outcome(per_line_pairs, path)
+
+        def per_line_loop(*args):
+            raise AssertionError("a saved file took the per-line loop")
+
+        monkeypatch.setattr(md, "_pair_rows", per_line_loop)
+        assert load_outcome(md.load_pairs_csv, path) == expected

@@ -490,6 +490,20 @@ class TestCheckpointFuzz:
         with pytest.raises(IntegrityError, match=f"'{name}' is missing"):
             self.load(root, repacked(raws[kind], sections))
 
+    @pytest.mark.parametrize("shape", [(2**62, 4), (2**32, 2**32)])
+    def test_size_past_int64_reads_as_truncated(self, fuzz_base, shape):
+        # the size is counted exactly, not wrapped to a small int64
+        root, raws = fuzz_base
+        sections = sections_of(raws["cl"])
+        i = next(i for i, (name, _) in enumerate(sections) if name == "foundation")
+        name, payload = sections[i]
+        first, arr = tr._unpack_arrays(payload, name)[0]
+        assert arr.ndim == 2
+        at = 4 + 2 + len(first.encode()) + 1
+        sections[i] = (name, payload[:at] + struct.pack("<2q", *shape) + payload[at + 16:])
+        with pytest.raises(IntegrityError, match="'foundation' is truncated"):
+            self.load(root, repacked(raws["cl"], sections))
+
     def test_wrong_field_type(self, fuzz_base):
         root, raws = fuzz_base
         sections = sections_of(raws["lm"])
