@@ -585,22 +585,31 @@ class Vocab:
         return len(self.chars)
 
     def encode(self, text: str) -> np.ndarray:
-        """int64 ids: each character's rank among the sorted vocabulary."""
-        # a sentinel above every code point: an unknown character past the
-        # last one lands on it and mismatches like any other
-        table = np.append(_code_points(self.chars), np.uint32(0xFFFFFFFF))
-        codes = _code_points(text)
-        ids = np.searchsorted(table, codes)
-        unknown = table[ids] != codes
+        """int64 ids: each character's rank among the sorted vocabulary.
+
+        Code points map through one dense table holding each character's id
+        and -1 elsewhere, indexed up to the vocabulary's last code point plus
+        one overflow slot that every higher code point is clipped to: 124
+        entries for the bundled corpus, at most 0x110001 int64 (8.9 MB).
+        """
+        chars = _code_points(self.chars)
+        table = np.full(int(chars.max(initial=0)) + 2, -1, dtype=np.int64)
+        table[chars] = np.arange(len(chars))
+        ids = table.take(_code_points(text).astype(np.intp), mode="clip")
+        unknown = ids < 0
         if unknown.any():
             raise DomainError(f"character {text[int(unknown.argmax())]!r} not in vocabulary")
         return ids
 
 
 def build_vocab(text: str) -> Vocab:
+    """The distinct characters of text in code-point order, read off one
+    bincount of its code points, whose table runs to the largest one: 123
+    entries for the bundled corpus, at most 0x110000 int64 (8.9 MB)."""
     if not text:
         raise DomainError("cannot build a vocabulary from empty text")
-    return Vocab("".join(sorted(set(text))))
+    chars = np.flatnonzero(np.bincount(_code_points(text))).astype(np.uint32)
+    return Vocab(chars.tobytes().decode("utf-32-le", "surrogatepass"))
 
 
 def load_corpus(path) -> str:
@@ -656,6 +665,11 @@ def gen_clustered_pairs(
         raise DomainError(f"noise must be finite and >= 0, got {noise}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+    # numpy refuses an array of more bytes than an intp holds ("array is too big")
+    most = np.iinfo(np.intp).max // 8
+    for name, rows in (("n_pairs", n_pairs), ("n_clusters", n_clusters)):
+        if rows * dim > most:
+            raise DomainError(f"{name} {rows} x dim {dim} is more floats than numpy can hold")
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(n_clusters, dim))
     assign = rng.integers(n_clusters, size=n_pairs)

@@ -603,7 +603,7 @@ class _Runtime:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
             fh.writelines(
-                f"{i},{label}{float(t)!r}\n" for i, (label, t) in enumerate(zip(labels, taus))
+                f"{i},{label}{t!r}\n" for i, (label, t) in enumerate(zip(labels, taus.tolist()))
             )
         return len(taus)
 

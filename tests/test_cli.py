@@ -6,11 +6,13 @@ observable without subprocesses.
 
 import binascii
 import contextlib
+import ctypes
 import dataclasses
 import io
 import json
 import math
 import os
+import pathlib
 import resource
 import stat
 import struct
@@ -1796,3 +1798,87 @@ class TestGenPairs:
         assert run_cli(argv) == 1
         assert capsys.readouterr() == ("", f"error: noise must be finite and >= 0, got {noise}\n")
         assert not dst.exists()
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--n", f"n_pairs {2**62} x dim 3"),
+            ("--dim", f"n_pairs 5 x dim {2**62}"),
+            ("--clusters", f"n_clusters {2**62} x dim 3"),
+        ],
+        ids=["n", "dim", "clusters"],
+    )
+    def test_size_numpy_cannot_hold_refused(self, tmp_path, capsys, flag, message):
+        dst = tmp_path / "x.csv"
+        argv = ["gen-pairs", "--n", "5", "--dim", "3", flag, str(2**62), "--output", str(dst)]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {message} is more floats than numpy can hold\n"
+        )
+        assert not dst.exists()
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 745. GiB for an array"),
+             "error: out of memory: Unable to allocate 745. GiB for an array\n"),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch, exc, line):
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(md, "gen_clustered_pairs", exhausted)
+        dst = tmp_path / "x.csv"
+        assert run_cli(["gen-pairs", "--n", "5", "--dim", "3", "--output", str(dst)]) == 1
+        assert capsys.readouterr() == ("", line)
+        assert not dst.exists()
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+def _bundled_openblas():
+    libs = (pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so")
+    for lib in libs:
+        handle = ctypes.CDLL(str(lib))
+        if hasattr(handle, "scipy_openblas_get_num_threads64_"):
+            return handle
+    pytest.skip("numpy has no bundled OpenBLAS with a thread-count symbol")
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        handle = _bundled_openblas()
+        before = handle.scipy_openblas_get_num_threads64_()
+        for name in list(os.environ):
+            if name.endswith("_NUM_THREADS"):
+                monkeypatch.delenv(name)
+        handle.scipy_openblas_set_num_threads64_(2)
+        yield handle
+        handle.scipy_openblas_set_num_threads64_(before)
+
+    def test_one_thread_when_no_count_is_set(self, blas):
+        cli._one_blas_thread()
+        assert blas.scipy_openblas_get_num_threads64_() == 1
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_set_count_is_left_alone(self, blas, monkeypatch, name):
+        monkeypatch.setenv(name, "2")
+        cli._one_blas_thread()
+        assert blas.scipy_openblas_get_num_threads64_() == 2
+
+    @pytest.mark.parametrize("failure", ["no-symbol", "no-library"])
+    def test_without_the_symbol_nothing_happens(self, blas, monkeypatch, failure):
+        def cdll(path):
+            if failure == "no-library":
+                raise OSError(f"{path}: cannot open shared object file")
+            return object()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        cli._one_blas_thread()
+        assert blas.scipy_openblas_get_num_threads64_() == 2

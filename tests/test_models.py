@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drotemp import diff_engine as de
 from drotemp import models as md
@@ -821,6 +823,66 @@ class TestRecallAtK:
             md.recall_at_k(*encoded(towers, batch), 1)
 
 
+def utf32_code_points(text):
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def searchsorted_encode(chars, text):
+    """Vocab.encode before its code-point table: the ids by binary search
+    into the sorted characters, or the first character not among them."""
+    table = np.append(utf32_code_points(chars), np.uint32(0xFFFFFFFF))
+    codes = utf32_code_points(text)
+    ids = np.searchsorted(table, codes)
+    unknown = table[ids] != codes
+    return text[int(unknown.argmax())] if unknown.any() else ids
+
+
+def assert_vocab_matches_the_sorted_set(text, probe):
+    """build_vocab(text) is sorted(set(text)), and its encode(probe) gives
+    the binary search's int64 ids or refuses its first unknown character."""
+    vocab = md.build_vocab(text)
+    assert vocab.chars == "".join(sorted(set(text)))
+    expected = searchsorted_encode(vocab.chars, probe)
+    if isinstance(expected, str):
+        with pytest.raises(DomainError) as info:
+            vocab.encode(probe)
+        assert str(info.value) == f"character {expected!r} not in vocabulary"
+    else:
+        ids = vocab.encode(probe)
+        assert ids.dtype == np.int64 and ids.shape == expected.shape
+        assert ids.tobytes() == expected.astype(np.int64).tobytes()
+
+
+# any code point, lone surrogates included
+_ANY_CHARACTER = st.characters() | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+
+
+class TestVocabMatchesTheSortedSet:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "caf\u00e9 \U0001f600 \u00e9a",
+            "\u6e29\u5ea6\u7f51\u7edc\u9047\u4e0a\u5927\u6a21\u578b",
+            "a\x00b\x00",
+            "x\ud800y",
+            "z\U0010fffd",
+        ],
+        ids=["accents-emoji", "cjk", "nul", "lone-surrogate", "u10fffd"],
+    )
+    def test_texts(self, text):
+        assert_vocab_matches_the_sorted_set(text, text)
+
+    def test_bundled_corpus(self):
+        corpus = md.load_corpus(ASSETS / "corpus.txt")
+        assert_vocab_matches_the_sorted_set(corpus, corpus)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(_ANY_CHARACTER, min_size=1), st.text(_ANY_CHARACTER, max_size=4))
+    def test_random_text(self, text, extra):
+        assert_vocab_matches_the_sorted_set(text, text)
+        assert_vocab_matches_the_sorted_set(text, extra + text)
+
+
 class TestCorpusPlumbing:
     def test_vocab_round_trip(self):
         vocab = md.build_vocab("the cat.")
@@ -843,10 +905,17 @@ class TestCorpusPlumbing:
             assert ids.dtype == np.int64
             np.testing.assert_array_equal(ids, reference(vocab, text))
 
-    @pytest.mark.parametrize("text", ["abzq", "ab\u00e9", "\tab", "a\U0001f600"])
+    @pytest.mark.parametrize(
+        "text",
+        # below, between and above the vocabulary's code points; U+00DD is
+        # ord("a") past the end of the 124-entry table for "abcz"
+        ["\tab", "a\x00", "abzq", "bad", "ab\u00e9", "a\U0001f600", "ab\ud800", "c\U0010ffff",
+         "b\u00dd"],
+    )
     def test_vocab_encode_names_first_unknown_character(self, text):
         vocab = md.build_vocab("abcz")
         first = next(c for c in text if c not in vocab.chars)
+        assert searchsorted_encode(vocab.chars, text) == first
         with pytest.raises(DomainError, match="not in vocabulary") as info:
             vocab.encode(text)
         assert str(info.value) == f"character {first!r} not in vocabulary"
