@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 validation or check failure, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import functools
 import itertools
@@ -542,29 +541,8 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _one_blas_thread() -> None:
-    """Run numpy's bundled OpenBLAS on one thread, unless a *_NUM_THREADS
-    variable chose a count.
-
-    The tape's products are at most a few hundred rows, too small for
-    threads to pay off, and one thread is what perfbench measures. Without
-    the library or its symbol this does nothing.
-    """
-    if any(name.endswith("_NUM_THREADS") for name in os.environ):
-        return
-    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so"):
-        try:
-            set_threads = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
-        except OSError:
-            continue
-        if set_threads is not None:
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(1)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     tr._keep_freed_heap()
-    _one_blas_thread()
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
@@ -572,7 +550,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        # numpy's names the allocation it could not make
+        # numpy names the allocation it could not make
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     except OSError as exc:

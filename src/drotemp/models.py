@@ -595,7 +595,7 @@ class Vocab:
         chars = _code_points(self.chars)
         table = np.full(int(chars.max(initial=0)) + 2, -1, dtype=np.int64)
         table[chars] = np.arange(len(chars))
-        ids = table.take(_code_points(text).astype(np.intp), mode="clip")
+        ids = table.take(_code_points(text), mode="clip")
         unknown = ids < 0
         if unknown.any():
             raise DomainError(f"character {text[int(unknown.argmax())]!r} not in vocabulary")

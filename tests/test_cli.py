@@ -6,13 +6,11 @@ observable without subprocesses.
 
 import binascii
 import contextlib
-import ctypes
 import dataclasses
 import io
 import json
 import math
 import os
-import pathlib
 import resource
 import stat
 import struct
@@ -1836,49 +1834,3 @@ class TestGenPairs:
         assert capsys.readouterr() == ("", line)
         assert not dst.exists()
 
-
-# ---------------------------------------------------------------------------
-# BLAS threads
-
-
-def _bundled_openblas():
-    libs = (pathlib.Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so")
-    for lib in libs:
-        handle = ctypes.CDLL(str(lib))
-        if hasattr(handle, "scipy_openblas_get_num_threads64_"):
-            return handle
-    pytest.skip("numpy has no bundled OpenBLAS with a thread-count symbol")
-
-
-class TestOneBlasThread:
-    @pytest.fixture
-    def blas(self, monkeypatch):
-        handle = _bundled_openblas()
-        before = handle.scipy_openblas_get_num_threads64_()
-        for name in list(os.environ):
-            if name.endswith("_NUM_THREADS"):
-                monkeypatch.delenv(name)
-        handle.scipy_openblas_set_num_threads64_(2)
-        yield handle
-        handle.scipy_openblas_set_num_threads64_(before)
-
-    def test_one_thread_when_no_count_is_set(self, blas):
-        cli._one_blas_thread()
-        assert blas.scipy_openblas_get_num_threads64_() == 1
-
-    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
-    def test_a_set_count_is_left_alone(self, blas, monkeypatch, name):
-        monkeypatch.setenv(name, "2")
-        cli._one_blas_thread()
-        assert blas.scipy_openblas_get_num_threads64_() == 2
-
-    @pytest.mark.parametrize("failure", ["no-symbol", "no-library"])
-    def test_without_the_symbol_nothing_happens(self, blas, monkeypatch, failure):
-        def cdll(path):
-            if failure == "no-library":
-                raise OSError(f"{path}: cannot open shared object file")
-            return object()
-
-        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-        cli._one_blas_thread()
-        assert blas.scipy_openblas_get_num_threads64_() == 2
